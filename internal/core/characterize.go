@@ -310,7 +310,9 @@ func (c *Characterizer) measurePoint(freqKHz, offsetMV int) (Classification, err
 	// commanded (f, V) point even when a pending relock's deadline outruns
 	// the rail's settle (see its doc) — otherwise a cell's class would
 	// depend on the probe order, breaking sweep/bisect equivalence.
-	p.SettleCommanded(c.cfg.VictimCore)
+	if err := p.SettleCommanded(c.cfg.VictimCore); err != nil {
+		return Safe, err
+	}
 	if c.cfg.SettleWait > 0 {
 		p.Sim.RunFor(c.cfg.SettleWait)
 	}

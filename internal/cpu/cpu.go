@@ -773,20 +773,30 @@ func (p *Platform) SettleAll() {
 // settles long before that stale deadline — leaving the clock at the old
 // ratio past SettleAll's bounded window. Measurement paths that must
 // observe the commanded (f, V) point — the characterizer's probes — call
-// this instead.
-func (p *Platform) SettleCommanded(core int) {
+// this instead. It returns ErrUnsettled if the point is still not realized
+// after settleBackstop rounds.
+func (p *Platform) SettleCommanded(core int) error {
 	c := p.Core(core)
 	// Each SettleAll advances virtual time by at least the relock margin,
 	// and the pending relock deadline is bounded by the rail's full-range
 	// slew, so this converges; the cap is a backstop against a commanded
 	// point that can never be realized.
-	for i := 0; i < 10_000; i++ {
+	for i := 0; i < settleBackstop; i++ {
 		if c.VR.Settled() && c.PLL.Ratio() == c.targetRatio {
-			return
+			return nil
 		}
 		p.SettleAll()
 	}
+	return fmt.Errorf("%w: core %d at ratio %d (commanded %d), rail settled %v after %d rounds",
+		ErrUnsettled, core, c.PLL.Ratio(), c.targetRatio, c.VR.Settled(), settleBackstop)
 }
+
+// settleBackstop bounds SettleCommanded's SettleAll rounds.
+const settleBackstop = 10_000
+
+// ErrUnsettled reports a commanded operating point that SettleCommanded
+// could not realize.
+var ErrUnsettled = errors.New("cpu: commanded operating point never realized")
 
 // Seed returns the platform's RNG seed.
 func (p *Platform) Seed() int64 { return p.seed }

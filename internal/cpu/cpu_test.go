@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -492,6 +493,52 @@ func TestSettleAllWaitsForSlew(t *testing.T) {
 	p.SettleAll()
 	if math.Abs(c.VoltageV()-(nominal-0.250)) > 2e-3 {
 		t.Fatalf("rail after settle %v", c.VoltageV())
+	}
+}
+
+// TestSettleCommandedReportsUnrealizedPoint forces a commanded ratio the
+// PLL is never told to reach: SettleCommanded must give up with
+// ErrUnsettled instead of returning as if the point were realized.
+func TestSettleCommandedReportsUnrealizedPoint(t *testing.T) {
+	p := newSkyLake(t, 1)
+	if err := p.SetRatioViaMSR(0, p.Spec.BaseRatio+2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SettleCommanded(0); err != nil {
+		t.Fatalf("reachable up-transition: %v", err)
+	}
+	p.Core(0).targetRatio = p.Spec.BaseRatio + 4 // no relock ever armed
+	if err := p.SettleCommanded(0); !errors.Is(err, ErrUnsettled) {
+		t.Fatalf("SettleCommanded = %v, want ErrUnsettled", err)
+	}
+}
+
+// TestNewPlatformConstructionCost pins what a platform that never draws
+// and never evaluates timing pays to exist: the RNG stays unseeded and only
+// the victim's timing memo would ever be allocated. Row platforms of the
+// sharded characterizer are built once per (seed, frequency), so each
+// build here uses a distinct seed.
+func TestNewPlatformConstructionCost(t *testing.T) {
+	spec, err := models.SkyLake()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPlatform(spec, -1); err != nil { // warm the spec's caches
+		t.Fatal(err)
+	}
+	const builds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if _, err := NewPlatform(spec, 42^int64(800_000+i*100_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("NewPlatform: %d B per distinct seed", per)
+	if per > 16<<10 {
+		t.Fatalf("NewPlatform allocated %d B per distinct seed, want <= %d", per, 16<<10)
 	}
 }
 

@@ -128,7 +128,7 @@ type Simulator struct {
 	slots    []eventSlot
 	freeHead int32 // top of the free-slot stack, -1 when empty
 	seq      uint64
-	rng      *rand.Rand
+	rng      *rand.Rand // nil until the first Rand call
 	seed     int64
 	fired    uint64
 	stopped  bool
@@ -137,9 +137,13 @@ type Simulator struct {
 // New returns a simulator whose random source is seeded with seed.
 // Two simulators built with the same seed and driven by the same schedule of
 // calls produce identical event orders and identical random draws.
+//
+// Seeding math/rand costs microseconds and kilobytes, and many simulators
+// (the sharded characterizer's row platforms) never draw at all, so the
+// source is only seeded on the first Rand call. Event processing never
+// touches it, so the stream is the same whenever that first call happens.
 func New(seed int64) *Simulator {
 	return &Simulator{
-		rng:      rand.New(newCachedSource(seed)),
 		seed:     seed,
 		freeHead: -1,
 	}
@@ -153,8 +157,20 @@ func (s *Simulator) Seed() int64 { return s.seed }
 
 // Rand exposes the simulator's deterministic random source. All stochastic
 // models (clock jitter, fault coin flips) must draw from this source and
-// never from the global rand, otherwise replays diverge.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+// never from the global rand, otherwise replays diverge. The stream is
+// exactly rand.New(rand.NewSource(seed))'s.
+func (s *Simulator) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.seedRand()
+	}
+	return s.rng
+}
+
+// seedRand is kept out of line so Rand, called per simulated instruction,
+// stays inlinable.
+//
+//go:noinline
+func (s *Simulator) seedRand() { s.rng = rand.New(rand.NewSource(s.seed)) }
 
 // Fired returns the number of events executed so far; useful for tests and
 // for asserting progress bounds.

@@ -142,8 +142,8 @@ func TestPathByNameAfterAppend(t *testing.T) {
 }
 
 // TestCloneOwnsPrivateMemo verifies clones do not share delay-memo storage:
-// warming one clone must not leak entries into another (the arrays are
-// value-copied, not aliased).
+// warming one clone must not leak entries into another, and a clone taken
+// from a warmed circuit starts with no memo of its own.
 func TestCloneOwnsPrivateMemo(t *testing.T) {
 	base := testCircuit()
 	base.Prepare()
@@ -162,5 +162,37 @@ func TestCloneOwnsPrivateMemo(t *testing.T) {
 	}
 	if got := b.unitDelay(va); math.Float64bits(got) != math.Float64bits(wantA) {
 		t.Fatalf("clone b at va: %v != %v", got, wantA)
+	}
+
+	// A clone of the warmed clone a: no memo until it evaluates, exact
+	// results, and never the source's tables.
+	slack := Analysis{SlackPS: -1.25}
+	wantP := a.FaultProbability(slack)
+	c := a.Clone()
+	if c.memo != nil {
+		t.Fatal("clone of a warmed circuit starts with a memo")
+	}
+	if got := c.unitDelay(va); math.Float64bits(got) != math.Float64bits(wantA) {
+		t.Fatalf("clone of warm a at va: %v != %v", got, wantA)
+	}
+	if got := c.FaultProbability(slack); math.Float64bits(got) != math.Float64bits(wantP) {
+		t.Fatalf("clone of warm a: FaultProbability %v != %v", got, wantP)
+	}
+	if c.memo == nil || c.memo == a.memo {
+		t.Fatal("clone of a warmed circuit aliases the source's memo")
+	}
+}
+
+// TestWarmAnalyzeZeroAlloc asserts that once the memo exists, Analyze plus
+// FaultProbability allocate nothing.
+func TestWarmAnalyzeZeroAlloc(t *testing.T) {
+	c := testCircuit()
+	p := c.Paths[0]
+	c.FaultProbability(c.Analyze(p, 3.2, 0.8)) // allocates the memo
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.FaultProbability(c.Analyze(p, 3.2, 0.8))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Analyze+FaultProbability allocated %.1f per op, want 0", allocs)
 	}
 }

@@ -123,11 +123,19 @@ type Circuit struct {
 	depths []float64
 	byName map[string]int
 	idxLen int
-	// dcKeys/dcVals is the direct-mapped voltage→unit-delay memo, keyed by
-	// the voltage's bit pattern. A zero key marks an empty slot: only
-	// v = +0.0 has zero bits, and Delay(+0) is either +Inf (short-circuited
-	// before the cache) or exactly the 0.0 an empty slot already holds.
-	// Clones copy the arrays by value, so each owner memoizes privately.
+	// memo is allocated on the first unitDelay/FaultProbability call: most
+	// circuits (every core but a platform's victim) never evaluate timing,
+	// and the tables are ~2 KiB. Clones start without one, so each owner
+	// memoizes privately.
+	memo *memo
+}
+
+// memo holds the per-circuit direct-mapped lookup tables.
+type memo struct {
+	// dcKeys/dcVals is the voltage→unit-delay memo, keyed by the voltage's
+	// bit pattern. A zero key marks an empty slot: only v = +0.0 has zero
+	// bits, and Delay(+0) is either +Inf (short-circuited before the cache)
+	// or exactly the 0.0 an empty slot already holds.
 	dcKeys [delayCacheSize]uint64
 	dcVals [delayCacheSize]float64
 	// fpKeys/fpVals/fpSet memoize FaultProbability per slack bit pattern
@@ -139,11 +147,20 @@ type Circuit struct {
 	fpSet  [delayCacheSize]bool
 }
 
+// tables returns the circuit's memo, allocating it on first use.
+func (c *Circuit) tables() *memo {
+	if c.memo == nil {
+		c.memo = new(memo)
+	}
+	return c.memo
+}
+
 // Clone returns a shallow copy sharing the immutable path slice and derived
-// lookup tables but owning a private delay memo, so many cores can analyze
+// lookup tables but with no memo of its own yet, so many cores can analyze
 // one validated circuit without rebuilding or contending on it.
 func (c *Circuit) Clone() *Circuit {
 	cp := *c
+	cp.memo = nil
 	return &cp
 }
 
@@ -185,12 +202,13 @@ func (c *Circuit) unitDelay(v float64) float64 {
 	}
 	bits := math.Float64bits(v)
 	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	if c.dcKeys[h] == bits {
-		return c.dcVals[h]
+	m := c.tables()
+	if m.dcKeys[h] == bits {
+		return m.dcVals[h]
 	}
 	d := c.Tech.Delay(v)
-	c.dcKeys[h] = bits
-	c.dcVals[h] = d
+	m.dcKeys[h] = bits
+	m.dcVals[h] = d
 	return d
 }
 
@@ -289,13 +307,14 @@ func (c *Circuit) FaultProbability(a Analysis) float64 {
 	}
 	bits := math.Float64bits(a.SlackPS)
 	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	if c.fpSet[h] && c.fpKeys[h] == bits {
-		return c.fpVals[h]
+	m := c.tables()
+	if m.fpSet[h] && m.fpKeys[h] == bits {
+		return m.fpVals[h]
 	}
 	p := normalCDF(-a.SlackPS / c.JitterSigmaPS)
-	c.fpKeys[h] = bits
-	c.fpVals[h] = p
-	c.fpSet[h] = true
+	m.fpKeys[h] = bits
+	m.fpVals[h] = p
+	m.fpSet[h] = true
 	return p
 }
 
