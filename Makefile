@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz bench bench-json golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
+.PHONY: build test test-race fuzz bench golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
 
 build:
 	$(GO) build ./...
@@ -19,34 +19,30 @@ test-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Short fuzz pass over the grid codec, the shard merge ordering, and the
-# compiled guard LUT's equivalence with the map-backed membership test.
+# Short fuzz pass over every Fuzz target in the tree: the grid and
+# unsafe-set codecs, the shard merge ordering, row monotonicity (what
+# bisection rests on), the compiled guard LUT, the 0x150 and perf-status
+# MSR codecs the guard trusts, the telemetry merge fold, and the fleet
+# checkpoint and incident bundle decoders. CI runs this target.
 fuzz:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGridJSONRoundTrip -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRowMergeOrdering -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGridFromJSON -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLUTContainsEquivalence -fuzztime 10s
-	$(GO) test ./internal/flight -run '^$$' -fuzz FuzzIncidentBundleDecode -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRowMonotonicity -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridFromJSON$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridJSONRoundTrip$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRowMergeOrdering$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnsafeSetFromJSON$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRowMonotonicity$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLUTContainsEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzDecodeVoltageOffset$$' -fuzztime 10s
+	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzPerfStatus$$' -fuzztime 10s
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzMergeSnapshots$$' -fuzztime 10s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzFleetCheckpointDecode$$' -fuzztime 10s
+	$(GO) test ./internal/flight -run '^$$' -fuzz '^FuzzIncidentBundleDecode$$' -fuzztime 10s
 
+# One iteration of every benchmark in the root package. Performance is
+# compared with the benchmark module instead: run
+#   bash benchmark/run.sh --workload W -out new.json
+# at both commits on the same host, then -compare OLD NEW.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Benchmark regression artifact: run the figure-level and hot-path
-# benchmarks with enough repetition for benchstat, convert the output to
-# JSON (raw text preserved in the "raw" field), and write the next numbered
-# BENCH_<n>.json. The experiment-campaign benchmarks (E1-E3, ablations) are
-# excluded: at -count 5 they run for tens of minutes without adding signal
-# about the engine hot paths the artifact tracks. Compare artifacts with
-#   go run ./cmd/plugvolt-bench -compare BENCH_0.json BENCH_1.json
-# or feed the raw fields to benchstat (see EXPERIMENTS.md).
-bench-json:
-	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	{ $(GO) test -bench 'Fig|Table1MailboxCodec|CharacterizeWorkers|GuardPollSteadyState|FleetThroughput|FleetStreaming|EnergyAccounting|FlightRecorder|BisectVsSweep|AnnealTimeToFault' \
-		-benchtime 300x -count 5 -run '^$$' -timeout 30m . ; \
-	  $(GO) test -bench . -benchtime 300x -count 5 -run '^$$' \
-		./internal/sim ./internal/timing ; } \
-		| $(GO) run ./cmd/plugvolt-bench -o BENCH_$$n.json
 
 # Golden-artifact conformance: re-derive figs 2-4 at 1/2/8 workers and diff
 # bit-for-bit against artifacts/. golden-update rewrites the goldens after

@@ -74,15 +74,15 @@ func BenchmarkFig1TimingModel(b *testing.B) {
 }
 
 // characterize runs the standard quick sweep for a model.
-func characterize(b *testing.B, model string, seed int64) (*plugvolt.System, *plugvolt.Grid) {
-	b.Helper()
+func characterize(tb testing.TB, model string, seed int64) (*plugvolt.System, *plugvolt.Grid) {
+	tb.Helper()
 	sys, err := plugvolt.NewSystem(model, seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	grid, err := sys.Characterize(plugvolt.QuickSweep())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sys, grid
 }
@@ -112,9 +112,8 @@ func BenchmarkFig4CometLakeCharacterization(b *testing.B) { benchCharacterizatio
 // model (the widest frequency table: 46 rows) at the paper's 1 mV offset
 // resolution, where row work dominates per-row platform construction
 // (~230us/row vs ~28us platform build). The grids are bit-for-bit
-// identical at every worker count; only wall-clock should move, and the
-// ns/op series across worker counts is what future BENCH_*.json snapshots
-// track. Speedup is bounded by GOMAXPROCS: on a single-CPU host the
+// identical at every worker count; only wall-clock should move across the
+// ns/op series. Speedup is bounded by GOMAXPROCS: on a single-CPU host the
 // series is flat-to-slightly-worse (workers time-slice one core and pay
 // channel coordination); the determinism assertions below hold either
 // way.
@@ -393,8 +392,9 @@ func BenchmarkE3EmpiricalUnsafeDwell(b *testing.B) {
 // kthread tick (every core polled) per op, driven through the simulator the
 // way a deployment drives it — with allocations reported: the poll path is
 // allocation-free both with telemetry off and with full tracing on once the
-// span buffer reaches its drop-newest steady state. CI gates poll-* against
-// the committed BENCH_2.json baseline.
+// span buffer reaches its drop-newest steady state. For a same-host A/B of
+// the poll path use `bash benchmark/run.sh --workload guard-steady` on both
+// commits and `-compare OLD NEW`.
 func BenchmarkGuardPollSteadyState(b *testing.B) {
 	const decisionsPerOp = 4096
 	sys, grid := characterize(b, "skylake", 42)
@@ -497,11 +497,12 @@ func BenchmarkGuardPollSteadyState(b *testing.B) {
 	b.Run("poll-flight-on", func(b *testing.B) { pollSteadyState(b, false, true) })
 }
 
-// Flight recorder microbenchmarks — the ns/op axes CI gates against
-// BENCH_5.json. The append path is the one that rides every guard poll and
-// mailbox write, so it must stay allocation-free and cheap; trigger/encode
-// are rare (per incident) but bounded here so the capture path cannot
-// quietly become a stall.
+// Flight recorder microbenchmarks. The append path is the one that rides
+// every guard poll and mailbox write, so it must stay allocation-free and
+// cheap (end to end, its cost per poll is flight.poll_ns in the
+// guard-steady workload of `bash benchmark/run.sh -trace 1`);
+// trigger/encode are rare (per incident) but bounded here so the capture
+// path cannot quietly become a stall.
 func BenchmarkFlightRecorder(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		var now sim.Time
@@ -562,46 +563,57 @@ func BenchmarkFlightRecorder(b *testing.B) {
 // of guarded benign steady state per op, with the platform integrator's
 // package energy and the kernel-attributed guard energy reported per op.
 // Both are integrals over the virtual clock, so J/op is a property of the
-// power model and the guard's duty cycle — not of the host — and is stable
-// enough for CI to gate against the committed BENCH_4.json baseline: a
-// regression means the guard got electrically more expensive (more polls,
-// costlier primitives, or a hotter commanded operating point), which no
-// wall-clock metric would catch. The energy ledgers mutate only at
-// event-driven instants and reads are pure, so metering here cannot perturb
-// the ns/op axis of the co-gated poll benchmarks.
+// power model and the guard's duty cycle — not of the host: a change means
+// the guard got electrically more expensive (more polls, costlier
+// primitives, or a hotter commanded operating point), which no wall-clock
+// metric would catch. TestEnergyPerPollPeriodExact pins one period exactly.
+// The energy ledgers mutate only at event-driven instants and reads are
+// pure, so metering here cannot perturb the ns/op axis.
 func BenchmarkEnergyAccounting(b *testing.B) {
-	sys, grid := characterize(b, "skylake", 42)
-	sys.SetTelemetry(&telemetry.Set{})
-	cfg := core.DefaultGuardConfig()
-	guard, err := core.NewGuard(grid.UnsafeSet(), sys.Platform.Spec.BusMHz, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Kernel.Load(guard.Module()); err != nil {
-		b.Fatal(err)
-	}
-	sys.RunFor(sim.Millisecond)
+	sys, guard, period := guardedSteadyState(b)
 	tr := sys.Platform.Energy
-	guardPJ := func() int64 {
-		var pj int64
-		for c := 0; c < sys.Platform.NumCores(); c++ {
-			pj += sys.Kernel.EnergyPJ(c)
-		}
-		return pj
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	pkgBefore := tr.PackageEnergyJ()
-	guardBefore := guardPJ()
+	guardBefore := guardEnergyPJ(sys)
 	for i := 0; i < b.N; i++ {
-		sys.RunFor(cfg.PollPeriod)
+		sys.RunFor(period)
 	}
 	b.StopTimer()
 	if guard.Interventions != 0 {
 		b.Fatal("benign steady state triggered interventions; wrong path measured")
 	}
 	b.ReportMetric((tr.PackageEnergyJ()-pkgBefore)/float64(b.N), "J/op")
-	b.ReportMetric(float64(guardPJ()-guardBefore)*1e-12/float64(b.N), "guardJ/op")
+	b.ReportMetric(float64(guardEnergyPJ(sys)-guardBefore)*1e-12/float64(b.N), "guardJ/op")
+}
+
+// guardedSteadyState deploys the default guard on a quick-characterized Sky
+// Lake (seed 42) with telemetry off and runs a 1 ms warm-up. It returns the
+// system, the guard and the guard's poll period.
+func guardedSteadyState(tb testing.TB) (*plugvolt.System, *core.Guard, sim.Duration) {
+	tb.Helper()
+	sys, grid := characterize(tb, "skylake", 42)
+	sys.SetTelemetry(&telemetry.Set{})
+	cfg := core.DefaultGuardConfig()
+	guard, err := core.NewGuard(grid.UnsafeSet(), sys.Platform.Spec.BusMHz, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Kernel.Load(guard.Module()); err != nil {
+		tb.Fatal(err)
+	}
+	sys.RunFor(sim.Millisecond)
+	return sys, guard, cfg.PollPeriod
+}
+
+// guardEnergyPJ is the kernel-attributed guard energy summed over all cores,
+// in integer picojoules.
+func guardEnergyPJ(sys *plugvolt.System) int64 {
+	var pj int64
+	for c := 0; c < sys.Platform.NumCores(); c++ {
+		pj += sys.Kernel.EnergyPJ(c)
+	}
+	return pj
 }
 
 // Fleet throughput — the concurrent fleet-simulation engine: a mixed
@@ -630,8 +642,8 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // Fleet streaming — the O(batch) epoch engine: the same mixed fleet carried
 // through epoch-sliced guard windows in bounded batches, with telemetry
 // folded incrementally. machine-windows/s is the headline metric and
-// heap-high-water-MB is the fleet memory assertion the bench-json artifact
-// tracks: it must scale with the batch, never with the fleet.
+// heap-high-water-MB is the fleet memory assertion: it must scale with the
+// batch, never with the fleet.
 func BenchmarkFleetStreaming(b *testing.B) {
 	const machines, epochs, batchSize = 12, 4, 3
 	var highWater uint64
@@ -662,45 +674,10 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	b.ReportMetric(float64(highWater)/(1<<20), "heap-high-water-MB")
 }
 
-// Ablation: adaptive bisection vs the full Algorithm 2 scan — probes spent
-// to obtain a guard-ready unsafe set.
-func BenchmarkAblationAdaptiveVsSweep(b *testing.B) {
-	b.Run("full-sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, grid := characterize(b, "skylake", 42)
-			points := len(grid.FreqsKHz) * len(grid.OffsetsMV)
-			b.ReportMetric(float64(points), "grid-points")
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sys, err := plugvolt.NewSystem("skylake", 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.NewAdaptiveCharacterizer(sys.Platform, plugvolt.QuickSweep(), 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			unsafe, results, err := a.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(unsafe.OnsetMV) != 29 {
-				b.Fatalf("boundaries %d", len(unsafe.OnsetMV))
-			}
-			probes := 0
-			for _, r := range results {
-				probes += r.Probes
-			}
-			b.ReportMetric(float64(probes), "grid-points")
-		}
-	})
-}
-
-// S6 — PR 6 probe economics: the bisect characterization strategy vs the
-// full sweep at the Fig. 2 resolution (identical grid, fewer measured
-// probes), reported as probes/op so plugvolt-bench can gate it.
+// S6 — probe economics: the bisect characterization strategy vs the full
+// sweep at the Fig. 2 resolution (identical grid, fewer measured probes),
+// reported as probes/op. The counts are deterministic, so
+// TestBisectProbeSavingsPaperConfig pins them exactly.
 func BenchmarkBisectVsSweep(b *testing.B) {
 	s, err := models.ByName("skylake")
 	if err != nil {
@@ -735,7 +712,8 @@ func BenchmarkBisectVsSweep(b *testing.B) {
 
 // S6 — the red-team annealer's time to first fault on an undefended
 // machine: how many adaptive probes the attacker spends before landing a
-// fault, the attacker-side cost a defense must inflate.
+// fault, the attacker-side cost a defense must inflate. The count is
+// deterministic and pinned exactly by TestRedTeamProbesToFirstFaultSeed42.
 func BenchmarkAnnealTimeToFault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys, err := plugvolt.NewSystem("skylake", 42)

@@ -39,7 +39,6 @@ func main() {
 		jsonPath = flag.String("json", "", "also write the grid as JSON to this path")
 		classes  = flag.Bool("classes", false, "compare fault onsets across instruction classes (imul/aes/fma)")
 		seeds    = flag.Int("seeds", 1, "run N seeds and report onset spread + conservative aggregate")
-		adaptive = flag.Bool("adaptive", false, "bisect onsets instead of scanning the full grid")
 		strategy = flag.String("strategy", core.StrategySweep, "full-grid probe strategy: sweep (measure every cell) or bisect (per-row onset bisection; identical grid, ~10x fewer probes)")
 		workers  = flag.Int("workers", 0, "frequency-row shards swept in parallel (0 = GOMAXPROCS); results are identical for any value")
 		metrics  = flag.String("metrics-out", "", `write the Prometheus metric exposition here after the sweep ("-" = stdout)`)
@@ -94,10 +93,6 @@ func main() {
 	}
 	if *seeds > 1 {
 		runMultiSeed(*cpuName, *seed, *seeds, cfg)
-		return
-	}
-	if *adaptive {
-		runAdaptive(sys, cfg)
 		return
 	}
 	defer func() {
@@ -187,30 +182,6 @@ func runMultiSeed(cpuName string, seed int64, n int, cfg plugvolt.CharacterizerC
 	}
 	fmt.Printf("\nconservative aggregate over %d seeds: maximal safe state %d mV\n",
 		n, agg.MaximalSafeOffsetMV(0))
-}
-
-// runAdaptive bisects each frequency's onset instead of scanning the grid.
-func runAdaptive(sys *plugvolt.System, cfg plugvolt.CharacterizerConfig) {
-	a, err := core.NewAdaptiveCharacterizer(sys.Platform, cfg, 2)
-	if err != nil {
-		fatal(err)
-	}
-	unsafe, results, err := a.Run()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("adaptive onset probe — %s\n\n%-10s %10s %8s\n", unsafe.Model, "GHz", "onset mV", "probes")
-	total := 0
-	for _, r := range results {
-		onset := "-"
-		if r.Found {
-			onset = fmt.Sprintf("%d", r.OnsetMV)
-		}
-		fmt.Printf("%-10.1f %10s %8d\n", float64(r.FreqKHz)/1e6, onset, r.Probes)
-		total += r.Probes
-	}
-	points := len(results) * ((cfg.OffsetStartMV-cfg.OffsetEndMV)/(-cfg.OffsetStepMV) + 1)
-	fmt.Printf("\ntotal probes: %d (full sweep: %d grid points)\n", total, points)
 }
 
 func fatal(err error) {

@@ -9,11 +9,11 @@
 //   - The one-shot engine (default) keeps a per-machine row for every
 //     machine; its outputs are invariant across -workers.
 //   - The streaming epoch engine (-stream, or implied by -epochs, -batch,
-//     -checkpoint or -resume) holds only one batch of machines resident at
-//     a time, folds telemetry incrementally, and checkpoints after every
-//     batch; its outputs are additionally invariant across -batch, -epochs
-//     and any kill/-resume point. This is the engine for million
-//     machine-window runs on a laptop.
+//     -checkpoint, -resume, -listen or -progress) holds only one batch of
+//     machines resident at a time, folds telemetry incrementally, and
+//     checkpoints after every batch; its outputs are additionally invariant
+//     across -batch, -epochs and any kill/-resume point. This is the engine
+//     for million machine-window runs on a laptop.
 //
 // Usage:
 //
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 42, "fleet seed; machine i derives its own seed from it")
 		attackName = fs.String("attack", "plundervolt", fmt.Sprintf("campaign every machine faces: %s", strings.Join(fleet.AttackNames(), ", ")))
 		window     = fs.Duration("window", 10*time.Millisecond, `virtual idle time under guard when -attack none`)
-		stream     = fs.Bool("stream", false, "use the streaming epoch engine (implied by -epochs, -batch, -checkpoint, -resume)")
+		stream     = fs.Bool("stream", false, "use the streaming epoch engine (implied by -epochs, -batch, -checkpoint, -resume, -listen, -progress)")
 		epochs     = fs.Int("epochs", 1, "time slices per machine window (streaming; machine-windows = machines x epochs); never changes any output byte")
 		batch      = fs.Int("batch", 0, "machines resident at once (streaming; 0 = auto); bounds memory, never changes any output byte")
 		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint here after every batch (streaming)")

@@ -125,6 +125,31 @@ func TestEnergyEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEnergyPerPollPeriodExact pins the joules/op axis of
+// BenchmarkEnergyAccounting: one poll period of the guarded Sky Lake seed-42
+// steady state bills exactly this package energy (float64) and exactly this
+// guard energy (integer picojoules). Both are modeled, so any drift is a
+// change to the power model or to a billing point, never host noise.
+func TestEnergyPerPollPeriodExact(t *testing.T) {
+	const (
+		wantPackageJ = 0.005610847505345316 // ≈ 5.611 mJ
+		wantGuardPJ  = 9468984              // ≈ 9.5 µJ
+	)
+	sys, guard, period := guardedSteadyState(t)
+	tr := sys.Platform.Energy
+	pkgBefore, guardBefore := tr.PackageEnergyJ(), guardEnergyPJ(sys)
+	sys.RunFor(period)
+	if guard.Interventions != 0 {
+		t.Fatal("benign steady state triggered interventions; wrong path measured")
+	}
+	if got := tr.PackageEnergyJ() - pkgBefore; got != wantPackageJ {
+		t.Errorf("package energy per poll period %v J, want %v J", got, wantPackageJ)
+	}
+	if got := guardEnergyPJ(sys) - guardBefore; got != wantGuardPJ {
+		t.Errorf("guard energy per poll period %d pJ, want %d pJ", got, wantGuardPJ)
+	}
+}
+
 // Energy metering is observation, not simulation: reading the RAPL MSRs and
 // the integrator mid-run any number of times must not change a single byte
 // of the final exposition — the pure-read contract that keeps live

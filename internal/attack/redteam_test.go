@@ -105,6 +105,22 @@ func TestRedTeamSucceedsUndefended(t *testing.T) {
 	t.Logf("first fault at probe %d; %d incident bundles", res.ProbesToFirstFault, len(bundles))
 }
 
+// TestRedTeamProbesToFirstFaultSeed42 pins the attacker-side cost that
+// BenchmarkAnnealTimeToFault reports: on an undefended Sky Lake at seed 42
+// the annealer lands its first fault at exactly this probe.
+func TestRedTeamProbesToFirstFaultSeed42(t *testing.T) {
+	res, err := DefaultRedTeam(42).Run(newEnv(t, "skylake", 42), "none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Succeeded {
+		t.Fatalf("red team failed on an undefended machine: %s", res)
+	}
+	if res.ProbesToFirstFault != 13 {
+		t.Fatalf("first fault at probe %d, want 13", res.ProbesToFirstFault)
+	}
+}
+
 // TestRedTeamDeterministicForFixedSeed is the acceptance criterion: a fixed
 // seed replays the identical probe sequence and identical result, bit for
 // bit, on a fresh machine.

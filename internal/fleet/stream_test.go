@@ -51,8 +51,7 @@ func rollupFromBatch(rep *Report) []ModelSummary {
 // TestStreamMatchesBatch is the batch-vs-streaming golden test: same seed,
 // same fleet — the streaming engine must reproduce the one-shot engine's
 // aggregate, per-model totals, and merged Prometheus exposition
-// byte-for-byte, for every batch/worker split. Runs under -race in the CI
-// fleet-stream-smoke job at workers 1/2/8.
+// byte-for-byte, for every batch/worker split, at workers 1/2/8.
 func TestStreamMatchesBatch(t *testing.T) {
 	base := Config{Machines: 6, Seed: 11, Attack: "voltjockey"}
 	batchRep, err := Run(base)
