@@ -100,13 +100,13 @@ fleet-demo:
 	@echo "== merged exposition highlights"
 	@grep -E '^(guard_|attack_)' fleet.prom | head -12
 
-# Streaming-engine demo: a checkpointed idle-guard fleet with the window
-# sliced into epochs, O(batch) resident memory, and per-model rollups.
-# Interrupt with ^C and rerun with -resume fleet.ckpt to continue; the
-# final report is byte-identical to an uninterrupted run (EXPERIMENTS.md
-# has the million-machine-window recipe).
+# Checkpointed fleet demo: an idle-guard fleet with the window sliced into
+# epochs, O(batch) resident memory, and per-model rollups. Interrupt with
+# ^C and rerun with -resume fleet.ckpt to continue; the final report is
+# byte-identical to an uninterrupted run (EXPERIMENTS.md has the
+# million-machine-window recipe).
 fleet-stream-demo:
-	$(GO) run ./cmd/plugvolt-fleet -stream -machines 1000 -epochs 4 \
+	$(GO) run ./cmd/plugvolt-fleet -machines 1000 -epochs 4 \
 		-attack none -window 2ms -batch 128 -progress \
 		-checkpoint fleet.ckpt -out fleet.json -metrics-out fleet.prom
 	@echo

@@ -624,7 +624,7 @@ func guardEnergyPJ(sys *plugvolt.System) int64 {
 func BenchmarkFleetThroughput(b *testing.B) {
 	const machines = 4
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(fleet.Config{Machines: machines, Seed: 42, Attack: "voltjockey"})
+		rep, err := fleet.RunStream(fleet.StreamConfig{Config: fleet.Config{Machines: machines, Seed: 42, Attack: "voltjockey"}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,25 +3,21 @@
 // countermeasure, and run through an attack campaign or an idle guard
 // window, simulated across a worker pool.
 //
-// Two engines share one determinism contract — the report and the merged
-// metric exposition are byte-identical for any execution shape:
-//
-//   - The one-shot engine (default) keeps a per-machine row for every
-//     machine; its outputs are invariant across -workers.
-//   - The streaming epoch engine (-stream, or implied by -epochs, -batch,
-//     -checkpoint, -resume, -listen or -progress) holds only one batch of
-//     machines resident at a time, folds telemetry incrementally, and
-//     checkpoints after every batch; its outputs are additionally invariant
-//     across -batch, -epochs and any kill/-resume point. This is the engine
-//     for million machine-window runs on a laptop.
+// The fleet runs as a stream of batches (fleet.RunStream): only one batch
+// of machines is resident at a time, telemetry folds incrementally, and
+// -checkpoint writes a resumable checkpoint after every batch, so a
+// million machine-window run fits on a laptop. The report carries the
+// aggregate and per-model rollups; it and the merged metric exposition are
+// byte-identical for any execution shape: -workers, -batch, -epochs and
+// any kill/-resume point.
 //
 // Usage:
 //
 //	plugvolt-fleet -machines 24 -attack plundervolt
 //	plugvolt-fleet -machines 100 -workers 8 -attack voltjockey -metrics-out fleet.prom
-//	plugvolt-fleet -stream -machines 250000 -epochs 4 -attack none \
+//	plugvolt-fleet -machines 250000 -epochs 4 -attack none \
 //	    -batch 512 -checkpoint fleet.ckpt -out fleet.json
-//	plugvolt-fleet -stream -machines 250000 -epochs 4 -attack none \
+//	plugvolt-fleet -machines 250000 -epochs 4 -attack none \
 //	    -resume fleet.ckpt -checkpoint fleet.ckpt -out fleet.json
 //
 // Exit codes: 0 success; 1 configuration or runtime error; 2 usage error;
@@ -53,8 +49,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole CLI behind a testable seam: flag parsing, engine
-// selection, output rendering and exit-code policy, with no direct os.Exit.
+// run is the whole CLI behind a testable seam: flag parsing, the fleet run,
+// output rendering and exit-code policy, with no direct os.Exit.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plugvolt-fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -65,13 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 42, "fleet seed; machine i derives its own seed from it")
 		attackName = fs.String("attack", "plundervolt", fmt.Sprintf("campaign every machine faces: %s", strings.Join(fleet.AttackNames(), ", ")))
 		window     = fs.Duration("window", 10*time.Millisecond, `virtual idle time under guard when -attack none`)
-		stream     = fs.Bool("stream", false, "use the streaming epoch engine (implied by -epochs, -batch, -checkpoint, -resume, -listen, -progress)")
-		epochs     = fs.Int("epochs", 1, "time slices per machine window (streaming; machine-windows = machines x epochs); never changes any output byte")
-		batch      = fs.Int("batch", 0, "machines resident at once (streaming; 0 = auto); bounds memory, never changes any output byte")
-		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint here after every batch (streaming)")
-		resumePath = fs.String("resume", "", "resume a previous run from this checkpoint file (streaming)")
-		progress   = fs.Bool("progress", false, "print a progress line to stderr after every batch (streaming)")
-		listen     = fs.String("listen", "", "serve live fleet progress gauges over HTTP at this address (streaming; e.g. :9090)")
+		epochs     = fs.Int("epochs", 1, "time slices per machine window (machine-windows = machines x epochs); never changes any output byte")
+		batch      = fs.Int("batch", 0, "machines resident at once (0 = auto); bounds memory, never changes any output byte")
+		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint here after every batch")
+		resumePath = fs.String("resume", "", "resume a previous run from this checkpoint file")
+		progress   = fs.Bool("progress", false, "print a progress line to stderr after every batch")
+		listen     = fs.String("listen", "", "serve live fleet progress gauges over HTTP at this address (e.g. :9090)")
 		out        = fs.String("out", "", `write the fleet report JSON here ("-" = stdout; default stdout summary only)`)
 		metricsOut = fs.String("metrics-out", "", `write the merged Prometheus exposition here ("-" = stdout)`)
 		version    = fs.Bool("version", false, "print build information and exit")
@@ -106,12 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *modelsFlag != "" {
 		cfg.Models = strings.Split(*modelsFlag, ",")
-	}
-	streaming := *stream || *epochs > 1 || *batch > 0 || *checkpoint != "" || *resumePath != "" || *listen != "" || *progress
-
-	if !streaming {
-		rep, err := fleet.Run(cfg.Config)
-		return finish(rep, err, cfg, stdout, stderr, *out, *metricsOut, "")
 	}
 
 	if *resumePath != "" {
@@ -174,44 +163,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "plugvolt-fleet: halted at a batch boundary; resume with -resume %s\n", *checkpoint)
 		return 4
 	}
-	return finish(rep, err, cfg, stdout, stderr, *out, *metricsOut, *checkpoint)
+	return finish(rep, err, cfg, stdout, stderr, *out, *metricsOut)
 }
 
-// reporter is the surface the two report types share.
-type reporter interface {
-	JSON() ([]byte, error)
-	WriteMetrics(w io.Writer) error
-}
-
-// finish renders the summary and requested outputs for either engine and
-// maps the error to the exit-code policy.
-func finish(rep reporter, err error, cfg fleet.StreamConfig, stdout, stderr io.Writer, out, metricsOut, checkpoint string) int {
+// finish renders the summary and requested outputs and maps the error to
+// the exit-code policy.
+func finish(rep *fleet.StreamReport, err error, cfg fleet.StreamConfig, stdout, stderr io.Writer, out, metricsOut string) int {
 	var partial *fleet.PartialError
 	if err != nil && !errors.As(err, &partial) {
 		fmt.Fprintln(stderr, "plugvolt-fleet:", err)
 		return 1
 	}
 
-	switch r := rep.(type) {
-	case *fleet.Report:
-		agg := r.Aggregate
-		fmt.Fprintf(stdout, "== fleet: %d machines (%s), attack %s, seed %d\n",
-			agg.Machines, strings.Join(r.Fleet.Models, "/"), r.Fleet.Attack, r.Fleet.Seed)
-		summarize(stdout, agg)
-	case *fleet.StreamReport:
-		agg := r.Aggregate
-		epochs := int64(1)
-		if cfg.Epochs > 1 {
-			epochs = int64(cfg.Epochs)
-		}
-		fmt.Fprintf(stdout, "== fleet stream: %d machines x %d epochs = %d machine-windows (%s), attack %s, seed %d\n",
-			agg.Machines, epochs, int64(agg.Machines)*epochs,
-			strings.Join(r.Fleet.Models, "/"), r.Fleet.Attack, r.Fleet.Seed)
-		summarize(stdout, agg)
-		for _, m := range r.ModelRows {
-			fmt.Fprintf(stdout, "  %-12s %6d machines, %d checks, %d interventions, %d errors\n",
-				m.Model, m.Machines, m.GuardChecks, m.GuardInterventions, m.Errors)
-		}
+	agg := rep.Aggregate
+	epochs := int64(1)
+	if cfg.Epochs > 1 {
+		epochs = int64(cfg.Epochs)
+	}
+	fmt.Fprintf(stdout, "== fleet stream: %d machines x %d epochs = %d machine-windows (%s), attack %s, seed %d\n",
+		agg.Machines, epochs, int64(agg.Machines)*epochs,
+		strings.Join(rep.Fleet.Models, "/"), rep.Fleet.Attack, rep.Fleet.Seed)
+	fmt.Fprintf(stdout, "guard: %d checks, %d interventions across the fleet\n",
+		agg.GuardChecks, agg.GuardInterventions)
+	if agg.AttacksRun > 0 {
+		fmt.Fprintf(stdout, "attacks: %d run, %d defeated, %d succeeded; %d mailbox writes (%d blocked), %d faults, %d crashes\n",
+			agg.AttacksRun, agg.AttacksDefeated, agg.AttacksSucceeded,
+			agg.MailboxWrites, agg.BlockedWrites, agg.FaultsObserved, agg.Crashes)
+	}
+	fmt.Fprintf(stdout, "fleet virtual time: %v; reboots: %d; machine errors: %d\n",
+		sim.Duration(agg.VirtualPS), agg.Reboots, agg.Errors)
+	for _, m := range rep.ModelRows {
+		fmt.Fprintf(stdout, "  %-12s %6d machines, %d checks, %d interventions, %d errors\n",
+			m.Model, m.Machines, m.GuardChecks, m.GuardInterventions, m.Errors)
 	}
 
 	if out != "" {
@@ -245,19 +228,6 @@ func finish(rep reporter, err error, cfg fleet.StreamConfig, stdout, stderr io.W
 		return 3
 	}
 	return 0
-}
-
-// summarize prints the aggregate lines both engines share.
-func summarize(stdout io.Writer, agg fleet.Aggregate) {
-	fmt.Fprintf(stdout, "guard: %d checks, %d interventions across the fleet\n",
-		agg.GuardChecks, agg.GuardInterventions)
-	if agg.AttacksRun > 0 {
-		fmt.Fprintf(stdout, "attacks: %d run, %d defeated, %d succeeded; %d mailbox writes (%d blocked), %d faults, %d crashes\n",
-			agg.AttacksRun, agg.AttacksDefeated, agg.AttacksSucceeded,
-			agg.MailboxWrites, agg.BlockedWrites, agg.FaultsObserved, agg.Crashes)
-	}
-	fmt.Fprintf(stdout, "fleet virtual time: %v; reboots: %d; machine errors: %d\n",
-		sim.Duration(agg.VirtualPS), agg.Reboots, agg.Errors)
 }
 
 func writeTo(path string, stdout io.Writer, render func(io.Writer) error) error {

@@ -58,51 +58,35 @@ func TestRunVersion(t *testing.T) {
 	}
 }
 
-// TestRunBatchEngine: the default engine still works through the harness
-// and writes the report artifacts.
-func TestRunBatchEngine(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "fleet.json")
-	code, stdout, stderr := exec(t, "-machines", "1", "-attack", "none",
-		"-window", "1ms", "-out", out)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "== fleet: 1 machines") {
-		t.Fatalf("summary missing: %q", stdout)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Machines []struct{ Model string } `json:"machines"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Machines) != 1 {
-		t.Fatalf("report rows: %d", len(rep.Machines))
-	}
-}
-
-// TestRunStreamEngine: streaming flags select the stream engine, whose
-// report carries per-model rollups instead of per-machine rows, and whose
-// outputs match a differently-shaped rerun byte for byte.
+// TestRunStreamEngine: the default invocation writes the per-model rollup
+// report, and its outputs match a differently-shaped rerun byte for byte.
 func TestRunStreamEngine(t *testing.T) {
 	dir := t.TempDir()
 	outA, promA := filepath.Join(dir, "a.json"), filepath.Join(dir, "a.prom")
 	outB, promB := filepath.Join(dir, "b.json"), filepath.Join(dir, "b.prom")
 	code, stdout, stderr := exec(t, "-machines", "3", "-attack", "none", "-window", "1ms",
-		"-stream", "-batch", "1", "-epochs", "2", "-out", outA, "-metrics-out", promA)
+		"-out", outA, "-metrics-out", promA)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "machine-windows") {
-		t.Fatalf("stream summary missing: %q", stdout)
+	if !strings.Contains(stdout, "3 machines x 1 epochs = 3 machine-windows") {
+		t.Fatalf("summary missing: %q", stdout)
+	}
+	data, err := os.ReadFile(outA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		ByModel []struct{ Machines int } `json:"by_model"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ByModel) != 3 {
+		t.Fatalf("report carries %d per-model rows, want 3", len(rep.ByModel))
 	}
 	if code, _, stderr := exec(t, "-machines", "3", "-attack", "none", "-window", "1ms",
-		"-stream", "-batch", "3", "-workers", "8", "-epochs", "1", "-out", outB, "-metrics-out", promB); code != 0 {
+		"-batch", "1", "-workers", "8", "-epochs", "2", "-out", outB, "-metrics-out", promB); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	for _, pair := range [][2]string{{outA, outB}, {promA, promB}} {
@@ -131,7 +115,7 @@ func TestRunResumeWorkflow(t *testing.T) {
 
 	// Uninterrupted reference.
 	if code, _, stderr := exec(t, "-machines", "4", "-seed", "9", "-attack", "none",
-		"-window", "1ms", "-stream", "-batch", "2", "-out", ref); code != 0 {
+		"-window", "1ms", "-batch", "2", "-out", ref); code != 0 {
 		t.Fatalf("reference run: exit %d: %s", code, stderr)
 	}
 	// Checkpointed run. The harness cannot deliver a mid-run SIGINT
@@ -139,13 +123,13 @@ func TestRunResumeWorkflow(t *testing.T) {
 	// rewritten at every batch boundary and ends at the final boundary;
 	// resuming from it must be a no-op prefix of the reference.
 	if code, _, stderr := exec(t, "-machines", "4", "-seed", "9", "-attack", "none",
-		"-window", "1ms", "-stream", "-batch", "2", "-checkpoint", ckpt); code != 0 {
+		"-window", "1ms", "-batch", "2", "-checkpoint", ckpt); code != 0 {
 		t.Fatalf("checkpointed run: exit %d: %s", code, stderr)
 	}
 
 	// Mismatched seed: typed rejection, exit 1.
 	code, _, stderr := exec(t, "-machines", "4", "-seed", "10", "-attack", "none",
-		"-window", "1ms", "-stream", "-batch", "2", "-resume", ckpt)
+		"-window", "1ms", "-batch", "2", "-resume", ckpt)
 	if code != 1 || !strings.Contains(stderr, "does not match") {
 		t.Fatalf("mismatched resume: exit %d, stderr %q", code, stderr)
 	}
@@ -153,7 +137,7 @@ func TestRunResumeWorkflow(t *testing.T) {
 	// Correct resume: completes (instantly — all machines done) with the
 	// reference bytes.
 	code, _, stderr = exec(t, "-machines", "4", "-seed", "9", "-attack", "none",
-		"-window", "1ms", "-stream", "-batch", "3", "-resume", ckpt, "-out", got)
+		"-window", "1ms", "-batch", "3", "-resume", ckpt, "-out", got)
 	if code != 0 {
 		t.Fatalf("resume: exit %d: %s", code, stderr)
 	}
@@ -178,7 +162,7 @@ func TestRunLiveGauges(t *testing.T) {
 	// Occupy a port first so the address is real; run() prints the bound
 	// address to stderr. Use :0 to let the kernel pick.
 	code, _, stderr := exec(t, "-machines", "2", "-attack", "none", "-window", "1ms",
-		"-stream", "-batch", "1", "-listen", "127.0.0.1:0", "-metrics-out", prom)
+		"-batch", "1", "-listen", "127.0.0.1:0", "-metrics-out", prom)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}

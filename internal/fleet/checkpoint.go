@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"os"
 
+	"plugvolt/internal/core"
 	"plugvolt/internal/telemetry"
 )
 
@@ -31,8 +32,9 @@ var checkpointMagic = [4]byte{'P', 'V', 'F', 'C'}
 
 // CheckpointVersion is the current encoding version. Decoders accept
 // exactly this version: the format carries deterministic engine state, so
-// cross-version resumption would risk a silently different report.
-const CheckpointVersion = 1
+// cross-version resumption would risk a silently different report. Version
+// 2 added the sweep strategy to the fingerprint.
+const CheckpointVersion = 2
 
 // checkpointHeaderLen is magic(4) + version(2) + reserved(2) + payload
 // length(8) + CRC32(4).
@@ -78,25 +80,24 @@ func ckptErr(class error, format string, args ...any) *CheckpointError {
 // (Machines..WindowPS) are stored redundantly with the fingerprint so a
 // mismatch error can say what differs.
 type Checkpoint struct {
-	Version      int                 `json:"version"`
-	Fingerprint  uint64              `json:"fingerprint"`
-	Machines     int                 `json:"machines"`
-	MachinesDone int                 `json:"machines_done"`
-	BatchesDone  int                 `json:"batches_done"`
-	Epochs       int                 `json:"epochs"`
-	Seed         int64               `json:"seed"`
-	Attack       string              `json:"attack"`
-	Models       []string            `json:"models"`
-	WindowPS     int64               `json:"window_ps"`
-	Aggregate    Aggregate           `json:"aggregate"`
-	ModelRows    []ModelSummary      `json:"by_model"`
-	Failures     []*MachineError     `json:"failures,omitempty"`
-	TotalErrors  int                 `json:"total_errors"`
+	Version      int             `json:"version"`
+	Fingerprint  uint64          `json:"fingerprint"`
+	Machines     int             `json:"machines"`
+	MachinesDone int             `json:"machines_done"`
+	BatchesDone  int             `json:"batches_done"`
+	Epochs       int             `json:"epochs"`
+	Seed         int64           `json:"seed"`
+	Attack       string          `json:"attack"`
+	Models       []string        `json:"models"`
+	WindowPS     int64           `json:"window_ps"`
+	Aggregate    Aggregate       `json:"aggregate"`
+	ModelRows    []ModelSummary  `json:"by_model"`
+	Failures     []*MachineError `json:"failures,omitempty"`
+	TotalErrors  int             `json:"total_errors"`
 	// Incidents carries the capped flight-recorder bundle list across the
 	// boundary (the exact count lives in Aggregate.Incidents), so a resumed
 	// run's incident collection is byte-identical to an uninterrupted one.
-	// Additive and omitempty: checkpoints without flight recording keep
-	// their version-1 shape.
+	// Omitted when flight recording is disabled.
 	Incidents []Incident          `json:"incidents,omitempty"`
 	Merged    *telemetry.Snapshot `json:"merged"`
 }
@@ -111,9 +112,14 @@ func (cfg *StreamConfig) fingerprint(epochs int, modelNames []string) uint64 {
 	for _, m := range modelNames {
 		put("model=%s|", m)
 	}
-	s := cfg.Sweep
-	put("sweep=%d,%d,%d,%d,%d,%d,%d,%d|", s.VictimCore, s.DriverCore, s.Iterations,
-		s.OffsetStartMV, s.OffsetEndMV, s.OffsetStepMV, int64(s.SettleWait), s.Class)
+	// Hash the sweep the machines actually run; the characterizer reads an
+	// empty strategy as a full sweep.
+	s := cfg.sweep()
+	if s.Strategy == "" {
+		s.Strategy = core.StrategySweep
+	}
+	put("sweep=%d,%d,%d,%d,%d,%d,%d,%d,%s|", s.VictimCore, s.DriverCore, s.Iterations,
+		s.OffsetStartMV, s.OffsetEndMV, s.OffsetStepMV, int64(s.SettleWait), s.Class, s.Strategy)
 	g := cfg.Guard
 	put("guard=%d,%d,%t,%d,%d,%t,%d,%d|", int64(g.PollPeriod), g.PinnedCore, g.PerCoreThreads,
 		g.SafeOffsetMV, g.MarginMV, g.VoltageCrossCheck, g.CrossCheckSlackMV, g.CrossCheckPersist)
@@ -228,6 +234,26 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	if len(ck.Models) == 0 {
 		return nil, ckptErr(ErrCheckpointPayload, "empty model cycle")
+	}
+	// The folded state must agree with itself: a resume continues exactly
+	// this fold, so any disagreement would reach the final report.
+	rolled := 0
+	for _, m := range ck.ModelRows {
+		rolled += m.Machines
+	}
+	switch {
+	case ck.Merged == nil && ck.MachinesDone > 0:
+		return nil, ckptErr(ErrCheckpointPayload, "no merged telemetry for %d machines done", ck.MachinesDone)
+	case rolled != ck.MachinesDone:
+		return nil, ckptErr(ErrCheckpointPayload, "per-model rollups count %d machines, machines_done %d", rolled, ck.MachinesDone)
+	case ck.Aggregate.Machines != ck.Machines:
+		return nil, ckptErr(ErrCheckpointPayload, "aggregate is for %d machines, checkpoint for %d", ck.Aggregate.Machines, ck.Machines)
+	case ck.Aggregate.Errors != ck.TotalErrors:
+		return nil, ckptErr(ErrCheckpointPayload, "aggregate counts %d errors, total_errors %d", ck.Aggregate.Errors, ck.TotalErrors)
+	case len(ck.Failures) > min(ck.TotalErrors, maxRecordedFailures):
+		return nil, ckptErr(ErrCheckpointPayload, "%d recorded failures for %d errors", len(ck.Failures), ck.TotalErrors)
+	case len(ck.Incidents) > min(ck.Aggregate.Incidents, maxRecordedIncidents):
+		return nil, ckptErr(ErrCheckpointPayload, "%d recorded incidents for %d captures", len(ck.Incidents), ck.Aggregate.Incidents)
 	}
 	return ck, nil
 }

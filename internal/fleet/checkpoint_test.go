@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"testing"
@@ -94,6 +95,17 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		return f(b)
 	}
+	// forge frames a mutated copy of the valid state: a consistent header
+	// around a payload whose state is wrong.
+	forge := func(mutate func(*Checkpoint)) []byte {
+		ck := mustDecode(t, valid)
+		mutate(ck)
+		p, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reframe(p)
+	}
 	cases := []struct {
 		name  string
 		blob  []byte
@@ -116,30 +128,18 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 			return b
 		}), ErrCheckpointPayload},
 		{"garbage_json", reframe([]byte("{not json")), ErrCheckpointPayload},
-		{"payload_version_skew", reframe(func() []byte {
-			ck := *mustDecode(t, valid)
-			ck.Version = CheckpointVersion + 1
-			p, _ := json.Marshal(&ck)
-			return p
-		}()), ErrCheckpointVersion},
-		{"machines_done_out_of_range", reframe(func() []byte {
-			ck := *mustDecode(t, valid)
-			ck.MachinesDone = ck.Machines + 1
-			p, _ := json.Marshal(&ck)
-			return p
-		}()), ErrCheckpointPayload},
-		{"negative_epochs", reframe(func() []byte {
-			ck := *mustDecode(t, valid)
-			ck.Epochs = 0
-			p, _ := json.Marshal(&ck)
-			return p
-		}()), ErrCheckpointPayload},
-		{"empty_models", reframe(func() []byte {
-			ck := *mustDecode(t, valid)
-			ck.Models = nil
-			p, _ := json.Marshal(&ck)
-			return p
-		}()), ErrCheckpointPayload},
+		{"payload_version_skew", forge(func(ck *Checkpoint) { ck.Version = CheckpointVersion + 1 }), ErrCheckpointVersion},
+		{"machines_done_out_of_range", forge(func(ck *Checkpoint) { ck.MachinesDone = ck.Machines + 1 }), ErrCheckpointPayload},
+		{"negative_epochs", forge(func(ck *Checkpoint) { ck.Epochs = 0 }), ErrCheckpointPayload},
+		{"empty_models", forge(func(ck *Checkpoint) { ck.Models = nil }), ErrCheckpointPayload},
+		// Internally inconsistent fold state: each would resume to a wrong
+		// report.
+		{"merged_missing", forge(func(ck *Checkpoint) { ck.Merged = nil }), ErrCheckpointPayload},
+		{"model_rows_short", forge(func(ck *Checkpoint) { ck.ModelRows = ck.ModelRows[:1] }), ErrCheckpointPayload},
+		{"aggregate_machines", forge(func(ck *Checkpoint) { ck.Aggregate.Machines++ }), ErrCheckpointPayload},
+		{"aggregate_errors", forge(func(ck *Checkpoint) { ck.Aggregate.Errors++ }), ErrCheckpointPayload},
+		{"failures_exceed_errors", forge(func(ck *Checkpoint) { ck.Failures = []*MachineError{{Stage: "boot"}} }), ErrCheckpointPayload},
+		{"incidents_exceed_count", forge(func(ck *Checkpoint) { ck.Incidents = []Incident{{Cause: "fault"}} }), ErrCheckpointPayload},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,7 +220,7 @@ func FuzzFleetCheckpointDecode(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:checkpointHeaderLen])
 	f.Add([]byte("PVFC"))
-	f.Add(reframe([]byte(`{"version":1}`)))
+	f.Add(reframe([]byte(fmt.Sprintf(`{"version":%d}`, CheckpointVersion))))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

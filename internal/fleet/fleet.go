@@ -14,9 +14,10 @@
 //
 // Determinism mirrors the PR 1 sharding invariant: machine i's seed is
 // MachineSeed(fleet seed, i) — a pure function of the index — machines are
-// simulated on private platforms, and results are merged by index after all
-// workers finish, never in completion order. The report (JSON and merged
-// Prometheus exposition) is therefore byte-identical for any -workers value.
+// simulated on private platforms, and results fold in machine index order
+// (RunStream, stream.go), never in completion order. The report (JSON and
+// merged Prometheus exposition) is therefore byte-identical for any
+// -workers value.
 //
 // Model specs are shared: one *models.Spec per distinct model serves every
 // machine of that model, so the validated timing-circuit template and the
@@ -25,12 +26,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"sync"
 
 	"plugvolt"
 	"plugvolt/internal/attack"
@@ -67,7 +64,7 @@ func (e *MachineError) Error() string {
 const maxRecordedFailures = 16
 
 // PartialError reports that the fleet completed but some machines failed.
-// Run and RunStream return it alongside a fully-populated report: the
+// RunStream returns it alongside a fully-populated report: the
 // healthy machines' results are valid, and the caller decides whether a
 // partial fleet is acceptable. Failures are listed in machine-index order,
 // capped at maxRecordedFailures; Total counts every failure.
@@ -98,7 +95,7 @@ func (e *PartialError) record(me *MachineError) {
 // failpoint, when non-nil, injects an error at the named lifecycle stage of
 // machine idx. Test-only hook: it lets the partial-failure contract be
 // exercised per stage and per machine without contriving real hardware
-// failures. Set before calling Run/RunStream, restore after it returns.
+// failures. Set before calling RunStream, restore after it returns.
 var failpoint func(stage string, idx int) error
 
 func injectedFailure(stage string, idx int) error {
@@ -139,7 +136,7 @@ type Config struct {
 	// a victim fault or crash freezes a deterministic incident bundle with
 	// this many post-trigger records. Captured bundles surface in the
 	// report's Incidents list (machine index order, capped at
-	// maxRecordedIncidents) and in per-row/per-model/aggregate counts.
+	// maxRecordedIncidents) and in per-model and aggregate counts.
 	// 0 disables recording entirely — the guard hot path never sees the
 	// recorder.
 	FlightWindow int
@@ -169,15 +166,18 @@ type AttackSummary struct {
 	Notes              string `json:"notes,omitempty"`
 }
 
-// MachineSummary is one machine's row in the fleet report.
+// MachineSummary is one machine's outcome row. RunStream folds each row
+// into the aggregate and its model's rollup and then drops it, so the
+// report stays O(models), not O(fleet); MachineSeed makes any row
+// reproducible by running that machine index alone.
 type MachineSummary struct {
-	Index              int            `json:"index"`
-	Model              string         `json:"model"`
-	Seed               int64          `json:"seed"`
-	GuardChecks        uint64         `json:"guard_checks"`
-	GuardInterventions uint64         `json:"guard_interventions"`
-	Reboots            int            `json:"reboots"`
-	VirtualPS          int64          `json:"virtual_ps"`
+	Index              int    `json:"index"`
+	Model              string `json:"model"`
+	Seed               int64  `json:"seed"`
+	GuardChecks        uint64 `json:"guard_checks"`
+	GuardInterventions uint64 `json:"guard_interventions"`
+	Reboots            int    `json:"reboots"`
+	VirtualPS          int64  `json:"virtual_ps"`
 	// EnergyJ is the machine's integrated package energy (all core planes
 	// plus uncore) over its virtual window, from the platform's
 	// deterministic joule integrator.
@@ -213,118 +213,14 @@ type Aggregate struct {
 	Incidents int `json:"incidents,omitempty"`
 }
 
-// Report is a completed fleet run. Its JSON and the merged exposition are
-// byte-identical across worker counts, which is why the worker count itself
-// is deliberately absent from the report body.
-type Report struct {
-	Fleet struct {
-		Machines int      `json:"machines"`
-		Models   []string `json:"models"`
-		Seed     int64    `json:"seed"`
-		Attack   string   `json:"attack"`
-	} `json:"fleet"`
-	MachineRows []MachineSummary `json:"machines"`
-	Aggregate   Aggregate        `json:"aggregate"`
-	// Incidents are the captured flight-recorder bundles in machine index
-	// order, capped at maxRecordedIncidents; Aggregate.Incidents keeps the
-	// exact count. Empty unless Config.FlightWindow enabled recording.
-	Incidents []Incident `json:"incidents,omitempty"`
-	// Merged is the fleet-wide telemetry aggregate: every machine's snapshot
-	// folded through telemetry.MergeSnapshots in index order. Excluded from
-	// the JSON report (it has its own exposition format); render it with
-	// WriteMetrics.
-	Merged *telemetry.Snapshot `json:"-"`
-}
-
-// JSON renders the report deterministically.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// WriteMetrics renders the merged fleet exposition in Prometheus text form.
-func (r *Report) WriteMetrics(w io.Writer) error {
-	return r.Merged.WritePrometheus(w)
-}
-
-// machineResult carries one finished machine from a worker to the merge
-// step: the report row, the machine's telemetry snapshot, and its typed
+// machineResult carries one finished machine from a worker to the fold
+// step: the outcome row, the machine's telemetry snapshot, and its typed
 // failure (nil for a healthy machine).
 type machineResult struct {
 	row       MachineSummary
 	snap      *telemetry.Snapshot
 	err       *MachineError
 	incidents []Incident
-}
-
-// Run simulates the fleet and merges the results. Per-machine failures are
-// recorded in that machine's row (and counted in Aggregate.Errors), and the
-// run keeps going; when any machine failed, the fully-populated report is
-// returned together with a *PartialError naming each failed machine and
-// stage. Only configuration errors abort the run with a nil report.
-func Run(cfg Config) (*Report, error) {
-	modelNames, specs, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Machines {
-		workers = cfg.Machines
-	}
-
-	// Index-addressed results: workers write disjoint slots, the merge below
-	// reads them in index order after the barrier — completion order (and
-	// thus the worker count) can never reorder the report.
-	results := make([]machineResult, cfg.Machines)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				model := modelNames[idx%len(modelNames)]
-				results[idx] = runMachine(&cfg, idx, model, specs[model], 1)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Machines; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	rep := &Report{}
-	rep.Fleet.Machines = cfg.Machines
-	rep.Fleet.Models = modelNames
-	rep.Fleet.Seed = cfg.Seed
-	rep.Fleet.Attack = cfg.Attack
-	rep.Aggregate.Machines = cfg.Machines
-	partial := &PartialError{}
-	snaps := make([]*telemetry.Snapshot, 0, cfg.Machines)
-	for i := range results {
-		row := results[i].row
-		rep.MachineRows = append(rep.MachineRows, row)
-		foldRow(&rep.Aggregate, &row)
-		rep.Incidents = appendIncidents(rep.Incidents, results[i].incidents)
-		if results[i].err != nil {
-			partial.record(results[i].err)
-		}
-		if results[i].snap != nil {
-			snaps = append(snaps, results[i].snap)
-		}
-	}
-	merged, err := telemetry.MergeSnapshots(snaps...)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: merging telemetry: %w", err)
-	}
-	rep.Merged = merged
-	if partial.Total > 0 {
-		return rep, partial
-	}
-	return rep, nil
 }
 
 // normalize validates the configuration, defaults the attack and window, and
@@ -361,9 +257,10 @@ func (cfg *Config) normalize() ([]string, map[string]*models.Spec, error) {
 	return modelNames, specs, nil
 }
 
-// foldRow accumulates one machine row into the aggregate. Both engines and
-// the checkpoint resume path fold through this single function, in machine
-// index order, so their aggregates are identical by construction.
+// foldRow accumulates one machine row into the aggregate. RunStream folds
+// every row through this single function in machine index order, and a
+// resume continues the checkpointed fold, so the aggregate is identical for
+// every execution split by construction.
 func foldRow(agg *Aggregate, row *MachineSummary) {
 	agg.GuardChecks += row.GuardChecks
 	agg.GuardInterventions += row.GuardInterventions
@@ -386,6 +283,19 @@ func foldRow(agg *Aggregate, row *MachineSummary) {
 		agg.FaultsObserved += a.FaultsObserved
 		agg.Crashes += a.Crashes
 	}
+}
+
+// sweep is the characterization config every machine runs: QuickSweep when
+// Sweep is unset, always single-sharded. Fleet-level parallelism only: a
+// single shard keeps the sweep's worker-labeled metrics deterministic and
+// avoids nested goroutine fan-out.
+func (cfg *Config) sweep() plugvolt.CharacterizerConfig {
+	s := cfg.Sweep
+	if s.Iterations == 0 {
+		s = plugvolt.QuickSweep()
+	}
+	s.Workers = 1
+	return s
 }
 
 func validAttack(name string) bool {
@@ -431,17 +341,10 @@ func runMachine(cfg *Config, idx int, model string, spec *models.Spec, epochs in
 	if cfg.FlightWindow > 0 {
 		rec = sys.AttachFlightRecorder(0, cfg.FlightWindow)
 	}
-	sweep := cfg.Sweep
-	if sweep.Iterations == 0 {
-		sweep = plugvolt.QuickSweep()
-	}
-	// Fleet-level parallelism only: a single shard keeps the sweep's
-	// worker-labeled metrics deterministic and avoids nested goroutine fan-out.
-	sweep.Workers = 1
 	if res, err := stage("characterize"); err != nil {
 		return res
 	}
-	grid, err := sys.Characterize(sweep)
+	grid, err := sys.Characterize(cfg.sweep())
 	if err != nil {
 		return fail("characterize", err)
 	}

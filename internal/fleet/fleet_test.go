@@ -2,44 +2,29 @@ package fleet
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"plugvolt/internal/sim"
 )
 
-// renderFleet runs one fleet configuration and renders both report forms.
-func renderFleet(t *testing.T, cfg Config) (reportJSON, metrics []byte) {
+// checkWorkerInvariance is the tentpole invariant, mirroring the PR 1
+// sharding contract: cfg's full report JSON and merged Prometheus
+// exposition must be byte-identical at -workers 1, 2 and 8, and every
+// machine's campaign must reach the aggregate. The suite runs under -race
+// in CI, which also vets the worker pool's disjoint-slot writes.
+func checkWorkerInvariance(t *testing.T, cfg Config) {
 	t.Helper()
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return j, buf.Bytes()
-}
-
-// TestFleetDeterminismAcrossWorkers is the tentpole invariant, mirroring the
-// PR 1 sharding contract: the full report JSON and the merged Prometheus
-// exposition must be byte-identical at -workers 1, 2 and 8. Runs under -race
-// in CI (the test job runs the whole suite with the race detector), which
-// also vets the worker pool's disjoint-slot writes.
-func TestFleetDeterminismAcrossWorkers(t *testing.T) {
-	base := Config{Machines: 5, Seed: 99, Attack: "voltjockey"}
+	var want *StreamReport
 	var wantJSON, wantMetrics []byte
 	for _, workers := range []int{1, 2, 8} {
-		cfg := base
 		cfg.Workers = workers
-		j, m := renderFleet(t, cfg)
-		if wantJSON == nil {
-			wantJSON, wantMetrics = j, m
+		rep, err := RunStream(StreamConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, m := renderStreamReport(t, rep)
+		if want == nil {
+			want, wantJSON, wantMetrics = rep, j, m
 			continue
 		}
 		if !bytes.Equal(j, wantJSON) {
@@ -49,48 +34,34 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: merged exposition diverges from workers=1", workers)
 		}
 	}
-	if !bytes.Contains(wantJSON, []byte(`"voltjockey"`)) {
-		t.Error("report carries no attack outcome")
+	if want.Aggregate.AttacksRun != cfg.Machines {
+		t.Errorf("report carries %d %s outcomes for %d machines", want.Aggregate.AttacksRun, cfg.Attack, cfg.Machines)
 	}
+}
+
+// TestFleetDeterminismAcrossWorkers pins worker invariance under a
+// VoltJockey campaign.
+func TestFleetDeterminismAcrossWorkers(t *testing.T) {
+	checkWorkerInvariance(t, Config{Machines: 5, Seed: 99, Attack: "voltjockey"})
 }
 
 // TestFleetRedTeamDeterminismAcrossWorkers extends the byte-identity
 // contract to the adaptive red-team mode: even though each machine's
 // annealing attacker chooses its probe sequence from its own seeded stream,
-// the fleet report JSON and merged exposition must be byte-identical at
-// -workers 1, 2 and 8.
+// the report must not depend on the worker count.
 func TestFleetRedTeamDeterminismAcrossWorkers(t *testing.T) {
-	base := Config{Machines: 3, Seed: 21, Attack: "redteam"}
-	var wantJSON, wantMetrics []byte
-	for _, workers := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = workers
-		j, m := renderFleet(t, cfg)
-		if wantJSON == nil {
-			wantJSON, wantMetrics = j, m
-			continue
-		}
-		if !bytes.Equal(j, wantJSON) {
-			t.Errorf("workers=%d: red-team report JSON diverges from workers=1", workers)
-		}
-		if !bytes.Equal(m, wantMetrics) {
-			t.Errorf("workers=%d: red-team merged exposition diverges from workers=1", workers)
-		}
-	}
-	if !bytes.Contains(wantJSON, []byte(`"redteam"`)) {
-		t.Error("report carries no red-team outcome")
-	}
+	checkWorkerInvariance(t, Config{Machines: 3, Seed: 21, Attack: "redteam"})
 }
 
 // TestFleetGuardProtects sanity-checks the simulated outcome: a guarded
 // mixed fleet under attack sees interventions and no successful campaigns.
 func TestFleetGuardProtects(t *testing.T) {
-	rep, err := Run(Config{Machines: 3, Workers: 2, Seed: 7, Attack: "voltjockey"})
+	rep, err := RunStream(StreamConfig{Config: Config{Machines: 3, Workers: 2, Seed: 7, Attack: "voltjockey"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Aggregate.Errors != 0 {
-		t.Fatalf("fleet errors: %+v", rep.MachineRows)
+		t.Fatalf("fleet errors: %+v", rep.ModelRows)
 	}
 	if rep.Aggregate.AttacksRun != 3 || rep.Aggregate.AttacksSucceeded != 0 {
 		t.Fatalf("aggregate %+v: want 3 attacks run, 0 succeeded", rep.Aggregate)
@@ -98,13 +69,14 @@ func TestFleetGuardProtects(t *testing.T) {
 	if rep.Aggregate.GuardChecks == 0 || rep.Aggregate.GuardInterventions == 0 {
 		t.Fatalf("aggregate %+v: guard never engaged", rep.Aggregate)
 	}
-	// The default model cycle covers all three specs.
-	models := map[string]bool{}
-	for _, row := range rep.MachineRows {
-		models[row.Model] = true
+	// The default model cycle covers all three specs, one machine each.
+	if len(rep.ModelRows) != 3 {
+		t.Fatalf("fleet models %+v: want all three specs", rep.ModelRows)
 	}
-	if len(models) != 3 {
-		t.Fatalf("fleet models %v: want all three specs", models)
+	for _, m := range rep.ModelRows {
+		if m.Machines != 1 {
+			t.Fatalf("model %s ran %d machines, want 1", m.Model, m.Machines)
+		}
 	}
 	// The merged exposition aggregates per-machine series: total polls in
 	// the merged snapshot must equal the sum of per-machine checks.
@@ -116,8 +88,8 @@ func TestFleetGuardProtects(t *testing.T) {
 // TestFleetIdleWindow covers the "none" campaign: machines idle under guard
 // for the configured window and accumulate poll checks proportional to it.
 func TestFleetIdleWindow(t *testing.T) {
-	rep, err := Run(Config{Machines: 2, Workers: 2, Seed: 3, Attack: "none",
-		Window: 5 * sim.Millisecond})
+	rep, err := RunStream(StreamConfig{Config: Config{Machines: 2, Workers: 2, Seed: 3, Attack: "none",
+		Window: 5 * sim.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +99,10 @@ func TestFleetIdleWindow(t *testing.T) {
 	if rep.Aggregate.Errors != 0 || rep.Aggregate.GuardChecks == 0 {
 		t.Fatalf("aggregate %+v", rep.Aggregate)
 	}
-	for _, row := range rep.MachineRows {
-		if row.VirtualPS < int64(5*sim.Millisecond) {
-			t.Fatalf("machine %d only reached %d ps", row.Index, row.VirtualPS)
+	for _, m := range rep.ModelRows {
+		if m.VirtualPS < int64(m.Machines)*int64(5*sim.Millisecond) {
+			t.Fatalf("model %s: %d machines only reached %d ps", m.Model, m.Machines, m.VirtualPS)
 		}
-	}
-}
-
-// TestFleetConfigValidation covers the config error paths.
-func TestFleetConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Machines: 0}); err == nil {
-		t.Error("zero machines accepted")
-	}
-	if _, err := Run(Config{Machines: 1, Attack: "rowhammer"}); err == nil {
-		t.Error("unknown attack accepted")
-	}
-	if _, err := Run(Config{Machines: 1, Models: []string{"pentium4"}}); err == nil {
-		t.Error("unknown model accepted")
 	}
 }
 
@@ -166,60 +125,35 @@ func TestMachineSeedProperties(t *testing.T) {
 	}
 }
 
-// TestFleetReportOmitsWorkers guards the invariant structurally: the report
-// must not mention the worker count anywhere, or byte-identity across
-// -workers values becomes accidental instead of designed.
-func TestFleetReportOmitsWorkers(t *testing.T) {
-	rep, err := Run(Config{Machines: 1, Workers: 3, Seed: 1, Attack: "none", Window: sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(j), "workers") {
-		t.Fatal("report JSON leaks the worker count")
-	}
-}
-
 // TestFleetEnergyRollup pins the joule axis of the report: every machine
-// bills energy, the aggregate is the index-ordered sum of the rows (so it
-// cannot depend on the execution split), and the streaming engine's
-// aggregate and per-model energy reproduce the batch engine's bit for bit.
+// bills energy, and the engine's aggregate and per-model energy are the
+// machine-index-ordered sums of the machines' joules bit for bit, so they
+// cannot depend on the execution split.
 func TestFleetEnergyRollup(t *testing.T) {
 	base := Config{Machines: 4, Seed: 13, Attack: "voltjockey"}
-	cfg := base
-	cfg.Workers = 2
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rows := serialRun(t, base)
 	var sum float64
 	byModel := map[string]float64{}
-	for _, row := range rep.MachineRows {
+	for _, row := range rows {
 		if row.EnergyJ <= 0 {
 			t.Fatalf("machine %d billed %g J", row.Index, row.EnergyJ)
 		}
 		sum += row.EnergyJ
 		byModel[row.Model] += row.EnergyJ
 	}
-	if sum != rep.Aggregate.EnergyJ {
-		t.Fatalf("aggregate energy %v != index-ordered row sum %v", rep.Aggregate.EnergyJ, sum)
-	}
 
-	scfg := StreamConfig{Config: base, Batch: 2}
-	scfg.Workers = 8
-	srep, err := RunStream(scfg)
+	cfg := StreamConfig{Config: base, Batch: 2}
+	cfg.Workers = 8
+	rep, err := RunStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srep.Aggregate.EnergyJ != rep.Aggregate.EnergyJ {
-		t.Fatalf("stream aggregate energy %v != batch %v", srep.Aggregate.EnergyJ, rep.Aggregate.EnergyJ)
+	if rep.Aggregate.EnergyJ != sum {
+		t.Fatalf("aggregate energy %v != index-ordered machine sum %v", rep.Aggregate.EnergyJ, sum)
 	}
-	for _, m := range srep.ModelRows {
+	for _, m := range rep.ModelRows {
 		if m.EnergyJ != byModel[m.Model] {
-			t.Fatalf("model %s stream energy %v != batch fold %v", m.Model, m.EnergyJ, byModel[m.Model])
+			t.Fatalf("model %s energy %v != index-ordered machine sum %v", m.Model, m.EnergyJ, byModel[m.Model])
 		}
 	}
 }

@@ -75,7 +75,7 @@ func collectIncidents(machine int, model string, rec *flight.Recorder) []Inciden
 }
 
 // appendIncidents folds one machine's incidents into a capped collection,
-// honouring maxRecordedIncidents. Both engines fold in machine index order,
+// honouring maxRecordedIncidents. RunStream folds in machine index order,
 // so the retained prefix is identical across worker counts and batch sizes.
 func appendIncidents(dst []Incident, incs []Incident) []Incident {
 	for i := range incs {

@@ -1,26 +1,23 @@
-// Streaming epoch engine: the fleet workload restructured so resident
-// memory is O(batch), not O(fleet).
+// Streaming epoch engine: the fleet workload with resident memory O(batch),
+// not O(fleet).
 //
-// The one-shot Run engine materializes every machine's report row and
-// telemetry snapshot before merging — fine for 64 machines, fatal for the
-// million-machine north star. RunStream instead advances the fleet as a
-// stream of batches: a bounded worker pool carries one batch of machines
-// through their whole lifecycle (boot from the shared per-model Spec derived
-// cache, characterize, deploy the guard LUT, then the guard window in
-// Epochs fixed time slices), folds the batch into a running aggregate, a
-// per-model rollup and a merged telemetry snapshot, and discards it. Only
-// the current batch's results — and at most Workers live Systems — are ever
-// resident.
+// RunStream advances the fleet as a stream of batches: a bounded worker
+// pool carries one batch of machines through their whole lifecycle (boot
+// from the shared per-model Spec derived cache, characterize, deploy the
+// guard LUT, then the guard window in Epochs fixed time slices), folds the
+// batch into a running aggregate, a per-model rollup and a merged telemetry
+// snapshot, and discards it. Only the current batch's results — and at most
+// Workers live Systems — are ever resident.
 //
 // Determinism is the contract the test battery enforces: machine i is a
 // pure function of (config, i) via MachineSeed, batches fold in machine
 // index order, and telemetry folds as a strict left-fold through
 // telemetry.MergeSnapshots — the same sequence of floating-point additions
-// the one-shot merge performs — so the report JSON and the merged
-// Prometheus exposition are byte-identical to the batch engine's and across
-// every batch size, worker count, epoch split, and kill/resume point. The
-// report body deliberately carries no execution-shape field (no workers, no
-// batch, no epochs): byte-identity is designed, not accidental.
+// one MergeSnapshots call over every machine's snapshot performs — so the
+// report JSON and the merged Prometheus exposition are byte-identical
+// across every batch size, worker count, epoch split, and kill/resume
+// point. The report body deliberately carries no execution-shape field (no
+// workers, no batch, no epochs): byte-identity is designed, not accidental.
 //
 // Checkpointing piggybacks on the fold: after each batch the engine's
 // entire mutable state is (machines done, aggregate, rollup, failures,
@@ -52,9 +49,8 @@ const DefaultStreamBatch = 256
 // checkpointing is enabled) resumes the run.
 var ErrHalted = errors.New("fleet: stream halted at batch boundary")
 
-// StreamConfig parameterizes a streaming fleet run. The embedded Config
-// fields keep their one-shot meaning; Workers is additionally clamped to
-// the batch size.
+// StreamConfig parameterizes a fleet run: the experiment (Config) plus its
+// execution shape. Config.Workers is clamped to the batch size.
 type StreamConfig struct {
 	Config
 
@@ -77,8 +73,9 @@ type StreamConfig struct {
 	CheckpointPath string
 	// Resume, when set, continues a previous run from its checkpoint. The
 	// checkpoint's config fingerprint must match this config (seed,
-	// machines, epochs, models, attack, window, sweep, guard) — execution
-	// shape (batch, workers) may differ freely.
+	// machines, epochs, models, attack, window, sweep and its strategy,
+	// guard, flight window) — execution shape (batch, workers) may differ
+	// freely.
 	Resume *Checkpoint
 
 	// Progress, when set, is called after every completed batch (and once
@@ -120,8 +117,8 @@ type Progress struct {
 
 // ModelSummary is the per-model rollup row of a streaming report: the
 // MachineSummary totals of every machine of one model, summed in machine
-// index order. Rollups replace per-machine rows at fleet scale — a million
-// rows is itself an O(fleet) report.
+// index order. The report carries rollups, not per-machine rows — a
+// million rows would itself be an O(fleet) report.
 type ModelSummary struct {
 	Model              string `json:"model"`
 	Machines           int    `json:"machines"`
@@ -213,10 +210,12 @@ type streamState struct {
 }
 
 // RunStream simulates the fleet as a stream of batches and returns the
-// folded report. Machine failures do not abort the stream; as with Run, a
-// fully-populated report is returned together with a *PartialError when any
-// machine failed. Configuration errors — and a Resume checkpoint whose
-// fingerprint does not match the config — abort with a nil report.
+// folded report. Machine failures do not abort the stream: each is recorded
+// in the failed machine's row (and counted in Aggregate.Errors), and a
+// fully-populated report is returned together with a *PartialError naming
+// each failed machine and stage. Configuration errors — and a Resume
+// checkpoint whose fingerprint does not match the config — abort with a nil
+// report.
 func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	modelNames, specs, err := cfg.Config.normalize()
 	if err != nil {
@@ -303,8 +302,8 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			results[j] = machineResult{} // release the batch before the next one
 		}
 		// Strict left-fold in machine index order: MergeSnapshots(merged,
-		// s_i, s_i+1, ...) performs the identical sequence of additions the
-		// one-shot MergeSnapshots(s_0, ..., s_n-1) performs, so incremental
+		// s_i, s_i+1, ...) performs the identical sequence of additions a
+		// single MergeSnapshots(s_0, ..., s_n-1) performs, so incremental
 		// folding is exact, not just approximately commutative.
 		st.merged, err = telemetry.MergeSnapshots(snaps...)
 		if err != nil {

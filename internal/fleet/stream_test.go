@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
+	"plugvolt"
+	"plugvolt/internal/core"
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
 // renderStream runs one streaming configuration and renders both report
@@ -37,32 +39,51 @@ func renderStreamReport(t *testing.T, rep *StreamReport) (reportJSON, metrics []
 	return j, buf.Bytes()
 }
 
-// rollupFromBatch derives the streaming engine's per-model rollup from a
-// one-shot report's per-machine rows, folding in machine index order — the
-// reference the golden test compares the stream against.
-func rollupFromBatch(rep *Report) []ModelSummary {
-	st := &streamState{models: map[string]*ModelSummary{}}
-	for i := range rep.MachineRows {
-		st.modelRollup(rep.MachineRows[i].Model).foldModel(&rep.MachineRows[i])
-	}
-	return st.modelRows()
-}
-
-// TestStreamMatchesBatch is the batch-vs-streaming golden test: same seed,
-// same fleet — the streaming engine must reproduce the one-shot engine's
-// aggregate, per-model totals, and merged Prometheus exposition
-// byte-for-byte, for every batch/worker split, at workers 1/2/8.
-func TestStreamMatchesBatch(t *testing.T) {
-	base := Config{Machines: 6, Seed: 11, Attack: "voltjockey"}
-	batchRep, err := Run(base)
+// serialRun is the test-only reference the engine is checked against: every
+// machine run in index order on the calling goroutine, its row folded with
+// foldRow/foldModel, and the fleet's telemetry merged by one MergeSnapshots
+// call — no batches, no worker pool, no incremental fold. It also returns
+// the per-machine rows the report drops.
+func serialRun(t *testing.T, cfg Config) (*StreamReport, []MachineSummary) {
+	t.Helper()
+	modelNames, specs, err := cfg.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantMetrics bytes.Buffer
-	if err := batchRep.WriteMetrics(&wantMetrics); err != nil {
+	rep := &StreamReport{}
+	rep.Fleet.Machines = cfg.Machines
+	rep.Fleet.Models = modelNames
+	rep.Fleet.Seed = cfg.Seed
+	rep.Fleet.Attack = cfg.Attack
+	rep.Fleet.WindowPS = int64(cfg.Window)
+	rep.Aggregate.Machines = cfg.Machines
+	st := &streamState{models: map[string]*ModelSummary{}}
+	rows := make([]MachineSummary, 0, cfg.Machines)
+	snaps := make([]*telemetry.Snapshot, 0, cfg.Machines)
+	for i := 0; i < cfg.Machines; i++ {
+		model := modelNames[i%len(modelNames)]
+		r := runMachine(&cfg, i, model, specs[model], 1)
+		foldRow(&rep.Aggregate, &r.row)
+		st.modelRollup(model).foldModel(&r.row)
+		rep.Incidents = appendIncidents(rep.Incidents, r.incidents)
+		rows = append(rows, r.row)
+		snaps = append(snaps, r.snap)
+	}
+	rep.ModelRows = st.modelRows()
+	if rep.Merged, err = telemetry.MergeSnapshots(snaps...); err != nil {
 		t.Fatal(err)
 	}
-	wantRollup := rollupFromBatch(batchRep)
+	return rep, rows
+}
+
+// TestStreamMatchesBatch is the fold golden test: at every batch/worker
+// split, workers 1/2/8, the engine's batched left fold must reproduce the
+// serial reference's one-shot merge byte for byte — report JSON, merged
+// exposition, and the exact aggregate, float64 EnergyJ included.
+func TestStreamMatchesBatch(t *testing.T) {
+	base := Config{Machines: 6, Seed: 11, Attack: "voltjockey"}
+	ref, _ := serialRun(t, base)
+	wantJSON, wantMetrics := renderStreamReport(t, ref)
 
 	for _, split := range []struct{ batch, workers int }{
 		{1, 1}, {2, 2}, {3, 8}, {6, 1},
@@ -74,18 +95,15 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rep.Aggregate, batchRep.Aggregate) {
-				t.Errorf("aggregate diverges:\nstream %+v\nbatch  %+v", rep.Aggregate, batchRep.Aggregate)
+			if rep.Aggregate != ref.Aggregate {
+				t.Errorf("aggregate diverges:\nstream    %+v\nreference %+v", rep.Aggregate, ref.Aggregate)
 			}
-			if !reflect.DeepEqual(rep.ModelRows, wantRollup) {
-				t.Errorf("rollup diverges:\nstream %+v\nbatch  %+v", rep.ModelRows, wantRollup)
+			j, m := renderStreamReport(t, rep)
+			if !bytes.Equal(j, wantJSON) {
+				t.Error("report JSON diverges from the serial reference")
 			}
-			var m bytes.Buffer
-			if err := rep.WriteMetrics(&m); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(m.Bytes(), wantMetrics.Bytes()) {
-				t.Error("merged exposition diverges from the one-shot engine")
+			if !bytes.Equal(m, wantMetrics) {
+				t.Error("merged exposition diverges from the serial reference")
 			}
 		})
 	}
@@ -157,7 +175,9 @@ func TestStreamCheckpointResume(t *testing.T) {
 // TestStreamResumeMismatch: a checkpoint from one experiment must not
 // resume another. Every fingerprinted axis is tried.
 func TestStreamResumeMismatch(t *testing.T) {
-	base := Config{Machines: 2, Seed: 5, Attack: "none", Window: sim.Millisecond}
+	// The sweep is spelled out because a zero Sweep runs QuickSweep, so
+	// setting only its strategy would change nothing the machines run.
+	base := Config{Machines: 2, Seed: 5, Attack: "none", Window: sim.Millisecond, Sweep: plugvolt.QuickSweep()}
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	cfg := StreamConfig{Config: base, Batch: 1, CheckpointPath: path,
 		Halt: func(p Progress) bool { return true }}
@@ -176,6 +196,7 @@ func TestStreamResumeMismatch(t *testing.T) {
 		"models":   func(c *StreamConfig) { c.Models = []string{"skylake"} },
 		"epochs":   func(c *StreamConfig) { c.Epochs = 4 },
 		"guard":    func(c *StreamConfig) { c.Guard.MarginMV = 25; c.Guard.PollPeriod = 30 * sim.Microsecond },
+		"strategy": func(c *StreamConfig) { c.Sweep.Strategy = core.StrategyBisect },
 	}
 	for name, mutate := range mutations {
 		bad := StreamConfig{Config: base, Resume: ck}
@@ -184,9 +205,11 @@ func TestStreamResumeMismatch(t *testing.T) {
 			t.Errorf("%s mutation: want ErrCheckpointMismatch, got %v", name, err)
 		}
 	}
-	// The same checkpoint under a different execution shape is fine.
+	// The same checkpoint under a different execution shape is fine, and so
+	// is naming the strategy an empty one runs.
 	good := StreamConfig{Config: base, Resume: ck, Batch: 2}
 	good.Workers = 8
+	good.Sweep.Strategy = core.StrategySweep
 	if _, err := RunStream(good); err != nil {
 		t.Errorf("execution-shape change rejected: %v", err)
 	}
@@ -257,9 +280,8 @@ func TestStreamResidentBound(t *testing.T) {
 	}
 }
 
-// TestStreamReportOmitsExecutionShape guards byte-identity structurally,
-// like TestFleetReportOmitsWorkers does for the one-shot engine: no
-// execution-shape word may appear in the report JSON.
+// TestStreamReportOmitsExecutionShape guards byte-identity structurally:
+// no execution-shape word may appear in the report JSON.
 func TestStreamReportOmitsExecutionShape(t *testing.T) {
 	cfg := StreamConfig{Config: Config{Machines: 2, Seed: 1, Attack: "none",
 		Window: sim.Millisecond}, Batch: 1, Epochs: 2}
@@ -279,8 +301,8 @@ func TestStreamReportOmitsExecutionShape(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the streaming-specific config errors on
-// top of the shared ones.
+// TestStreamConfigValidation covers the config error paths: zero machines,
+// unknown attack or model, and epoch slicing under a campaign.
 func TestStreamConfigValidation(t *testing.T) {
 	if _, err := RunStream(StreamConfig{Config: Config{Machines: 0}}); err == nil {
 		t.Error("zero machines accepted")
@@ -300,7 +322,8 @@ func TestStreamConfigValidation(t *testing.T) {
 // TestPartialFailureTyped is the table-driven contract for the typed
 // partial-failure error: for every lifecycle stage, a machine failure must
 // surface as a *PartialError naming the machine index, model, stage and
-// cause — from both engines — while the healthy machines' results survive.
+// cause, and count against that machine's model only, while the healthy
+// machines' results survive.
 func TestPartialFailureTyped(t *testing.T) {
 	base := Config{Machines: 3, Seed: 7, Attack: "voltjockey"}
 	for _, stage := range []string{"boot", "characterize", "deploy", "attack"} {
@@ -313,47 +336,38 @@ func TestPartialFailureTyped(t *testing.T) {
 			}
 			defer func() { failpoint = nil }()
 
-			check := func(t *testing.T, agg Aggregate, err error) *PartialError {
-				t.Helper()
-				var partial *PartialError
-				if !errors.As(err, &partial) {
-					t.Fatalf("want *PartialError, got %v", err)
-				}
-				if partial.Total != 1 || len(partial.Failures) != 1 {
-					t.Fatalf("partial %+v: want exactly one failure", partial)
-				}
-				f := partial.Failures[0]
-				if f.Index != 1 || f.Stage != stage || !strings.Contains(f.Cause, "injected") {
-					t.Fatalf("failure %+v: want index 1, stage %s", f, stage)
-				}
-				if f.Model == "" {
-					t.Fatal("failure does not name the machine model")
-				}
-				if agg.Errors != 1 {
-					t.Fatalf("aggregate errors %d, want 1", agg.Errors)
-				}
-				if agg.GuardChecks == 0 {
-					t.Fatal("healthy machines did not run")
-				}
-				return partial
-			}
-
-			rep, err := Run(base)
+			rep, err := RunStream(StreamConfig{Config: base, Batch: 2})
 			if rep == nil {
 				t.Fatal("partial failure must still return the report")
 			}
-			check(t, rep.Aggregate, err)
-			if rep.MachineRows[1].Err == "" || rep.MachineRows[0].Err != "" || rep.MachineRows[2].Err != "" {
-				t.Fatalf("rows misattribute the failure: %+v", rep.MachineRows)
+			var partial *PartialError
+			if !errors.As(err, &partial) {
+				t.Fatalf("want *PartialError, got %v", err)
 			}
-
-			srep, serr := RunStream(StreamConfig{Config: base, Batch: 2})
-			if srep == nil {
-				t.Fatal("stream partial failure must still return the report")
+			if partial.Total != 1 || len(partial.Failures) != 1 {
+				t.Fatalf("partial %+v: want exactly one failure", partial)
 			}
-			check(t, srep.Aggregate, serr)
-			if !reflect.DeepEqual(srep.Aggregate, rep.Aggregate) {
-				t.Errorf("engines disagree under partial failure:\nstream %+v\nbatch  %+v", srep.Aggregate, rep.Aggregate)
+			f := partial.Failures[0]
+			if f.Index != 1 || f.Stage != stage || !strings.Contains(f.Cause, "injected") {
+				t.Fatalf("failure %+v: want index 1, stage %s", f, stage)
+			}
+			if f.Model == "" {
+				t.Fatal("failure does not name the machine model")
+			}
+			if rep.Aggregate.Errors != 1 {
+				t.Fatalf("aggregate errors %d, want 1", rep.Aggregate.Errors)
+			}
+			if rep.Aggregate.GuardChecks == 0 {
+				t.Fatal("healthy machines did not run")
+			}
+			for _, m := range rep.ModelRows {
+				want := 0
+				if m.Model == f.Model {
+					want = 1
+				}
+				if m.Errors != want {
+					t.Fatalf("model %s counts %d errors, want %d", m.Model, m.Errors, want)
+				}
 			}
 		})
 	}

@@ -13,8 +13,8 @@ import (
 // axis: the energy integrator's totals are part of the reproducibility
 // contract, so they must be bit-identical (compared as float64 bit
 // patterns, not within a tolerance) across every execution shape — sweep
-// worker counts on a single machine, fleet worker counts, and the batch
-// versus streaming engines.
+// worker counts on a single machine, and fleet batch sizes, worker counts
+// and epoch slicing.
 func TestGoldenEnergyDeterminism(t *testing.T) {
 	// Axis 1: characterization sharding. The sweep runs on throwaway shard
 	// platforms, so the deployed machine's subsequent guarded window must
@@ -52,31 +52,12 @@ func TestGoldenEnergyDeterminism(t *testing.T) {
 		})
 	}
 
-	// Axis 2: fleet execution shape. Batch at several worker counts and the
-	// streaming engine must agree on the aggregate joules bit for bit.
+	// Axis 2: fleet execution shape. Every batch/worker split must agree on
+	// the aggregate joules bit for bit.
 	base := fleet.Config{Machines: 4, Seed: goldenSeed, Attack: "voltjockey"}
 	var want uint64
-	for _, w := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = w
-		rep, err := fleet.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := math.Float64bits(rep.Aggregate.EnergyJ)
-		if w == 1 {
-			want = got
-			if rep.Aggregate.EnergyJ <= 0 {
-				t.Fatal("fleet billed no energy")
-			}
-			continue
-		}
-		if got != want {
-			t.Errorf("fleet workers=%d: aggregate energy %x diverges from workers=1 %x", w, got, want)
-		}
-	}
-	for _, split := range []struct{ batch, workers int }{
-		{1, 1}, {2, 8}, {4, 2},
+	for i, split := range []struct{ batch, workers int }{
+		{4, 1}, {4, 2}, {4, 8}, {1, 1}, {2, 8},
 	} {
 		cfg := fleet.StreamConfig{Config: base, Batch: split.batch}
 		cfg.Workers = split.workers
@@ -84,8 +65,16 @@ func TestGoldenEnergyDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := math.Float64bits(rep.Aggregate.EnergyJ); got != want {
-			t.Errorf("stream batch=%d workers=%d: aggregate energy %x diverges from batch engine %x",
+		got := math.Float64bits(rep.Aggregate.EnergyJ)
+		if i == 0 {
+			want = got
+			if rep.Aggregate.EnergyJ <= 0 {
+				t.Fatal("fleet billed no energy")
+			}
+			continue
+		}
+		if got != want {
+			t.Errorf("fleet batch=%d workers=%d: aggregate energy %x diverges from batch=4 workers=1 %x",
 				split.batch, split.workers, got, want)
 		}
 	}

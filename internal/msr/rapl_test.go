@@ -10,8 +10,8 @@ import (
 // repo models plus corner encodings of each field.
 func TestDecodeRAPLPowerUnit(t *testing.T) {
 	cases := []struct {
-		name                  string
-		val                   uint64
+		name                   string
+		val                    uint64
 		powerW, energyJ, timeS float64
 	}{
 		// 0x000A0E03: power 2^-3 W, energy 2^-14 J, time 2^-10 s — the
