@@ -1,8 +1,9 @@
 # plugvolt build / verification entry points.
 #
-# `make test-race` is the CI gate for the sharded characterization engine:
-# the parallel sweep must stay data-race free (worker platforms are private;
-# progress callbacks are serialized through the merge loop).
+# `make test-race` runs vet and the full suite under the race detector; CI
+# runs the same `go vet ./...` and `go test -race ./...` steps directly. The
+# parallel characterization sweep must stay data-race free (worker platforms
+# are private; progress callbacks are serialized through the merge loop).
 
 GO ?= go
 

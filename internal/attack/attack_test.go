@@ -29,18 +29,23 @@ func newEnv(t *testing.T, model string, seed int64) *defense.Env {
 	}
 }
 
-func characterizeEnv(t *testing.T, env *defense.Env) *core.Grid {
-	t.Helper()
+// quickGrid characterizes env's model and seed with the quick sweep.
+func quickGrid(env *defense.Env) (*core.Grid, error) {
 	cfg := core.DefaultCharacterizerConfig()
 	cfg.Iterations = 200_000
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(env.Platform, cfg)
+	sc, err := core.NewShardedCharacterizer(env.Platform.Spec, env.Platform.Seed(), cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	g, err := ch.Run()
+	return sc.Run()
+}
+
+func characterizeEnv(t *testing.T, env *defense.Env) *core.Grid {
+	t.Helper()
+	g, err := quickGrid(env)
 	if err != nil {
 		t.Fatal(err)
 	}

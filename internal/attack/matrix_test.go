@@ -17,16 +17,7 @@ func TestMatrixRunsEveryCellOnFreshMachines(t *testing.T) {
 			return defense.None{}, nil
 		}},
 		{Name: "polling", Build: func(env *defense.Env) (defense.Countermeasure, error) {
-			cfg := core.DefaultCharacterizerConfig()
-			cfg.Iterations = 200_000
-			cfg.OffsetStartMV = -5
-			cfg.OffsetStepMV = -5
-			cfg.OffsetEndMV = -350
-			ch, err := core.NewCharacterizer(env.Platform, cfg)
-			if err != nil {
-				return nil, err
-			}
-			g, err := ch.Run()
+			g, err := quickGrid(env)
 			if err != nil {
 				return nil, err
 			}

@@ -7,17 +7,7 @@ import (
 // runGrid characterizes skylake with a short sweep under the given seed.
 func runGrid(t *testing.T, seed int64) *Grid {
 	t.Helper()
-	p := newPlatform(t, "skylake", seed)
-	cfg := quickSweepConfig()
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return sweepGrid(t, "skylake", seed, quickSweepConfig())
 }
 
 func TestAggregateGridsConservative(t *testing.T) {

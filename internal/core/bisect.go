@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"plugvolt/internal/cpu"
-	"plugvolt/internal/msr"
 	"plugvolt/internal/search"
-	"plugvolt/internal/sim"
 )
 
 // rowStats carries one row's search economics from a worker to the merge
@@ -46,48 +43,6 @@ func (sc *ShardedCharacterizer) strategy() string {
 	return sc.cfg.Strategy
 }
 
-// bisectRow characterizes one frequency row on a private platform stack
-// using the bisect strategy, falling back to a fresh linear sweep if any
-// monotonicity check fails. The fallback rebuilds the row platform from
-// scratch (the half-probed one may hold partial mailbox state or a
-// crash), so its result is the sweep strategy's result by construction.
-func (sc *ShardedCharacterizer) bisectRow(row []Classification, freqKHz int, offs []int) (int, sim.Duration, rowStats, error) {
-	var st rowStats
-	p, err := sc.Factory(RowSeed(sc.seed, freqKHz))
-	if err != nil {
-		return 0, 0, st, err
-	}
-	ch, err := NewCharacterizer(p, sc.cfg)
-	if err != nil {
-		return 0, 0, st, err
-	}
-	// Algorithm 2 lines 6-7: record the normal operating point.
-	origStatus, err := p.MSRFile(sc.cfg.VictimCore).Read(msr.IA32PerfStatus)
-	if err != nil {
-		return 0, 0, st, err
-	}
-	origRatio, _ := msr.DecodePerfStatus(origStatus)
-	origFreqKHz := msr.RatioToKHz(origRatio, p.Spec.BusMHz)
-
-	err = ch.bisectRowInto(row, freqKHz, offs)
-	if errors.Is(err, search.ErrNonMonotone) {
-		st.fallback = true
-		st.probes = ch.probes
-		reboots, virtual, st2, err2 := sc.sweepRow(row, freqKHz, offs)
-		st.probes += st2.probes
-		return reboots, virtual, st, err2
-	}
-	if err != nil {
-		return 0, 0, st, err
-	}
-	st.probes = ch.probes
-	// Lines 13-14: restore the stock operating point, as the sweep does.
-	if err := ch.restore(origFreqKHz); err != nil {
-		return 0, 0, st, err
-	}
-	return p.Reboots, sim.Duration(p.Sim.Now()), st, nil
-}
-
 // bisectRowInto classifies one frequency row with O(log N) measured probes
 // instead of the sweep's O(N):
 //
@@ -111,7 +66,7 @@ func (sc *ShardedCharacterizer) bisectRow(row []Classification, freqKHz int, off
 // Interference is thereby detectable exactly at probed cells; between
 // probes the row's shape rests on the verified monotone model, which is
 // the contract that makes O(log N) possible at all.
-func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []int) error {
+func (c *rowProber) bisectRowInto(row []Classification, freqKHz int, offs []int) error {
 	// Line 9: set core frequency through cpupower.
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
 		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
@@ -120,7 +75,7 @@ func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []
 	if n == 0 {
 		return nil
 	}
-	core := c.P.Core(c.cfg.VictimCore)
+	core := c.p.Core(c.cfg.VictimCore)
 	uF, uC := c.probeU(freqKHz)
 	pAnyF := make([]float64, n)
 	pAnyC := make([]float64, n)
@@ -183,8 +138,10 @@ func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []
 		}
 		// The verified crash reboots the platform, exactly once per
 		// crashing row — the same count the sweep accumulates.
-		c.P.Reboot()
-		c.resetCPUPower()
+		c.p.Reboot()
+		if err := c.resetCPUPower(); err != nil {
+			return err
+		}
 	}
 	for i := range row {
 		switch {

@@ -142,19 +142,19 @@ func FuzzRowMonotonicity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := NewCharacterizer(p, cfg)
+		pr, err := newRowProber(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ch.cp.FrequencySet(cfg.VictimCore, freqKHz); err != nil {
+		if err := pr.cp.FrequencySet(cfg.VictimCore, freqKHz); err != nil {
 			t.Fatal(err)
 		}
 		core := p.Core(cfg.VictimCore)
-		uF, uC := ch.probeU(freqKHz)
+		uF, uC := pr.probeU(freqKHz)
 		prevF, prevC := -1.0, -1.0
 		prevCls := Safe
 		for _, off := range offs {
-			pf, pc := core.PredictProbabilities(ch.class(), off)
+			pf, pc := core.PredictProbabilities(pr.class(), off)
 			pAnyF := cpu.BatchUpsetProbability(cfg.Iterations, pf)
 			pAnyC := cpu.BatchUpsetProbability(cfg.Iterations, pc)
 			if pAnyF < prevF || pAnyC < prevC {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"plugvolt/internal/cpu"
@@ -32,57 +34,47 @@ func quickSweepConfig() CharacterizerConfig {
 	return cfg
 }
 
+// sweepGrid characterizes a model under seed and returns the grid.
+func sweepGrid(t *testing.T, model string, seed int64, cfg CharacterizerConfig) *Grid {
+	t.Helper()
+	g, err := newShardedCharacterizer(t, model, seed, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestCharacterizerValidation(t *testing.T) {
-	p := newPlatform(t, "skylake", 1)
-	if _, err := NewCharacterizer(nil, DefaultCharacterizerConfig()); err == nil {
-		t.Fatal("nil platform accepted")
+	spec, err := models.ByName("skylake")
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := DefaultCharacterizerConfig()
-	bad.VictimCore = bad.DriverCore
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("same victim/driver accepted")
+	cases := []struct {
+		name string
+		edit func(*CharacterizerConfig)
+	}{
+		{"bogus victim core", func(c *CharacterizerConfig) { c.VictimCore = 99 }},
+		{"negative victim core", func(c *CharacterizerConfig) { c.VictimCore = -1 }},
+		{"zero iterations", func(c *CharacterizerConfig) { c.Iterations = 0 }},
+		{"positive step", func(c *CharacterizerConfig) { c.OffsetStepMV = 1 }},
+		{"positive start", func(c *CharacterizerConfig) { c.OffsetStartMV = 5 }},
+		{"inverted range", func(c *CharacterizerConfig) { c.OffsetStartMV, c.OffsetEndMV = -100, -1 }},
+		{"unknown strategy", func(c *CharacterizerConfig) { c.Strategy = "random" }},
 	}
-	bad = DefaultCharacterizerConfig()
-	bad.VictimCore = 99
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("bogus victim core accepted")
-	}
-	bad = DefaultCharacterizerConfig()
-	bad.Iterations = 0
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("zero iterations accepted")
-	}
-	bad = DefaultCharacterizerConfig()
-	bad.OffsetStepMV = 1
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("positive step accepted")
-	}
-	bad = DefaultCharacterizerConfig()
-	bad.OffsetStartMV = 5
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("positive start accepted")
-	}
-	bad = DefaultCharacterizerConfig()
-	bad.OffsetEndMV = -1
-	bad.OffsetStartMV = -100
-	if _, err := NewCharacterizer(p, bad); err == nil {
-		t.Fatal("inverted range accepted")
+	for _, tc := range cases {
+		bad := DefaultCharacterizerConfig()
+		tc.edit(&bad)
+		if _, err := NewShardedCharacterizer(spec, 1, bad); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestCharacterizationSweepSkyLake(t *testing.T) {
-	p := newPlatform(t, "skylake", 42)
 	var progressRows int
 	cfg := quickSweepConfig()
 	cfg.Progress = func(freqKHz, done, total int) { progressRows = done }
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := sweepGrid(t, "skylake", 42, cfg)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("sweep produced invalid grid: %v", err)
 	}
@@ -146,28 +138,32 @@ func TestCharacterizationSweepSkyLake(t *testing.T) {
 	}
 }
 
+// TestCharacterizationDeterministicReplay runs one engine twice: the second
+// Run must rebuild every row platform rather than reuse state from the
+// first, so grid and probe economics replay exactly.
 func TestCharacterizationDeterministicReplay(t *testing.T) {
-	run := func() *Grid {
-		p := newPlatform(t, "skylake", 77)
-		cfg := quickSweepConfig()
-		cfg.OffsetEndMV = -200 // shorter for speed
-		ch, err := NewCharacterizer(p, cfg)
+	cfg := quickSweepConfig()
+	cfg.OffsetEndMV = -200 // shorter for speed
+	cfg.Workers = 1
+	sc := newShardedCharacterizer(t, "skylake", 77, cfg)
+	run := func() ([]byte, SearchStats) {
+		g, err := sc.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := ch.Run()
+		data, err := g.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g
+		return data, sc.Stats()
 	}
-	g1, g2 := run(), run()
-	for fi := range g1.Cells {
-		for oi := range g1.Cells[fi] {
-			if g1.Cells[fi][oi] != g2.Cells[fi][oi] {
-				t.Fatalf("replay diverged at cell (%d, %d)", fi, oi)
-			}
-		}
+	g1, s1 := run()
+	g2, s2 := run()
+	if !bytes.Equal(g1, g2) {
+		t.Fatal("replay on the same engine diverged")
+	}
+	if s1 != s2 {
+		t.Fatalf("replay stats %+v, first run %+v", s2, s1)
 	}
 }
 
@@ -180,16 +176,7 @@ func TestCharacterizationAllThreeModels(t *testing.T) {
 	for _, model := range []string{"skylake", "kabylaker", "cometlake"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			p := newPlatform(t, model, 7)
-			cfg := quickSweepConfig()
-			ch, err := NewCharacterizer(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := ch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := sweepGrid(t, model, 7, quickSweepConfig())
 			if err := g.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -206,25 +193,51 @@ func TestCharacterizationAllThreeModels(t *testing.T) {
 	}
 }
 
+// TestSweepLeavesPlatformRestored checks Algorithm 2 lines 13-14 on every
+// row platform: after its row, each one is back at its stock frequency
+// with a zero offset and running, crash rows included.
 func TestSweepLeavesPlatformRestored(t *testing.T) {
-	p := newPlatform(t, "skylake", 5)
-	cfg := quickSweepConfig()
-	cfg.OffsetEndMV = -150
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ch.Run(); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(1 * sim.Millisecond)
-	p.SettleAll()
-	c := p.Core(cfg.VictimCore)
-	if c.OffsetMV() != 0 {
-		t.Fatalf("sweep left offset %d", c.OffsetMV())
-	}
-	if p.Crashed() {
-		t.Fatal("sweep left platform crashed")
+	for _, strategy := range []string{StrategySweep, StrategyBisect} {
+		cfg := quickSweepConfig()
+		cfg.OffsetEndMV = -150
+		cfg.Strategy = strategy
+		cfg.Workers = 2
+		sc := newShardedCharacterizer(t, "skylake", 5, cfg)
+		var mu sync.Mutex
+		built := map[int64]*cpu.Platform{}
+		inner := sc.Factory
+		sc.Factory = func(seed int64) (*cpu.Platform, error) {
+			p, err := inner(seed)
+			if err == nil {
+				mu.Lock()
+				built[seed] = p
+				mu.Unlock()
+			}
+			return p, err
+		}
+		g, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(built) != len(g.FreqsKHz) {
+			t.Fatalf("%s: %d row platforms for %d rows", strategy, len(built), len(g.FreqsKHz))
+		}
+		for _, f := range g.FreqsKHz {
+			p := built[RowSeed(5, f)]
+			stock := newPlatform(t, "skylake", RowSeed(5, f))
+			p.Sim.RunFor(1 * sim.Millisecond)
+			p.SettleAll()
+			c := p.Core(cfg.VictimCore)
+			if c.OffsetMV() != 0 {
+				t.Errorf("%s %d kHz: row left offset %d", strategy, f, c.OffsetMV())
+			}
+			if got, want := p.FreqKHz(cfg.VictimCore), stock.FreqKHz(cfg.VictimCore); got != want {
+				t.Errorf("%s %d kHz: row left %d kHz, stock is %d kHz", strategy, f, got, want)
+			}
+			if p.Crashed() {
+				t.Errorf("%s %d kHz: row left platform crashed", strategy, f)
+			}
+		}
 	}
 }
 
@@ -233,17 +246,9 @@ func TestPerClassOnsetOrdering(t *testing.T) {
 	// fault-prone instruction: sweeping the same machine with shallower
 	// instruction classes must find deeper (more negative) onsets.
 	onsetAt := func(class cpu.Class, freqKHz int) int {
-		p := newPlatform(t, "skylake", 61)
 		cfg := quickSweepConfig()
 		cfg.Class = class
-		ch, err := NewCharacterizer(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ch.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := sweepGrid(t, "skylake", 61, cfg)
 		onset, ok := g.OnsetMV(freqKHz)
 		if !ok {
 			t.Fatalf("class %s: no onset at %d kHz", class, freqKHz)
@@ -266,15 +271,18 @@ func TestDefaultClassIsIMul(t *testing.T) {
 		t.Fatalf("default EXECUTE class %q", cfg.Class)
 	}
 	// Empty class falls back to imul rather than failing.
-	p := newPlatform(t, "skylake", 62)
 	cfg = quickSweepConfig()
-	cfg.Class = ""
 	cfg.OffsetEndMV = -150
-	ch, err := NewCharacterizer(p, cfg)
+	imul, err := sweepGrid(t, "skylake", 62, cfg).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Run(); err != nil {
+	cfg.Class = ""
+	empty, err := sweepGrid(t, "skylake", 62, cfg).JSON()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(imul, empty) {
+		t.Fatal("empty class grid differs from the imul grid")
 	}
 }

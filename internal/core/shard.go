@@ -9,6 +9,7 @@ import (
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
+	"plugvolt/internal/search"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
@@ -118,20 +119,9 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 		go func(w int) {
 			defer wg.Done()
 			for fi := range jobs {
-				row := cells[fi*len(offs) : (fi+1)*len(offs) : (fi+1)*len(offs)]
-				var (
-					reboots int
-					virtual sim.Duration
-					st      rowStats
-					err     error
-				)
-				if sc.cfg.Strategy == StrategyBisect {
-					reboots, virtual, st, err = sc.bisectRow(row, freqs[fi], offs)
-				} else {
-					reboots, virtual, st, err = sc.sweepRow(row, freqs[fi], offs)
-				}
-				results <- rowResult{fi: fi, row: row, reboots: reboots,
-					err: err, worker: w, virtual: virtual, stats: st}
+				r := sc.classifyRow(cells[fi*len(offs):(fi+1)*len(offs):(fi+1)*len(offs)], freqs[fi], offs)
+				r.fi, r.worker = fi, w
+				results <- r
 			}
 		}(w)
 	}
@@ -152,12 +142,16 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	// completions monotonically.
 	obs := newSweepObserver(sc.cfg.Telemetry, workers, sc.strategy())
 	sc.stats = SearchStats{Strategy: sc.strategy()}
-	var firstErr error
+	// A failed run reports the failing row with the lowest frequency index,
+	// not the first failure to arrive, so the error is independent of the
+	// worker count too.
+	var failErr error
+	failFI := len(freqs)
 	done := 0
 	for r := range results {
 		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: shard at %d kHz: %w", freqs[r.fi], r.err)
+			if r.fi < failFI {
+				failFI, failErr = r.fi, r.err
 			}
 			continue
 		}
@@ -177,8 +171,8 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 		}
 	}
 	obs.finish()
-	if firstErr != nil {
-		return nil, firstErr
+	if failErr != nil {
+		return nil, fmt.Errorf("core: shard at %d kHz: %w", freqs[failFI], failErr)
 	}
 	return g, nil
 }
@@ -319,38 +313,52 @@ func mergeRow(g *Grid, r rowResult) {
 	g.Reboots += r.reboots
 }
 
-// sweepRow characterizes one frequency on a private platform stack: build
-// the machine from the row seed, record the stock operating point, run the
-// serial engine's row sweep into the caller's row buffer, and restore —
-// exactly the per-row protocol of Characterizer.Run, minus the cross-row
-// state.
-func (sc *ShardedCharacterizer) sweepRow(row []Classification, freqKHz int, offs []int) (int, sim.Duration, rowStats, error) {
-	var st rowStats
+// classifyRow characterizes one frequency row with the configured strategy.
+// A bisect row whose measured probes contradict its prediction is rerun
+// from a fresh platform as a sweep (the half-probed one may hold partial
+// mailbox state or a crash), so its cells are the sweep strategy's by
+// construction; its probe count includes the abandoned bisect probes.
+func (sc *ShardedCharacterizer) classifyRow(row []Classification, freqKHz int, offs []int) rowResult {
+	if sc.cfg.Strategy != StrategyBisect {
+		return sc.runRow(row, freqKHz, offs, (*rowProber).sweepRowInto)
+	}
+	r := sc.runRow(row, freqKHz, offs, (*rowProber).bisectRowInto)
+	if !errors.Is(r.err, search.ErrNonMonotone) {
+		return r
+	}
+	fb := sc.runRow(row, freqKHz, offs, (*rowProber).sweepRowInto)
+	fb.stats = rowStats{probes: r.stats.probes + fb.stats.probes, fallback: true}
+	return fb
+}
+
+// runRow runs Algorithm 2's per-row protocol on a private platform stack:
+// build the machine from the row seed, record the stock operating point
+// (lines 6-7), classify the row into the caller's buffer, and restore the
+// stock frequency and zero offset (lines 13-14). The platform is discarded
+// afterwards, but the restore is part of the row's virtual time, which the
+// characterize_row span and metrics report.
+func (sc *ShardedCharacterizer) runRow(row []Classification, freqKHz int, offs []int,
+	classify func(*rowProber, []Classification, int, []int) error) rowResult {
 	p, err := sc.Factory(RowSeed(sc.seed, freqKHz))
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
-	ch, err := NewCharacterizer(p, sc.cfg)
+	c, err := newRowProber(p, sc.cfg)
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
-	// Algorithm 2 lines 6-7: record the normal operating point.
 	origStatus, err := p.MSRFile(sc.cfg.VictimCore).Read(msr.IA32PerfStatus)
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
 	origRatio, _ := msr.DecodePerfStatus(origStatus)
-	origFreqKHz := msr.RatioToKHz(origRatio, p.Spec.BusMHz)
-
-	if err := ch.sweepRowInto(row, freqKHz, offs); err != nil {
-		return 0, 0, st, err
+	err = classify(c, row, freqKHz, offs)
+	if err == nil {
+		err = c.restore(msr.RatioToKHz(origRatio, p.Spec.BusMHz))
 	}
-	st.probes = ch.probes
-	// Lines 13-14: restore the stock frequency and zero offset. The platform
-	// is discarded afterwards, but the restore keeps the row's protocol
-	// identical to the serial engine's.
-	if err := ch.restore(origFreqKHz); err != nil {
-		return 0, 0, st, err
+	r := rowResult{row: row, err: err, stats: rowStats{probes: c.probes}}
+	if err == nil {
+		r.reboots, r.virtual = p.Reboots, sim.Duration(p.Sim.Now())
 	}
-	return p.Reboots, sim.Duration(p.Sim.Now()), st, nil
+	return r
 }

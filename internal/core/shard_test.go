@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
@@ -28,24 +30,20 @@ func TestShardedCharacterizerValidation(t *testing.T) {
 	if _, err := NewShardedCharacterizer(nil, 1, cfg); err == nil {
 		t.Fatal("nil spec accepted")
 	}
-	spec, err := models.ByName("skylake")
+	specs, err := models.All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.VictimCore = bad.DriverCore
-	if _, err := NewShardedCharacterizer(spec, 1, bad); err == nil {
-		t.Fatal("same victim/driver accepted")
-	}
-	bad = cfg
-	bad.VictimCore = spec.Cores
-	if _, err := NewShardedCharacterizer(spec, 1, bad); err == nil {
-		t.Fatal("out-of-range victim core accepted")
-	}
-	bad = cfg
-	bad.OffsetStepMV = 5
-	if _, err := NewShardedCharacterizer(spec, 1, bad); err == nil {
-		t.Fatal("positive step accepted")
+	// The victim core is checked against each spec's own core count.
+	for _, spec := range specs {
+		if _, err := NewShardedCharacterizer(spec, 1, cfg); err != nil {
+			t.Errorf("%s: default config rejected: %v", spec.Codename, err)
+		}
+		bad := cfg
+		bad.VictimCore = spec.Cores
+		if _, err := NewShardedCharacterizer(spec, 1, bad); err == nil {
+			t.Errorf("%s: out-of-range victim core accepted", spec.Codename)
+		}
 	}
 }
 
@@ -162,6 +160,37 @@ func TestShardedFactoryFailure(t *testing.T) {
 	}
 	if _, err := sc.Run(); !errors.Is(err, boom) {
 		t.Fatalf("factory failure not surfaced: %v", err)
+	}
+}
+
+// TestShardedErrorIsLowestFailingRow fails two rows: 800 MHz after a delay,
+// 1.3 GHz at once. With several workers the 1.3 GHz failure reaches the
+// merge loop first, yet the error must name the lowest failing frequency
+// at every worker count.
+func TestShardedErrorIsLowestFailingRow(t *testing.T) {
+	const seed = 9
+	slow := errors.New("slow row failed")
+	fast := errors.New("fast row failed")
+	for _, workers := range []int{1, 2, 8} {
+		cfg := quickSweepConfig()
+		cfg.OffsetEndMV = -50
+		cfg.Workers = workers
+		sc := newShardedCharacterizer(t, "skylake", seed, cfg)
+		inner := sc.Factory
+		sc.Factory = func(rowSeed int64) (*cpu.Platform, error) {
+			switch rowSeed ^ seed {
+			case 800_000:
+				time.Sleep(50 * time.Millisecond)
+				return nil, slow
+			case 1_300_000:
+				return nil, fast
+			}
+			return inner(rowSeed)
+		}
+		_, err := sc.Run()
+		if !errors.Is(err, slow) || !strings.Contains(err.Error(), "800000 kHz") {
+			t.Errorf("workers=%d: error %v, want the 800000 kHz row", workers, err)
+		}
 	}
 }
 

@@ -40,11 +40,11 @@ func characterize(t *testing.T, env *Env) (*core.UnsafeSet, *core.Grid) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(env.Platform, cfg)
+	sc, err := core.NewShardedCharacterizer(env.Platform.Spec, env.Platform.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ch.Run()
+	g, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,9 @@ var checkpointMagic = [4]byte{'P', 'V', 'F', 'C'}
 // CheckpointVersion is the current encoding version. Decoders accept
 // exactly this version: the format carries deterministic engine state, so
 // cross-version resumption would risk a silently different report. Version
-// 2 added the sweep strategy to the fingerprint.
-const CheckpointVersion = 2
+// 2 added the sweep strategy to the fingerprint; version 3 dropped the
+// unused DVFS-thread core index from it.
+const CheckpointVersion = 3
 
 // checkpointHeaderLen is magic(4) + version(2) + reserved(2) + payload
 // length(8) + CRC32(4).
@@ -118,7 +119,7 @@ func (cfg *StreamConfig) fingerprint(epochs int, modelNames []string) uint64 {
 	if s.Strategy == "" {
 		s.Strategy = core.StrategySweep
 	}
-	put("sweep=%d,%d,%d,%d,%d,%d,%d,%d,%s|", s.VictimCore, s.DriverCore, s.Iterations,
+	put("sweep=%d,%d,%d,%d,%d,%d,%s,%s|", s.VictimCore, s.Iterations,
 		s.OffsetStartMV, s.OffsetEndMV, s.OffsetStepMV, int64(s.SettleWait), s.Class, s.Strategy)
 	g := cfg.Guard
 	put("guard=%d,%d,%t,%d,%d,%t,%d,%d|", int64(g.PollPeriod), g.PinnedCore, g.PerCoreThreads,

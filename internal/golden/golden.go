@@ -1,8 +1,8 @@
 // Package golden loads and diffs the checked-in characterization artifacts
 // (artifacts/fig{2,3,4}_*.{csv,json}) so the conformance suite can assert
-// that a fresh sweep — serial or sharded, any worker count — reproduces the
-// published grids bit for bit. Failures point at the first divergent
-// (frequency, offset) cell rather than dumping whole grids.
+// that a fresh sweep at any worker count reproduces the published grids bit
+// for bit. Failures point at the first divergent (frequency, offset) cell
+// rather than dumping whole grids.
 package golden
 
 import (

@@ -144,11 +144,11 @@ func table2Rig(t *testing.T) (*Harness, func(bool) error, *core.Guard) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(p, cfg)
+	sc, err := core.NewShardedCharacterizer(p.Spec, p.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := ch.Run()
+	grid, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

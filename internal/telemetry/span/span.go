@@ -80,18 +80,6 @@ type Tracer struct {
 	// which makes a single stack a sound causality model; the mutex keeps the
 	// race detector happy for concurrent readers (the obs server).
 	stack []ID
-	// counters holds sampled counter tracks ("C" events in the Chrome
-	// export), e.g. the victim rail voltage over time.
-	counters []CounterSample
-}
-
-// CounterSample is one sampled value on a counter track, rendered as a
-// Chrome trace "C" event.
-type CounterSample struct {
-	Track string
-	Name  string
-	At    sim.Time
-	Value float64
 }
 
 // NewTracer builds a tracer stamped by clock, minting IDs from seed, bounded
@@ -169,19 +157,6 @@ type Active struct {
 // the innermost span still open (the scope stack top). Close it with End or
 // EndWithCost; until then it is the parent of any span started beneath it.
 func (t *Tracer) Start(track, name string, attrs map[string]any) *Active {
-	return t.start(track, name, attrs, false)
-}
-
-// StartRoot opens a span like Start but with no parent, regardless of the
-// scope stack. Periodic work that interrupts whatever the simulator happens
-// to be running — a kthread tick firing inside an attack campaign's RunFor —
-// uses this so preemption is not mistaken for causality. Spans started
-// beneath it still parent under it normally.
-func (t *Tracer) StartRoot(track, name string, attrs map[string]any) *Active {
-	return t.start(track, name, attrs, true)
-}
-
-func (t *Tracer) start(track, name string, attrs map[string]any, root bool) *Active {
 	if t == nil {
 		return nil
 	}
@@ -190,10 +165,8 @@ func (t *Tracer) start(track, name string, attrs map[string]any, root bool) *Act
 	defer t.mu.Unlock()
 	id, seq := t.mint(track)
 	var parent ID
-	if !root {
-		if n := len(t.stack); n > 0 {
-			parent = t.stack[n-1]
-		}
+	if n := len(t.stack); n > 0 {
+		parent = t.stack[n-1]
 	}
 	t.stack = append(t.stack, id)
 	return &Active{t: t, span: Span{
@@ -285,9 +258,12 @@ func (t *Tracer) StartScope(track, name string, attrs map[string]any) Scope {
 	return t.startScope(track, name, attrs, false)
 }
 
-// StartRootScope opens a parentless span like StartRoot, by value. Periodic
-// hot paths (the kthread tick wrapper) use it so steady-state tracing never
-// heap-allocates; spans started beneath it still parent under it normally.
+// StartRootScope opens a span like StartScope but with no parent,
+// regardless of the scope stack. Periodic work that interrupts whatever the
+// simulator happens to be running — a kthread tick firing inside an attack
+// campaign's RunFor — uses it so preemption is not mistaken for causality,
+// and by value so steady-state tracing never heap-allocates. Spans started
+// beneath it still parent under it normally.
 func (t *Tracer) StartRootScope(track, name string, attrs map[string]any) Scope {
 	return t.startScope(track, name, attrs, true)
 }
@@ -382,17 +358,6 @@ func (t *Tracer) Instant(track, name string, attrs map[string]any) ID {
 	return t.Complete(track, name, t.now(), 0, attrs)
 }
 
-// Sample records one value on a counter track at the given virtual time,
-// exported as a Chrome trace "C" event (e.g. rail voltage over time).
-func (t *Tracer) Sample(track, name string, at sim.Time, value float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.counters = append(t.counters, CounterSample{Track: track, Name: name, At: at, Value: value})
-}
-
 // Spans returns a copy of the recorded spans in emission order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
@@ -401,16 +366,6 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...)
-}
-
-// Counters returns a copy of the recorded counter samples in emission order.
-func (t *Tracer) Counters() []CounterSample {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]CounterSample(nil), t.counters...)
 }
 
 // Len reports the number of retained spans.

@@ -135,24 +135,30 @@ func TestDwellStats(t *testing.T) {
 	}
 }
 
-// The headline measurement: under a guarded live attack, the *register* is
-// transiently unsafe but the *rail* never is.
-func TestGuardedAttackHasZeroUnsafeRailDwell(t *testing.T) {
-	p := newPlatform(t, 5)
+// quickUnsafeSet characterizes p's model and seed with the quick sweep.
+func quickUnsafeSet(t *testing.T, p *cpu.Platform) *core.UnsafeSet {
+	t.Helper()
 	cfg := core.DefaultCharacterizerConfig()
 	cfg.Iterations = 200_000
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(p, cfg)
+	sc, err := core.NewShardedCharacterizer(p.Spec, p.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := ch.Run()
+	g, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsafe := grid.UnsafeSet()
+	return g.UnsafeSet()
+}
+
+// The headline measurement: under a guarded live attack, the *register* is
+// transiently unsafe but the *rail* never is.
+func TestGuardedAttackHasZeroUnsafeRailDwell(t *testing.T) {
+	p := newPlatform(t, 5)
+	unsafe := quickUnsafeSet(t, p)
 	k := kernel.New(p.Sim, p)
 	guard, err := core.NewGuard(unsafe, p.Spec.BusMHz, core.DefaultGuardConfig())
 	if err != nil {
@@ -202,17 +208,7 @@ func TestGuardedAttackHasZeroUnsafeRailDwell(t *testing.T) {
 func TestUnguardedAttackHasNonzeroUnsafeRailDwell(t *testing.T) {
 	// Control: without the module the rail does reach unsafe depth.
 	p := newPlatform(t, 5)
-	cfg := core.DefaultCharacterizerConfig()
-	cfg.Iterations = 200_000
-	cfg.OffsetStartMV = -5
-	cfg.OffsetStepMV = -5
-	cfg.OffsetEndMV = -350
-	ch, _ := core.NewCharacterizer(p, cfg)
-	grid, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsafe := grid.UnsafeSet()
+	unsafe := quickUnsafeSet(t, p)
 	victim := 1
 	rec, _ := NewRecorder(p.Core(victim), 5*sim.Microsecond)
 	if err := rec.Start(p.Sim); err != nil {

@@ -255,8 +255,7 @@ func QuickSweep() CharacterizerConfig {
 // parallel engine: the frequency axis is partitioned across cfg.Workers
 // goroutines (default GOMAXPROCS), each row swept on a private platform
 // seeded with seed^freqKHz. Results are bit-for-bit identical for any
-// worker count and leave s.Platform untouched. core.NewCharacterizer
-// remains available for the serial, shared-platform protocol.
+// worker count and leave s.Platform untouched.
 func (s *System) Characterize(cfg CharacterizerConfig) (*Grid, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = s.Telemetry

@@ -2,10 +2,12 @@ package plugvolt_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"plugvolt"
 	"plugvolt/internal/core"
+	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 )
 
@@ -128,6 +130,63 @@ func TestCharacterizeInvalidConfig(t *testing.T) {
 	}
 	var sentinel error
 	_ = errors.Is(err, sentinel) // document: errors are plain, not typed
+}
+
+// platformState is what a characterization on the system's own platform
+// would disturb: the sim clock, the reboot count, and each core's offset,
+// PLL ratio and raw MSR 0x150.
+type platformState struct {
+	now     sim.Time
+	reboots int
+	offsets []int
+	ratios  []uint8
+	mailbox []uint64
+}
+
+func snapshotPlatform(sys *plugvolt.System) platformState {
+	p := sys.Platform
+	st := platformState{now: p.Sim.Now(), reboots: p.Reboots}
+	for i, c := range p.Cores() {
+		st.offsets = append(st.offsets, c.OffsetMV())
+		st.ratios = append(st.ratios, c.Ratio())
+		st.mailbox = append(st.mailbox, p.MSRFile(i).Peek(msr.OCMailbox))
+	}
+	return st
+}
+
+// checkCharacterizeLeavesPlatform characterizes an undervolted, running
+// system with the given strategy and requires its platform unchanged.
+func checkCharacterizeLeavesPlatform(t *testing.T, strategy string) {
+	t.Helper()
+	sys, err := plugvolt.NewSystem("skylake", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Platform.WriteOffsetViaMSR(1, -20, msr.PlaneCore); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(1 * sim.Millisecond)
+	before := snapshotPlatform(sys)
+	cfg := plugvolt.QuickSweep()
+	cfg.Strategy = strategy
+	grid, err := sys.Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.Reboots == 0 {
+		t.Fatal("sweep crashed no row; the reboot count proves nothing")
+	}
+	if after := snapshotPlatform(sys); !reflect.DeepEqual(before, after) {
+		t.Fatalf("%s characterization changed s.Platform:\nbefore %+v\nafter  %+v", strategy, before, after)
+	}
+}
+
+func TestCharacterizeSweepLeavesPlatformUntouched(t *testing.T) {
+	checkCharacterizeLeavesPlatform(t, core.StrategySweep)
+}
+
+func TestCharacterizeBisectLeavesPlatformUntouched(t *testing.T) {
+	checkCharacterizeLeavesPlatform(t, core.StrategyBisect)
 }
 
 func TestAttestationCarriesHTStatus(t *testing.T) {
