@@ -97,6 +97,9 @@ type Core struct {
 	// pathCache holds the timing paths this core has resolved by name (at
 	// most one per path in the circuit; linear-scanned).
 	pathCache []resolvedPath
+	// op memoizes execALUOp's probabilities at the last live operating
+	// point it executed at.
+	op opMemo
 	// energy, when set, is touched at every commanded operating-point
 	// transition so the platform's joule integrator closes the previous
 	// piecewise-constant segment exactly at the transition instant.
@@ -220,6 +223,31 @@ func (c *Core) SetRatio(ratio uint8) error {
 	return nil
 }
 
+// opMemo is the control-path and class fault probabilities of one class
+// at one live (PLL GHz, rail V) point. Both are pure functions of that
+// key, so an instruction at an unchanged point reads them back bit for bit
+// without resolving paths or touching the timing memos. The zero memo
+// matches no instruction: no class is empty.
+type opMemo struct {
+	freqGHz, voltV float64
+	class          Class
+	pCrash, pFault float64
+}
+
+// probabilities returns CrashProbability() and FaultProbability(class) at
+// the live operating point through the core's memo.
+func (c *Core) probabilities(class Class) (pCrash, pFault float64) {
+	f, v := c.PLL.FreqGHz(), c.VoltageV()
+	m := &c.op
+	if m.class == class && m.freqGHz == f && m.voltV == v {
+		return m.pCrash, m.pFault
+	}
+	pCrash = c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
+	pFault = c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
+	*m = opMemo{freqGHz: f, voltV: v, class: class, pCrash: pCrash, pFault: pFault}
+	return pCrash, pFault
+}
+
 // resolve returns the circuit path for name, caching the lookup per core
 // (the circuit's path set is immutable; linear scan over at most a handful
 // of entries).
@@ -295,17 +323,6 @@ func (c *Core) PredictProbabilities(class Class, offsetMV int) (pFault, pCrash f
 	return pFault, pCrash
 }
 
-// crashCheck samples one control-path traversal; on violation the core
-// machine-checks.
-func (c *Core) crashCheck() bool {
-	p := c.CrashProbability()
-	if p > 0 && c.simr.Rand().Float64() < p {
-		c.crashed = true
-		return true
-	}
-	return false
-}
-
 // faultMask returns a random low-weight XOR mask, modelling the one- or
 // two-bit upsets DVFS faults produce in practice (Plundervolt observed
 // predominantly single-bit flips in multiply results).
@@ -335,16 +352,19 @@ func (c *Core) Exec(class Class, exact uint64) (uint64, bool, error) {
 	return c.execALUOp(class, exact)
 }
 
+// execALUOp samples one control-path traversal, on whose violation the
+// core machine-checks, then the class's fault model.
 func (c *Core) execALUOp(class Class, exact uint64) (uint64, bool, error) {
 	if c.crashed {
 		return 0, false, ErrCrashed
 	}
-	if c.crashCheck() {
+	pCrash, pFault := c.probabilities(class)
+	if pCrash > 0 && c.simr.Rand().Float64() < pCrash {
+		c.crashed = true
 		return 0, false, ErrCrashed
 	}
 	c.Retired++
-	p := c.FaultProbability(class)
-	if p > 0 && c.simr.Rand().Float64() < p {
+	if pFault > 0 && c.simr.Rand().Float64() < pFault {
 		c.Faulted++
 		return exact ^ c.faultMask(), true, nil
 	}

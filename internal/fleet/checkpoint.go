@@ -42,8 +42,9 @@ const CheckpointVersion = 3
 const checkpointHeaderLen = 20
 
 // maxCheckpointPayload bounds the declared payload length so a corrupted
-// header cannot demand an absurd allocation.
-const maxCheckpointPayload = 1 << 31
+// header cannot demand an absurd allocation. It is a uint64 like the header
+// field: 1<<31 overflows a 32-bit int.
+const maxCheckpointPayload uint64 = 1 << 31
 
 // Typed checkpoint failure classes. DecodeCheckpoint wraps each in a
 // *CheckpointError, so callers can errors.Is against the class or

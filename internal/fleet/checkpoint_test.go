@@ -127,6 +127,12 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 			binary.BigEndian.PutUint64(b[8:16], 1<<40)
 			return b
 		}), ErrCheckpointPayload},
+		// Exactly the bound passes the limit check and must then be
+		// rejected as truncated, including on 32-bit words.
+		{"length_at_bound", mangle(func(b []byte) []byte {
+			binary.BigEndian.PutUint64(b[8:16], maxCheckpointPayload)
+			return b
+		}), ErrCheckpointTruncated},
 		{"garbage_json", reframe([]byte("{not json")), ErrCheckpointPayload},
 		{"payload_version_skew", forge(func(ck *Checkpoint) { ck.Version = CheckpointVersion + 1 }), ErrCheckpointVersion},
 		{"machines_done_out_of_range", forge(func(ck *Checkpoint) { ck.MachinesDone = ck.Machines + 1 }), ErrCheckpointPayload},

@@ -36,8 +36,9 @@ const BundleVersion = 1
 const bundleHeaderLen = 20
 
 // maxBundlePayload bounds the declared payload length before any allocation
-// happens, so a corrupt length field cannot drive a huge allocation.
-const maxBundlePayload = 1 << 31
+// happens, so a corrupt length field cannot drive a huge allocation. It is
+// a uint64 like the header field: 1<<31 overflows a 32-bit int.
+const maxBundlePayload uint64 = 1 << 31
 
 // Sentinel error classes for bundle decoding. Callers match with errors.Is;
 // the concrete *BundleError carries the detail.
@@ -120,10 +121,12 @@ func DecodeBundle(data []byte) (*Bundle, int, error) {
 	if plen > maxBundlePayload {
 		return nil, 0, bundleErr(ErrBundlePayload, "declared payload %d exceeds limit %d", plen, maxBundlePayload)
 	}
-	end := bundleHeaderLen + int(plen)
-	if len(data) < end {
-		return nil, 0, bundleErr(ErrBundleTruncated, "payload declares %d bytes, %d available", plen, len(data)-bundleHeaderLen)
+	// Compare in uint64 before converting: on 32-bit words a length at the
+	// bound does not fit an int.
+	if avail := len(data) - bundleHeaderLen; uint64(avail) < plen {
+		return nil, 0, bundleErr(ErrBundleTruncated, "payload declares %d bytes, %d available", plen, avail)
 	}
+	end := bundleHeaderLen + int(plen)
 	payload := data[bundleHeaderLen:end]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(data[16:20]); got != want {
 		return nil, 0, bundleErr(ErrBundleChecksum, "crc32 %08x, header says %08x", got, want)

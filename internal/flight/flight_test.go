@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -276,6 +277,19 @@ func TestDecodeRejections(t *testing.T) {
 			for i := 8; i < 16; i++ {
 				c[i] = 0xff
 			}
+			return c
+		}, ErrBundlePayload},
+		// Exactly the bound passes the limit check and must then be
+		// rejected as truncated, including on 32-bit words, where the
+		// length does not fit an int.
+		{"length at the bound", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			binary.BigEndian.PutUint64(c[8:16], maxBundlePayload)
+			return c
+		}, ErrBundleTruncated},
+		{"length past the bound", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			binary.BigEndian.PutUint64(c[8:16], maxBundlePayload+1)
 			return c
 		}, ErrBundlePayload},
 	}

@@ -133,6 +133,13 @@ type CRTSigner struct {
 	// runs replay.
 	rng *mrand.Rand
 
+	// mm reduces the non-faulted steps; prod is the big.Int product of the
+	// others. sp, sq, h and base are Sign's scratch, so a warmed signer
+	// allocates nothing per step.
+	mm              modMul
+	prod            big.Int
+	sp, sq, h, base big.Int
+
 	// Steps counts core multiplications in the last Sign call.
 	Steps int
 	// FaultedSteps counts multiplications whose product was corrupted.
@@ -150,11 +157,13 @@ func NewCRTSigner(key *RSAKey, core FaultyCore, seed int64) (*CRTSigner, error) 
 	return &CRTSigner{Key: key, Core: core, rng: mrand.New(mrand.NewSource(seed))}, nil
 }
 
-// coreMul multiplies x*y mod mod, executing the multiply on the core. If
-// the core faults the checksum multiplication, the big-integer product is
-// corrupted by a bit flip before reduction — faithful to how a timing
-// violation in one multiplier stage corrupts the wide result.
-func (s *CRTSigner) coreMul(x, y, mod *big.Int) (*big.Int, error) {
+// coreMul sets z = x*y mod mod, executing the multiply on the core; z may
+// alias x or y. If the core faults the checksum multiplication, the
+// big-integer product is corrupted by a bit flip before reduction —
+// faithful to how a timing violation in one multiplier stage corrupts the
+// wide result. IMul reports the fault before the product is formed, so a
+// clean step reduces through the word-level kernel when its operands allow.
+func (s *CRTSigner) coreMul(z, x, y, mod *big.Int) error {
 	if s.StepHook != nil {
 		s.StepHook(s.Steps)
 	}
@@ -163,44 +172,37 @@ func (s *CRTSigner) coreMul(x, y, mod *big.Int) (*big.Int, error) {
 	b := low64(y) | 1
 	_, faulted, err := s.Core.IMul(a, b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	prod := new(big.Int).Mul(x, y)
+	if !faulted && s.mm.mul(z, x, y, mod) {
+		return nil
+	}
+	prod := s.prod.Mul(x, y)
 	if faulted {
 		s.FaultedSteps++
 		bit := s.rng.Intn(max(prod.BitLen(), 1))
-		prod.Xor(prod, new(big.Int).Lsh(big.NewInt(1), uint(bit)))
+		prod.SetBit(prod, bit, prod.Bit(bit)^1)
 	}
-	return prod.Mod(prod, mod), nil
+	z.Mod(prod, mod)
+	return nil
 }
 
-var mask64 = new(big.Int).SetUint64(^uint64(0))
-
-// low64 extracts the low 64 bits of x (the word fed to the core's
-// multiplier for fault sampling).
-func low64(x *big.Int) uint64 {
-	return new(big.Int).And(x, mask64).Uint64()
-}
-
-// expOnCore computes base^exp mod mod by square-and-multiply with every
+// expOnCore sets z = base^exp mod mod by square-and-multiply with every
 // multiplication routed through coreMul.
-func (s *CRTSigner) expOnCore(base, exp, mod *big.Int) (*big.Int, error) {
-	result := big.NewInt(1)
-	b := new(big.Int).Mod(base, mod)
+func (s *CRTSigner) expOnCore(z, base, exp, mod *big.Int) error {
+	b := s.base.Mod(base, mod)
+	z.SetInt64(1)
 	for i := exp.BitLen() - 1; i >= 0; i-- {
-		var err error
-		result, err = s.coreMul(result, result, mod)
-		if err != nil {
-			return nil, err
+		if err := s.coreMul(z, z, z, mod); err != nil {
+			return err
 		}
 		if exp.Bit(i) == 1 {
-			result, err = s.coreMul(result, b, mod)
-			if err != nil {
-				return nil, err
+			if err := s.coreMul(z, z, b, mod); err != nil {
+				return err
 			}
 		}
 	}
-	return result, nil
+	return nil
 }
 
 // ErrSignatureUnstable is returned when VerifyBeforeRelease exhausts its
@@ -239,23 +241,20 @@ func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error)
 	s.Steps = 0
 	s.FaultedSteps = 0
 	k := s.Key
-	sp, err := s.expOnCore(m, k.Dp, k.P)
-	if err != nil {
+	if err := s.expOnCore(&s.sp, m, k.Dp, k.P); err != nil {
 		return nil, false, err
 	}
-	sq, err := s.expOnCore(m, k.Dq, k.Q)
-	if err != nil {
+	if err := s.expOnCore(&s.sq, m, k.Dq, k.Q); err != nil {
 		return nil, false, err
 	}
 	// Garner recombination: sig = sq + q * ((sp - sq) * qinv mod p).
-	h := new(big.Int).Sub(sp, sq)
+	h := s.h.Sub(&s.sp, &s.sq)
 	h.Mod(h, k.P)
-	h, err = s.coreMul(h, k.Qinv, k.P)
-	if err != nil {
+	if err := s.coreMul(h, h, k.Qinv, k.P); err != nil {
 		return nil, false, err
 	}
 	sig = new(big.Int).Mul(h, k.Q)
-	sig.Add(sig, sq)
+	sig.Add(sig, &s.sq)
 	sig.Mod(sig, k.N)
 	return sig, s.FaultedSteps > 0, nil
 }
@@ -350,21 +349,11 @@ func (p *SignProgram) plan() {
 		base := new(big.Int).Mod(p.m, mod)
 		for i := exp.BitLen() - 1; i >= 0; i-- {
 			p.ops = append(p.ops, func() error {
-				r, err := p.signer.coreMul(p.work, p.work, mod)
-				if err != nil {
-					return err
-				}
-				p.work = r
-				return nil
+				return p.signer.coreMul(p.work, p.work, p.work, mod)
 			})
 			if exp.Bit(i) == 1 {
 				p.ops = append(p.ops, func() error {
-					r, err := p.signer.coreMul(p.work, base, mod)
-					if err != nil {
-						return err
-					}
-					p.work = r
-					return nil
+					return p.signer.coreMul(p.work, p.work, base, mod)
 				})
 			}
 		}
@@ -378,8 +367,7 @@ func (p *SignProgram) plan() {
 	p.ops = append(p.ops, func() error {
 		h := new(big.Int).Sub(p.sp, p.sq)
 		h.Mod(h, k.P)
-		h, err := p.signer.coreMul(h, k.Qinv, k.P)
-		if err != nil {
+		if err := p.signer.coreMul(h, h, k.Qinv, k.P); err != nil {
 			return err
 		}
 		sig := new(big.Int).Mul(h, k.Q)
