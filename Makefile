@@ -23,9 +23,10 @@ test-race:
 # Short fuzz pass over every Fuzz target in the tree: the grid and
 # unsafe-set codecs, the shard merge ordering, row monotonicity (what
 # bisection rests on), the compiled guard LUT, the 0x150 and perf-status
-# MSR codecs the guard trusts, the telemetry merge fold, the fleet
-# checkpoint and incident bundle decoders, and the RSA signer's Montgomery
-# kernel against big.Int. CI runs this target.
+# MSR codecs the guard trusts, the telemetry merge fold, the span tracer's
+# drop path against an always-minting reference, the fleet checkpoint and
+# incident bundle decoders, and the RSA signer's Montgomery kernel against
+# big.Int. CI runs this target.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridFromJSON$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridJSONRoundTrip$$' -fuzztime 10s
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzDecodeVoltageOffset$$' -fuzztime 10s
 	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzPerfStatus$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzMergeSnapshots$$' -fuzztime 10s
+	$(GO) test ./internal/telemetry/span -run '^$$' -fuzz '^FuzzTracerDropEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzFleetCheckpointDecode$$' -fuzztime 10s
 	$(GO) test ./internal/flight -run '^$$' -fuzz '^FuzzIncidentBundleDecode$$' -fuzztime 10s
 	$(GO) test ./internal/victim -run '^$$' -fuzz '^FuzzModMul$$' -fuzztime 10s

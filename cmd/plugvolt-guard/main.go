@@ -252,7 +252,8 @@ func main() {
 
 	if *turnaround {
 		fmt.Println("\n-- E3: worst-case unsafe-register dwell per deployment level")
-		wc := pol.Guard.WorstCaseTurnaround(20*sim.Microsecond, 0.5)
+		rail := p.Core(0).VR.Config()
+		wc := pol.Guard.WorstCaseTurnaround(rail.CommandLatency, rail.SlewMVPerUS)
 		report.WriteTurnaround(os.Stdout, []report.TurnaroundRow{
 			{Deployment: "kernel module (Sec. 4.3)", WorstCase: wc.String(),
 				Note: "poll period + VR command latency + slew from sweep floor"},

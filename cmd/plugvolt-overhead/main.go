@@ -108,7 +108,7 @@ func runSweep(cpuName string, seed int64, perCore bool, metricsOut, eventsOut st
 		fatal(err)
 	}
 	unsafe := grid.UnsafeSet()
-	vrLatency := 20 * sim.Microsecond
+	rail := sys.Platform.Core(0).VR.Config()
 	// The rail-race bound is set by the *shallowest* onset anywhere in the
 	// table: that is the least voltage travel an attacker needs.
 	shallowest := -100000
@@ -117,7 +117,7 @@ func runSweep(cpuName string, seed int64, perCore bool, metricsOut, eventsOut st
 			shallowest = on
 		}
 	}
-	travel := vrLatency + sim.Duration(float64(-shallowest)/0.5)*sim.Microsecond
+	travel := rail.CommandLatency + sim.Duration(float64(-shallowest)/rail.SlewMVPerUS)*sim.Microsecond
 	fmt.Printf("poll-period sweep on %s (per-core=%v); shallowest onset %d mV -> rail travel %v\n\n",
 		sys.Platform.Spec.Codename, perCore, shallowest, travel)
 	fmt.Printf("%-10s %14s %18s %16s\n", "period", "pinned cost", "worst turnaround", "rail-race margin")
@@ -144,7 +144,7 @@ func runSweep(cpuName string, seed int64, perCore bool, metricsOut, eventsOut st
 		s2.Kernel.ResetStolenTime()
 		s2.RunFor(window)
 		frac := float64(s2.Kernel.StolenTime(0)) / float64(window) * 100
-		ta := g.WorstCaseTurnaround(vrLatency, 0.5)
+		ta := g.WorstCaseTurnaround(rail.CommandLatency, rail.SlewMVPerUS)
 		// Positive margin: the register poll beats the rail's descent to
 		// the shallowest fault boundary; negative: the race is lost.
 		margin := travel - period

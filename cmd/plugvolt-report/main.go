@@ -34,7 +34,6 @@ import (
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/defense"
 	"plugvolt/internal/report"
-	"plugvolt/internal/sim"
 	"plugvolt/internal/spec"
 )
 
@@ -299,10 +298,11 @@ func (b *bundle) turnaround() error {
 	if err != nil {
 		return err
 	}
+	rail := sys.Platform.Core(0).VR.Config()
 	var txt strings.Builder
 	report.WriteTurnaround(&txt, []report.TurnaroundRow{
 		{Deployment: "kernel module (Sec. 4.3)",
-			WorstCase: g.WorstCaseTurnaround(20*sim.Microsecond, 0.5).String(),
+			WorstCase: g.WorstCaseTurnaround(rail.CommandLatency, rail.SlewMVPerUS).String(),
 			Note:      "poll period + VR command latency + slew from sweep floor"},
 		{Deployment: "microcode (Sec. 5.1)", WorstCase: "0", Note: "wrmsr write-ignored before commit"},
 		{Deployment: "clamp MSR (Sec. 5.2)", WorstCase: "0", Note: "offset clamped in hardware"},

@@ -14,30 +14,62 @@ import (
 	"plugvolt/internal/attack"
 	"plugvolt/internal/defense"
 	"plugvolt/internal/flight"
+	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
+	"plugvolt/internal/telemetry/span"
 )
 
 // captureUnderAttack boots a fresh undefended system, rides a flight
 // recorder along a plundervolt campaign, and returns the sealed bundles.
 func captureUnderAttack(t *testing.T, seed int64) []*flight.Bundle {
 	t.Helper()
+	bundles, _ := captureWithSpanCap(t, seed, 0, nil)
+	return bundles
+}
+
+// captureWithSpanCap is captureUnderAttack with the span tracer bounded at
+// spanCap spans (0 keeps the tracer NewSystem attaches) and, when grid is
+// non-nil, a weak guard deployed: a 2 ms poll and no margin, slow enough
+// that the campaign still faults and busy enough that guard scopes fill a
+// small tracer. It also returns the tracer.
+func captureWithSpanCap(t *testing.T, seed int64, spanCap int, grid *plugvolt.Grid) ([]*flight.Bundle, *span.Tracer) {
+	t.Helper()
 	sys, err := plugvolt.NewSystem("skylake", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.AttachFlightRecorder(0, 16)
-	cm := defense.None{}
-	if err := cm.Install(sys.Env()); err != nil {
-		t.Fatal(err)
+	if spanCap > 0 {
+		tel := telemetry.NewSet(sys.Platform.Sim.Now, telemetry.DefaultJournalCap, seed)
+		tel.Trace = span.NewTracer(span.Clock(sys.Platform.Sim.Now), seed, spanCap)
+		sys.SetTelemetry(tel)
 	}
-	res, err := atkRun(t, sys, seed, cm.Name())
+	rec := sys.AttachFlightRecorder(0, 16)
+	var defName string
+	if grid == nil {
+		cm := defense.None{}
+		if err := cm.Install(sys.Env()); err != nil {
+			t.Fatal(err)
+		}
+		defName = cm.Name()
+	} else {
+		cfg := plugvolt.DefaultGuardConfig()
+		cfg.PollPeriod = 2 * sim.Millisecond
+		cfg.MarginMV = 0
+		pol, err := sys.DeployGuardConfig(grid, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defName = pol.Name()
+	}
+	res, err := atkRun(t, sys, seed, defName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Succeeded || res.FaultsObserved == 0 {
-		t.Fatalf("undefended plundervolt must fault (succeeded=%v faults=%d)", res.Succeeded, res.FaultsObserved)
+	if res.FaultsObserved == 0 || (grid == nil && !res.Succeeded) {
+		t.Fatalf("plundervolt against %q must fault (succeeded=%v faults=%d)", defName, res.Succeeded, res.FaultsObserved)
 	}
 	rec.Seal()
-	return rec.Bundles()
+	return rec.Bundles(), sys.Telemetry.Spans()
 }
 
 func atkRun(t *testing.T, sys *plugvolt.System, seed int64, defName string) (*attack.Result, error) {
@@ -123,5 +155,51 @@ func TestFlightBundleByteIdenticalAcrossRuns(t *testing.T) {
 	}
 	if bytes.Equal(first, other) {
 		t.Fatal("different seeds produced identical incident files; capture is not recording the experiment")
+	}
+}
+
+// TestFlightBundleIndependentOfSpanCap: mailbox-write records carry the ID
+// of their span, minted whether or not the tracer keeps the span, so the
+// framed incident bytes must not depend on the tracer's cap — on an
+// undefended machine, and on a weakly guarded one whose poll scopes fill a
+// small tracer long before the campaign ends.
+func TestFlightBundleIndependentOfSpanCap(t *testing.T) {
+	_, grid := characterize(t, "skylake", 42)
+	for _, tc := range []struct {
+		name string
+		grid *plugvolt.Grid
+	}{{"undefended", nil}, {"weak guard", grid}} {
+		t.Run(tc.name, func(t *testing.T) {
+			encode := func(spanCap int) ([]byte, *span.Tracer) {
+				bundles, tr := captureWithSpanCap(t, 42, spanCap, tc.grid)
+				if len(bundles) == 0 {
+					t.Fatal("faulting campaign captured no incident bundle")
+				}
+				for _, b := range bundles {
+					for _, r := range b.Records {
+						if r.Kind == flight.KindMailboxWrite && r.Span == 0 {
+							t.Fatalf("cap %d: mailbox-write record at %d ps carries no span ID", spanCap, r.At)
+						}
+					}
+				}
+				enc, err := flight.EncodeAll(bundles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return enc, tr
+			}
+			wide, wideTr := encode(0)
+			narrow, narrowTr := encode(32)
+			if wideTr.Dropped() != 0 {
+				t.Fatalf("default tracer dropped %d spans; the comparison needs an unbounded run", wideTr.Dropped())
+			}
+			if narrowTr.Dropped() == 0 {
+				t.Fatal("the 32-span tracer never filled; the drop path was not exercised")
+			}
+			if !bytes.Equal(wide, narrow) {
+				t.Fatalf("incident bytes depend on the span cap (%d spans dropped)", narrowTr.Dropped())
+			}
+			t.Logf("%d spans recorded at the default cap, %d dropped at cap 32", wideTr.Len(), narrowTr.Dropped())
+		})
 	}
 }

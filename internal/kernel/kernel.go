@@ -141,8 +141,9 @@ type Kernel struct {
 	// procs holds /proc-style status entries registered by modules.
 	procs map[string]func() string
 
-	// tel, when set, receives kthread wake events in the journal; metric
-	// gauges are published on demand via Collect.
+	// tel, when set, receives kthread wake events in the journal and, when
+	// it carries a span tracer, tick and MSR spans; metric gauges are
+	// published on demand via Collect. Nil and an empty Set cost the same.
 	tel *telemetry.Set
 }
 
@@ -282,19 +283,19 @@ func (k *Kernel) StartKThread(name string, core int, period sim.Duration, fn fun
 		t.Ticks++
 		busyBefore := t.Busy
 		t.charge(CostWake, k.Costs.KthreadWake)
-		if k.tel != nil {
-			// Once the journal is full every further wake event would be
-			// rejected anyway, so skip building the per-tick field map and
-			// keep the steady-state tick allocation-free.
-			if j := k.tel.Events(); j != nil && !j.Full() {
-				j.Emit("kthread_wake", map[string]any{
-					"thread": t.Name, "core": t.Core, "tick": t.Ticks,
-				})
-			}
+		// Once the journal is full every further wake event would be
+		// rejected anyway, so skip building the per-tick field map and keep
+		// the steady-state tick allocation-free.
+		if j := k.tel.Events(); j != nil && !j.Full() {
+			j.Emit("kthread_wake", map[string]any{
+				"thread": t.Name, "core": t.Core, "tick": t.Ticks,
+			})
+		}
+		if tr := k.tel.Spans(); tr != nil {
 			// The tick span's duration is the CPU time the activation
 			// charged (wake cost plus whatever fn charges), not a clock
 			// delta: kthread work steals time without advancing the clock.
-			sp := k.tel.Spans().StartRootScope(t.track, "kthread_tick", tickAttrs)
+			sp := tr.StartRootScope(t.track, "kthread_tick", tickAttrs)
 			fn(t)
 			sp.EndWithCost(t.Busy - busyBefore)
 			return
@@ -334,14 +335,14 @@ func (t *KThread) msrSpanAttrs(core int, addr msr.Addr) map[string]any {
 }
 
 // ReadMSR performs a privileged rdmsr on the target core, charging the
-// ioctl cost to the calling thread. The traced path uses the by-value span
-// Scope and the per-(core, addr) attribute cache, so a steady-state read is
-// allocation-free even with telemetry attached.
+// ioctl cost to the calling thread. Only an attached span tracer takes the
+// traced path, which uses the by-value span Scope and the per-(core, addr)
+// attribute cache, so a steady-state read is allocation-free either way.
 func (t *KThread) ReadMSR(core int, addr msr.Addr) (uint64, error) {
 	t.charge(CostRdmsr, t.k.Costs.Rdmsr)
 	t.k.MSRReads++
-	if t.k.tel != nil {
-		sp := t.k.tel.Spans().StartScope(t.track, "rdmsr", t.msrSpanAttrs(core, addr))
+	if tr := t.k.tel.Spans(); tr != nil {
+		sp := tr.StartScope(t.track, "rdmsr", t.msrSpanAttrs(core, addr))
 		v, err := t.k.hw.MSRFile(core).Read(addr)
 		sp.EndWithCost(t.k.Costs.Rdmsr)
 		return v, err
@@ -349,8 +350,8 @@ func (t *KThread) ReadMSR(core int, addr msr.Addr) (uint64, error) {
 	return t.k.hw.MSRFile(core).Read(addr)
 }
 
-// WriteMSR performs a privileged wrmsr on the target core. With telemetry
-// attached the write runs inside a "wrmsr" span, so the MSR file's
+// WriteMSR performs a privileged wrmsr on the target core. With a span
+// tracer attached the write runs inside a "wrmsr" span, so the MSR file's
 // mailbox-write span (and thus any guard intervention above it) encloses the
 // register-level outcome in the causal trace.
 func (t *KThread) WriteMSR(core int, addr msr.Addr, val uint64) error {
@@ -368,8 +369,8 @@ func (t *KThread) WriteMSRKind(kind CostKind, core int, addr msr.Addr, val uint6
 	}
 	t.charge(kind, t.k.Costs.Wrmsr)
 	t.k.MSRWrites++
-	if t.k.tel != nil {
-		sp := t.k.tel.Spans().StartScope(t.track, "wrmsr", t.msrSpanAttrs(core, addr))
+	if tr := t.k.tel.Spans(); tr != nil {
+		sp := tr.StartScope(t.track, "wrmsr", t.msrSpanAttrs(core, addr))
 		err := t.k.hw.MSRFile(core).Write(addr, val)
 		sp.EndWithCost(t.k.Costs.Wrmsr)
 		return err

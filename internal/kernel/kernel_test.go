@@ -8,6 +8,8 @@ import (
 	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
+	"plugvolt/internal/telemetry/span"
 )
 
 func testKernel(t *testing.T) (*cpu.Platform, *Kernel) {
@@ -145,6 +147,55 @@ func TestKThreadMSRAccessCostsAndCounters(t *testing.T) {
 	ratio, _ := msr.DecodePerfStatus(readVal)
 	if ratio != p.Spec.BaseRatio {
 		t.Fatalf("kthread read ratio %d", ratio)
+	}
+}
+
+// An empty telemetry Set, which SetTelemetry(&telemetry.Set{}) and the
+// benchmark's bare machine install, carries no tracer, so kthread ticks and
+// MSR traffic must skip the span path entirely: no allocation and no
+// msrAttrs cache. The traced twin builds the cache, so the check is not
+// vacuous, and once its small buffer is full it allocates nothing either.
+func TestEmptyTelemetrySetSkipsSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		traced bool
+	}{{"empty set", false}, {"tracer", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, k := testKernel(t)
+			tel := &telemetry.Set{}
+			if tc.traced {
+				tel.Trace = span.NewTracer(span.Clock(p.Sim.Now), 1, 8)
+			}
+			k.SetTelemetry(tel)
+			k.SetEnergyPrice(p.Energy.PriceW)
+			const period = 100 * sim.Microsecond
+			th, err := k.StartKThread("poller", 0, period, func(t *KThread) {
+				for core := 0; core < p.NumCores(); core++ {
+					if _, err := t.ReadMSR(core, msr.IA32PerfStatus); err != nil {
+						panic(err)
+					}
+					if _, err := t.ReadMSR(core, msr.OCMailbox); err != nil {
+						panic(err)
+					}
+				}
+				if err := t.WriteMSR(1, msr.OCMailbox, msr.EncodeVoltageOffset(0, msr.PlaneCore)); err != nil {
+					panic(err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Sim.RunFor(10 * period) // fills the traced twin's 8-span buffer
+			if allocs := testing.AllocsPerRun(100, func() { p.Sim.RunFor(period) }); allocs != 0 {
+				t.Errorf("a tick of MSR traffic allocates %.1f times, want 0", allocs)
+			}
+			if built := th.msrAttrs != nil; built != tc.traced {
+				t.Errorf("msrAttrs cache built = %v, want %v", built, tc.traced)
+			}
+			if tc.traced && tel.Trace.Dropped() == 0 {
+				t.Error("traced twin never filled its span buffer; steady state not reached")
+			}
+		})
 	}
 }
 

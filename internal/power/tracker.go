@@ -2,6 +2,7 @@ package power
 
 import (
 	"errors"
+	"math"
 
 	"plugvolt/internal/flight"
 	"plugvolt/internal/sim"
@@ -21,11 +22,22 @@ type PointFn func(core int) (freqGHz, voltV float64)
 const DefaultUncoreW = 2.0
 
 // coreMeter is one core's integration state: energy accrued through lastT,
-// and the power in effect since then.
+// the power in effect since then, and the PriceW memo.
 type coreMeter struct {
 	lastT   sim.Time
 	lastW   float64
 	energyJ float64
+	price   priceMemo
+}
+
+// priceMemo is TotalW at one commanded point, keyed on the exact bits of
+// (GHz, V). It is deliberately not lastW: between a Blackout and the
+// power-on Touch, lastW is 0 while the kernel keeps charging at the rebuilt
+// base point. The zero memo is exact, since TotalW(+0, +0) is +0 for every
+// valid model.
+type priceMemo struct {
+	freqBits, voltBits uint64
+	w                  float64
 }
 
 // Tracker is the deterministic per-core energy integrator: dynamic CV²f
@@ -40,6 +52,9 @@ type coreMeter struct {
 // current virtual time without closing it, so a live /metrics or RAPL MSR
 // read mid-run can never regroup the floating-point accrual and break
 // byte-identity of the final totals across -workers/-batch/-epochs splits.
+// PriceW memoizes its last result per core, but stays observationally pure:
+// it returns the bits TotalW would at the live point, whatever was read
+// before. The memo write makes it a sim-goroutine-only call, like Touch.
 type Tracker struct {
 	model Model
 	now   func() sim.Time
@@ -94,11 +109,19 @@ func (t *Tracker) Model() Model { return t.model }
 func (t *Tracker) NumCores() int { return len(t.cores) }
 
 // PriceW returns the live commanded-point power of a core in watts — the
-// price the kernel cost-attribution path multiplies by charged CPU time.
-// Pure; allocation-free.
+// price the kernel cost-attribution path multiplies by charged CPU time,
+// several times per guard poll at an unchanged point. It recomputes TotalW
+// only when the commanded point's bits change, so the result is always
+// bit-identical to TotalW at the live point. Allocation-free; call it from
+// the sim goroutine only (it writes the memo).
 func (t *Tracker) PriceW(core int) float64 {
 	f, v := t.point(core)
-	return t.model.TotalW(f, v)
+	fb, vb := math.Float64bits(f), math.Float64bits(v)
+	m := &t.cores[core].price
+	if m.freqBits != fb || m.voltBits != vb {
+		*m = priceMemo{freqBits: fb, voltBits: vb, w: t.model.TotalW(f, v)}
+	}
+	return m.w
 }
 
 // accrue closes the open segment at the current instant.

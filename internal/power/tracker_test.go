@@ -163,3 +163,65 @@ func TestTrackerValidates(t *testing.T) {
 		t.Error("nil point fn accepted")
 	}
 }
+
+// PriceW is memoized per core, but must stay bit-identical to TotalW at the
+// live commanded point through every kind of transition: P-state moves up
+// and down (frequency and voltage change), core-plane mailbox writes
+// (voltage alone changes), other-plane writes and repeated reads (nothing
+// changes), a crash blackout (billed power is 0 while the point stays live)
+// and the power-on TouchAll at the rebuilt base point.
+func TestPriceWMatchesTotalWBits(t *testing.T) {
+	const cores = 2
+	rig := newRig(cores, 3.2, 1.10)
+	m := power.DefaultModel()
+	tr, err := power.NewTracker(m, cores, rig.clock, rig.point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		for c := 0; c < cores; c++ {
+			for read := 0; read < 3; read++ {
+				got := math.Float64bits(tr.PriceW(c))
+				want := math.Float64bits(m.TotalW(rig.freq[c], rig.volt[c]))
+				if got != want {
+					t.Fatalf("%s: core %d read %d: PriceW bits %#x, TotalW bits %#x",
+						step, c, read, got, want)
+				}
+			}
+		}
+	}
+	set := func(core int, freqGHz, voltV float64) {
+		rig.now += 10 * sim.Microsecond
+		rig.freq[core], rig.volt[core] = freqGHz, voltV
+		tr.Touch(core)
+	}
+	check("boot")
+	set(0, 3.6, 1.15)
+	check("p-state up")
+	set(0, 1.2, 0.85)
+	check("p-state down")
+	set(0, 1.2, 0.85-0.050)
+	check("core-plane undervolt at fixed frequency")
+	set(0, 1.2, 0.85-0.050)
+	check("other-plane write (point unchanged)")
+	set(1, 3.2, 1.10-0.030)
+	check("core-plane undervolt on the other core")
+	rig.now += 10 * sim.Microsecond
+	tr.Blackout(0)
+	check("blackout")
+	// The reboot rebuilds the base point while the core is still dark: the
+	// kernel keeps charging at it, although the billed power is 0.
+	rig.freq[0], rig.volt[0] = 3.2, 1.10
+	check("rebuilt base point during blackout")
+	if w := tr.CoreW(0); w != 0 {
+		t.Fatalf("blacked-out core bills %g W, want 0", w)
+	}
+	rig.now += 10 * sim.Microsecond
+	tr.TouchAll()
+	check("power-on touch")
+	set(0, 0, 0)
+	check("zero point")
+	set(0, 3.2, 1.10)
+	check("back to base")
+}

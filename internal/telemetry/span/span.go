@@ -24,6 +24,14 @@
 //     rendering, so export bytes are independent of emission interleaving —
 //     in particular of the characterizer's worker count, provided emitters
 //     use per-row tracks.
+//   - The buffer keeps the first cap spans and never shrinks, so once it is
+//     full every later span is dropped. A scope started on a full tracer is
+//     drop-only: it advances its track's sequence but mints no ID and skips
+//     the lock and the scope stack. Start, Complete and Instant always mint,
+//     so every ID they return, and every recorded byte, equals what an
+//     unbounded tracer produces up to the cap; only Scope.ID of a drop-only
+//     scope reads zero. Incident bundles, which carry mailbox-write Instant
+//     IDs, therefore do not depend on the cap.
 //
 // All methods are nil-receiver safe: instrumented code holds a possibly-nil
 // *Tracer and calls it unconditionally.
@@ -32,6 +40,7 @@ package span
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"plugvolt/internal/sim"
 )
@@ -68,17 +77,27 @@ const DefaultCap = 1 << 16
 // Tracer records spans. Construct with NewTracer; a nil *Tracer is a valid
 // no-op sink.
 type Tracer struct {
-	mu      sync.Mutex
-	clock   Clock
-	seed    int64
-	cap     int
-	spans   []Span
-	dropped uint64
-	seqs    map[string]uint64
+	mu    sync.Mutex
+	clock Clock
+	seed  int64
+	cap   int
+	spans []Span
+	// full is set once spans holds cap entries. The buffer never shrinks,
+	// so it is never cleared, and every span that ends afterwards is
+	// dropped: scopes started on a full tracer skip the lock, the ID hash
+	// and the scope stack (see dropping).
+	full    atomic.Bool
+	dropped atomic.Uint64
+	// seqs holds each track's next sequence number, boxed so that hot, the
+	// two most recently used tracks, can advance theirs without hashing the
+	// track name: the guard's steady-state poll alternates between two.
+	seqs map[string]*uint64
+	hot  [2]trackSeq
 	// stack is the scope stack of currently-open span IDs; the top is the
 	// parent of the next span started. The simulation core is single-threaded,
 	// which makes a single stack a sound causality model; the mutex keeps the
-	// race detector happy for concurrent readers (the obs server).
+	// race detector happy for concurrent readers (the obs server), which
+	// never read seqs or stack.
 	stack []ID
 }
 
@@ -89,7 +108,7 @@ func NewTracer(clock Clock, seed int64, cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	return &Tracer{clock: clock, seed: seed, cap: cap, seqs: map[string]uint64{}}
+	return &Tracer{clock: clock, seed: seed, cap: cap, seqs: map[string]*uint64{}}
 }
 
 // now reads the tracer clock.
@@ -121,8 +140,7 @@ func fnvUint64(h, v uint64) uint64 {
 // mint allocates the next sequence number on track and derives the span ID
 // from (seed, track, seq) via FNV-64a. Caller holds t.mu.
 func (t *Tracer) mint(track string) (ID, uint64) {
-	seq := t.seqs[track]
-	t.seqs[track] = seq + 1
+	seq := t.nextSeq(track)
 	h := fnvUint64(uint64(fnvOffset64), uint64(t.seed))
 	for i := 0; i < len(track); i++ {
 		h ^= uint64(track[i])
@@ -136,13 +154,43 @@ func (t *Tracer) mint(track string) (ID, uint64) {
 	return id, seq
 }
 
+// trackSeq is one entry of the hot-track cache.
+type trackSeq struct {
+	track string
+	next  *uint64
+}
+
+// nextSeq returns track's next sequence number and advances it. Only the
+// writer calls it (see stack): mint under t.mu, the drop path without.
+func (t *Tracer) nextSeq(track string) uint64 {
+	var p *uint64
+	switch {
+	case t.hot[0].next != nil && t.hot[0].track == track:
+		p = t.hot[0].next
+	case t.hot[1].next != nil && t.hot[1].track == track:
+		p = t.hot[1].next
+	default:
+		if p = t.seqs[track]; p == nil {
+			p = new(uint64)
+			t.seqs[track] = p
+		}
+		t.hot[1], t.hot[0] = t.hot[0], trackSeq{track: track, next: p}
+	}
+	seq := *p
+	*p++
+	return seq
+}
+
 // record appends a completed span, honoring the cap. Caller holds t.mu.
 func (t *Tracer) record(s Span) {
 	if len(t.spans) >= t.cap {
-		t.dropped++
+		t.dropped.Add(1)
 		return
 	}
 	t.spans = append(t.spans, s)
+	if len(t.spans) == t.cap {
+		t.full.Store(true)
+	}
 }
 
 // Active is a span under construction, returned by Start. A nil *Active
@@ -249,12 +297,22 @@ type Scope struct {
 	t     *Tracer
 	span  Span
 	ended bool
+	// drop marks a scope started on a full tracer: it holds no span, and
+	// ending it only counts the drop.
+	drop bool
 }
 
 // StartScope opens a span exactly like Start — minted ID, parented under the
 // scope-stack top, recorded when ended — but returns the active span by
-// value. See Scope for the attrs aliasing contract.
+// value. See Scope for the attrs aliasing contract. On a full tracer, whose
+// span would be dropped at its end whatever happened in between, it returns
+// a drop-only scope instead: the track's sequence still advances, so later
+// IDs on the track are the ones an unbounded run mints, but the scope gets
+// no ID, takes no lock and never touches the scope stack.
 func (t *Tracer) StartScope(track, name string, attrs map[string]any) Scope {
+	if t.dropping(track) {
+		return Scope{t: t, drop: true}
+	}
 	return t.startScope(track, name, attrs, false)
 }
 
@@ -265,7 +323,22 @@ func (t *Tracer) StartScope(track, name string, attrs map[string]any) Scope {
 // and by value so steady-state tracing never heap-allocates. Spans started
 // beneath it still parent under it normally.
 func (t *Tracer) StartRootScope(track, name string, attrs map[string]any) Scope {
+	if t.dropping(track) {
+		return Scope{t: t, drop: true}
+	}
 	return t.startScope(track, name, attrs, true)
+}
+
+// dropping reports whether a scope started on track now would be dropped,
+// and if so advances the track's sequence as minting would. Writers are
+// single-threaded (see Tracer.stack) and readers never touch seqs, so this
+// takes no lock.
+func (t *Tracer) dropping(track string) bool {
+	if t == nil || !t.full.Load() {
+		return false
+	}
+	t.nextSeq(track)
+	return true
 }
 
 func (t *Tracer) startScope(track, name string, attrs map[string]any, root bool) Scope {
@@ -289,7 +362,8 @@ func (t *Tracer) startScope(track, name string, attrs map[string]any, root bool)
 	}}
 }
 
-// ID reports the scope's span ID (zero on the zero Scope).
+// ID reports the scope's span ID (zero on the zero Scope and on a drop-only
+// scope from a full tracer).
 func (s *Scope) ID() ID { return s.span.ID }
 
 // End closes the scope with a virtual-clock duration, like (*Active).End.
@@ -314,6 +388,10 @@ func (s *Scope) EndWithCost(d sim.Duration) {
 
 func (s *Scope) finish(d sim.Duration) {
 	s.ended = true
+	if s.drop {
+		s.t.dropped.Add(1)
+		return
+	}
 	s.span.Dur = d
 	t := s.t
 	t.mu.Lock()
@@ -383,9 +461,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.dropped.Load()
 }
 
 // Cap reports the tracer's span bound (0 on nil).

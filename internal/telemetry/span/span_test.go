@@ -263,24 +263,27 @@ func TestEndTwiceAndScopeUnwind(t *testing.T) {
 	}
 }
 
+// fnvID is the span ID of (seed, track, seq) computed through hash/fnv, the
+// reference the inlined hash in mint must match.
+func fnvID(seed int64, track string, seq uint64) ID {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	h.Write(b[:])
+	h.Write([]byte(track))
+	binary.LittleEndian.PutUint64(b[:], seq)
+	h.Write(b[:])
+	id := ID(h.Sum64())
+	if id == 0 {
+		id = 1
+	}
+	return id
+}
+
 // TestMintMatchesFNV pins the inlined FNV-64a in mint to the hash/fnv
 // reference: span IDs are part of the golden-artifact contract, so the
 // allocation-free rewrite must mint bit-identical IDs.
 func TestMintMatchesFNV(t *testing.T) {
-	ref := func(seed int64, track string, seq uint64) ID {
-		h := fnv.New64a()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(seed))
-		h.Write(b[:])
-		h.Write([]byte(track))
-		binary.LittleEndian.PutUint64(b[:], seq)
-		h.Write(b[:])
-		id := ID(h.Sum64())
-		if id == 0 {
-			id = 1
-		}
-		return id
-	}
 	for _, seed := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 40)} {
 		tr := NewTracer(nil, seed, 0)
 		for _, track := range []string{"", "guard", "kernel/plug_your_volt/3", "msr/core1"} {
@@ -291,7 +294,7 @@ func TestMintMatchesFNV(t *testing.T) {
 				if seq != want {
 					t.Fatalf("seed %d track %q: seq = %d, want %d", seed, track, seq, want)
 				}
-				if exp := ref(seed, track, seq); id != exp {
+				if exp := fnvID(seed, track, seq); id != exp {
 					t.Fatalf("seed %d track %q seq %d: id = %x, want fnv %x", seed, track, seq, id, exp)
 				}
 			}
@@ -367,7 +370,8 @@ func TestScopeZeroValueAndDoubleEnd(t *testing.T) {
 
 // TestScopeSteadyStateZeroAlloc is the tracer-level half of the guard's
 // zero-alloc contract: once the span buffer is full (drop-newest steady
-// state) and the track's seq entry exists, StartScope+EndWithCost must not
+// state), StartScope returns drop-only scopes, which still advance the
+// track's sequence; once that entry exists, StartScope+EndWithCost must not
 // allocate.
 func TestScopeSteadyStateZeroAlloc(t *testing.T) {
 	c := &fakeClock{}
@@ -386,5 +390,90 @@ func TestScopeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("StartScope/EndWithCost allocates %.1f per span in steady state, want 0", allocs)
+	}
+}
+
+// TestFullTracerDropOnlyScopes pins the drop path: on a full tracer a scope
+// gets no ID and counts one drop when it ends (once, however often it is
+// ended), while Start, Complete and Instant keep minting the IDs an
+// unbounded tracer would, because dropped scopes still advance their
+// track's sequence.
+func TestFullTracerDropOnlyScopes(t *testing.T) {
+	const seed = 13
+	tr := NewTracer(nil, seed, 2)
+	tr.Complete("msr/core0", "mailbox_write", 0, 0, nil)
+	open := tr.StartScope("guard", "poll", nil) // guard seq 0, started before full
+	tr.Complete("msr/core0", "mailbox_write", 0, 0, nil)
+	if tr.Len() != 2 {
+		t.Fatalf("Len = %d, want a full buffer of 2", tr.Len())
+	}
+	sc := tr.StartScope("guard", "poll", nil) // guard seq 1
+	root := tr.StartRootScope("guard", "tick", nil)
+	if sc.ID() != 0 || root.ID() != 0 {
+		t.Fatalf("drop-only scopes carry IDs %x, %x; want 0", sc.ID(), root.ID())
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("Dropped = %d before any span ended, want 0", tr.Dropped())
+	}
+	sc.EndWithCost(5)
+	sc.End()
+	root.End()
+	open.End()
+	if tr.Dropped() != 3 {
+		t.Fatalf("Dropped = %d, want 3 (two drop-only scopes, one pre-full scope)", tr.Dropped())
+	}
+	if a := tr.Start("guard", "intervention", nil); a.ID() != fnvID(seed, "guard", 3) {
+		t.Errorf("Start after dropped scopes minted %x, want guard seq 3 %x", a.ID(), fnvID(seed, "guard", 3))
+	}
+	if id := tr.Complete("guard", "x", 0, 0, nil); id != fnvID(seed, "guard", 4) {
+		t.Errorf("Complete minted %x, want guard seq 4 %x", id, fnvID(seed, "guard", 4))
+	}
+	if id := tr.Instant("msr/core0", "mailbox_write", nil); id != fnvID(seed, "msr/core0", 2) {
+		t.Errorf("Instant minted %x, want msr/core0 seq 2 %x", id, fnvID(seed, "msr/core0", 2))
+	}
+	if tr.Len() != 2 || tr.Dropped() != 5 {
+		t.Fatalf("Len = %d, Dropped = %d; want 2 and 5", tr.Len(), tr.Dropped())
+	}
+}
+
+// TestConcurrentReadersDuringDrops runs the single writer past the cap,
+// through both the locked record path and the lock-free drop path, while
+// another goroutine reads the way the obs server does. Under -race this
+// checks that readers never touch writer-only state unsynchronized.
+func TestConcurrentReadersDuringDrops(t *testing.T) {
+	c := &fakeClock{}
+	tr := NewTracer(c.clock, 17, 64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var buf bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, _ = tr.Len(), tr.Dropped()
+			buf.Reset()
+			if err := tr.WriteFolded(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	attrs := map[string]any{"core": 0}
+	for i := 0; i < 500; i++ {
+		tick := tr.StartRootScope("kernel/g", "tick", attrs)
+		poll := tr.StartScope("guard", "poll", attrs)
+		tr.Instant("msr/core0", "mailbox_write", nil)
+		poll.EndWithCost(700 * sim.Nanosecond)
+		tick.EndWithCost(1000 * sim.Nanosecond)
+		c.now += 100 * sim.Microsecond
+	}
+	close(stop)
+	<-done
+	if tr.Len() != 64 || tr.Dropped() != 3*500-64 {
+		t.Fatalf("Len = %d, Dropped = %d; want 64 and %d", tr.Len(), tr.Dropped(), 3*500-64)
 	}
 }

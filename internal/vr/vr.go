@@ -85,6 +85,9 @@ func (r *Regulator) SetTarget(targetMV float64) {
 	r.Commands++
 }
 
+// Config returns the regulator's dynamic behaviour.
+func (r *Regulator) Config() Config { return r.cfg }
+
 // Target returns the most recently commanded voltage.
 func (r *Regulator) Target() float64 { return r.targetMV }
 
