@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"plugvolt"
+	"plugvolt/internal/attack"
 	"plugvolt/internal/kernel"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
@@ -29,7 +30,7 @@ func runEnergyScenario(t *testing.T, seed int64) *plugvolt.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plugvolt.NewV0LTpwn().Run(sys.Env(), guard.Name()); err != nil {
+	if _, err := attack.DefaultV0LTpwn().Run(sys.Env(), guard.Name()); err != nil {
 		t.Fatal(err)
 	}
 	sys.RunFor(2 * sim.Millisecond)

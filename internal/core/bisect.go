@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"plugvolt/internal/cpu"
 	"plugvolt/internal/search"
 )
 
@@ -47,9 +46,9 @@ func (sc *ShardedCharacterizer) strategy() string {
 // instead of the sweep's O(N):
 //
 //  1. pin the row frequency through cpupower, exactly as the sweep does;
-//  2. predict every cell's batch upset probabilities analytically
-//     (cpu.Core.PredictProbabilities — no sim events) and require them to
-//     be non-decreasing with depth;
+//  2. read every cell's predicted batch upset probabilities from the row's
+//     shared table (see rowTable — no sim events) and require them to be
+//     non-decreasing with depth;
 //  3. bisect for the measured fault onset inside the predicted non-crash
 //     prefix, cross-checking every measured probe against its predicted
 //     class;
@@ -75,20 +74,14 @@ func (c *rowProber) bisectRowInto(row []Classification, freqKHz int, offs []int)
 	if n == 0 {
 		return nil
 	}
-	core := c.p.Core(c.cfg.VictimCore)
-	uF, uC := c.probeU(freqKHz)
-	pAnyF := make([]float64, n)
-	pAnyC := make([]float64, n)
-	for i, off := range offs {
-		pf, pc := core.PredictProbabilities(c.class(), off)
-		pAnyF[i] = cpu.BatchUpsetProbability(c.cfg.Iterations, pf)
-		pAnyC[i] = cpu.BatchUpsetProbability(c.cfg.Iterations, pc)
-		if i > 0 && (pAnyF[i] < pAnyF[i-1] || pAnyC[i] < pAnyC[i-1]) {
-			return fmt.Errorf("core: predicted upset probability regresses at %d mV: %w",
-				off, search.ErrNonMonotone)
-		}
+	t := c.rowTable(offs)
+	cells := t.upTo(c.p.Core(c.cfg.VictimCore), n)
+	if i := t.regress; i < n {
+		return fmt.Errorf("core: predicted upset probability regresses at %d mV: %w",
+			offs[i], search.ErrNonMonotone)
 	}
-	predict := func(i int) Classification { return classifyCoupled(pAnyF[i], pAnyC[i], uF, uC) }
+	uF, uC := c.probeU(freqKHz)
+	predict := func(i int) Classification { return classifyCoupled(cells[i].pAnyF, cells[i].pAnyC, uF, uC) }
 	// First predicted Crash cell; the monotone probabilities and fixed
 	// thresholds make the predicted row Safe* Fault* Crash* by construction.
 	predC := n
@@ -106,7 +99,7 @@ func (c *rowProber) bisectRowInto(row []Classification, freqKHz int, offs []int)
 		if cls, ok := cache[i]; ok {
 			return cls, nil
 		}
-		cls, err := c.measurePoint(freqKHz, offs[i])
+		cls, err := c.measurePoint(freqKHz, t, i)
 		if err != nil {
 			return cls, err
 		}

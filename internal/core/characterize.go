@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/msr"
@@ -144,13 +145,14 @@ func (c *rowProber) sweepRowInto(row []Classification, freqKHz int, offs []int) 
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
 		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
 	}
+	t := c.rowTable(offs)
 	crashed := false
-	for oi, offsetMV := range offs {
+	for oi := range offs {
 		if crashed {
 			row[oi] = Crash
 			continue
 		}
-		cls, err := c.measurePoint(freqKHz, offsetMV)
+		cls, err := c.measurePoint(freqKHz, t, oi)
 		if err != nil {
 			return err
 		}
@@ -221,17 +223,18 @@ func classifyCoupled(pAnyFault, pAnyCrash, uFault, uCrash float64) Classificatio
 	return Safe
 }
 
-// measurePoint programs one (frequency, offset) pair and measures the
-// EXECUTE thread's outcome. The batch outcome is drawn with the row's
-// coupled thresholds (see probeU) against the live per-instruction
-// probabilities — which reflect whatever actually reached the rail,
-// including MSR-hook or defense interference — so a cell's class is a
-// deterministic function of the realized operating point, identical no
-// matter which strategy or visit order reaches it.
-func (c *rowProber) measurePoint(freqKHz, offsetMV int) (Classification, error) {
+// measurePoint programs cell i of row table t — one (frequency, offset)
+// pair — and measures the EXECUTE thread's outcome. The batch outcome is
+// drawn with the row's coupled thresholds (see probeU) against the
+// per-instruction probabilities at the live operating point — which
+// reflects whatever actually reached the rail, including MSR-hook or
+// defense interference — so a cell's class is a deterministic function of
+// the realized operating point, identical no matter which strategy or
+// visit order reaches it.
+func (c *rowProber) measurePoint(freqKHz int, t *rowTable, i int) (Classification, error) {
 	p := c.p
 	// Line 10-11: compute the 0x150 value via Algorithm 1 and write it.
-	if err := p.WriteOffsetViaMSR(c.cfg.VictimCore, offsetMV, msr.PlaneCore); err != nil {
+	if err := p.WriteOffsetViaMSR(c.cfg.VictimCore, t.offs[i], msr.PlaneCore); err != nil {
 		return Safe, err
 	}
 	// SettleCommanded, not just SettleAll: the probe must observe the
@@ -245,11 +248,29 @@ func (c *rowProber) measurePoint(freqKHz, offsetMV int) (Classification, error) 
 		p.Sim.RunFor(c.cfg.SettleWait)
 	}
 	c.probes++
-	core := p.Core(c.cfg.VictimCore)
 	uF, uC := c.probeU(freqKHz)
-	pAnyC := cpu.BatchUpsetProbability(c.cfg.Iterations, core.CrashProbability())
-	pAnyF := cpu.BatchUpsetProbability(c.cfg.Iterations, core.FaultProbability(c.class()))
+	pAnyF, pAnyC := c.liveUpsetProbabilities(t, i)
 	return classifyCoupled(pAnyF, pAnyC, uF, uC), nil
+}
+
+// liveUpsetProbabilities returns the batch fault and crash probabilities
+// at the victim core's live operating point. When that point is bit for
+// bit cell i's predicted point, Eq. 1 there is the table's entry; any
+// other point (an MSR hook or defense moved it) is evaluated live.
+func (c *rowProber) liveUpsetProbabilities(t *rowTable, i int) (pAnyF, pAnyC float64) {
+	core := c.p.Core(c.cfg.VictimCore)
+	// A settled core runs at its commanded ratio, so a live frequency equal
+	// to the table's means the core is commanded to the table's row and
+	// may extend it.
+	if math.Float64bits(core.FreqGHz()) == math.Float64bits(t.key.freqGHz) {
+		cell := t.upTo(core, i+1)[i]
+		if math.Float64bits(core.VoltageV()) == math.Float64bits(cell.voltV) {
+			return cell.pAnyF, cell.pAnyC
+		}
+	}
+	pAnyC = cpu.BatchUpsetProbability(c.cfg.Iterations, core.CrashProbability())
+	pAnyF = cpu.BatchUpsetProbability(c.cfg.Iterations, core.FaultProbability(c.class()))
+	return pAnyF, pAnyC
 }
 
 // restore re-applies the original frequency and zero offset (Algorithm 2

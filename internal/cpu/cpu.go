@@ -302,22 +302,31 @@ func BatchUpsetProbability(n int, p float64) float64 {
 	return -math.Expm1(float64(n) * math.Log1p(-p))
 }
 
-// PredictProbabilities returns the per-instruction fault and control-path
-// violation probabilities this core would read once a mailbox write of
-// offsetMV to the core plane settles at the currently commanded ratio —
-// without programming anything. It mirrors the real path's arithmetic
-// exactly: the offset is quantized through the mailbox encode/decode
-// round-trip, the rail target is nominal(ratio) + offset (the retarget
-// formula, which the regulator settles to exactly), and the frequency is
-// the commanded ratio times the bus clock. After an actual
-// WriteOffsetViaMSR + settle, FaultProbability/CrashProbability therefore
-// return these same values — unless something intercepted the write (an
-// MSR hook, a defense) or re-commanded the operating point, which is
-// precisely the discrepancy the bisection search uses as its tamper check.
-func (c *Core) PredictProbabilities(class Class, offsetMV int) (pFault, pCrash float64) {
+// PredictPoint returns the (GHz, V) operating point this core settles at
+// once a mailbox write of offsetMV to the core plane lands at the
+// currently commanded ratio — without programming anything. It mirrors the
+// real path's arithmetic exactly: the offset is quantized through the
+// mailbox encode/decode round-trip, the rail target is nominal(ratio) +
+// offset (the retarget formula, which the regulator settles to exactly),
+// and the frequency is the commanded ratio times the bus clock. After an
+// actual WriteOffsetViaMSR + settle, FreqGHz and VoltageV therefore return
+// these same bits — unless something intercepted the write (an MSR hook, a
+// defense) or re-commanded the operating point.
+func (c *Core) PredictPoint(offsetMV int) (freqGHz, voltV float64) {
 	units := msr.DecodeVoltageOffset(msr.EncodeVoltageOffset(offsetMV, msr.PlaneCore)).OffsetUnits
-	v := (c.spec.NominalMV(c.targetRatio) + msr.UnitsToMV(units)) / 1000.0
-	f := float64(int(c.targetRatio)*c.spec.BusMHz*1000) / 1e6
+	voltV = (c.spec.NominalMV(c.targetRatio) + msr.UnitsToMV(units)) / 1000.0
+	freqGHz = float64(int(c.targetRatio)*c.spec.BusMHz*1000) / 1e6
+	return freqGHz, voltV
+}
+
+// PredictProbabilities returns the per-instruction fault and control-path
+// violation probabilities this core would read at PredictPoint(offsetMV).
+// After an actual WriteOffsetViaMSR + settle, FaultProbability and
+// CrashProbability return these same values unless the write was
+// intercepted — precisely the discrepancy the bisection search uses as its
+// tamper check.
+func (c *Core) PredictProbabilities(class Class, offsetMV int) (pFault, pCrash float64) {
+	f, v := c.PredictPoint(offsetMV)
 	pFault = c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
 	pCrash = c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
 	return pFault, pCrash

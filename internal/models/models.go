@@ -18,6 +18,7 @@ package models
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"plugvolt/internal/timing"
@@ -71,21 +72,23 @@ type Spec struct {
 	ControlDepth float64
 
 	// derived caches the pure derivations every hot path re-requests: the
-	// validated circuit template, the frequency table, and the nominal V/f
-	// curve. Calibrate invalidates it; other fields must not be mutated
-	// once a Spec is in use (the shared-across-workers contract FactoryFor
-	// already imposes).
+	// validated circuit template, the frequency table, the nominal V/f
+	// curve, and the values callers park through Memo. Calibrate
+	// invalidates it; other fields must not be mutated once a Spec is in
+	// use (the shared-across-workers contract FactoryFor already imposes).
 	derived atomic.Pointer[derivedSpec]
 }
 
-// derivedSpec is the immutable cache behind Spec's accessors. The sharded
+// derivedSpec is the cache behind Spec's accessors. The sharded
 // characterizer shares one Spec across workers, so it is built once and
-// published via atomic pointer; every field is read-only after publication.
+// published via atomic pointer; every field but memo is read-only after
+// publication, and memo synchronizes itself.
 type derivedSpec struct {
 	circ    *timing.Circuit // validated, fully indexed template (nil before Calibrate)
 	circErr error
 	freqKHz []int
 	nomMV   []float64 // indexed by ratio - MinRatio
+	memo    sync.Map  // Memo's values, keyed by their callers' own key types
 }
 
 // derive returns the cached derivations, building them on first use.
@@ -111,6 +114,23 @@ func (s *Spec) derive() *derivedSpec {
 	// equivalent, so publish with CompareAndSwap and reload.
 	s.derived.CompareAndSwap(nil, d)
 	return s.derived.Load()
+}
+
+// Memo returns the value stored under key, storing build's result first if
+// there is none. It holds derivations of this Spec that a caller computes
+// once and shares across every platform built from it (the characterizer's
+// per-row prediction tables). Values live in the derived cache, so
+// Calibrate drops them and they are freed with the Spec. Concurrent first
+// callers may each run build; exactly one result is kept and returned to
+// all of them. key must be comparable; a caller keys by a type of its own,
+// so callers cannot collide.
+func (s *Spec) Memo(key any, build func() any) any {
+	m := &s.derive().memo
+	if v, ok := m.Load(key); ok {
+		return v
+	}
+	v, _ := m.LoadOrStore(key, build())
+	return v
 }
 
 // NominalMV returns the stock core voltage the P-state hardware requests at

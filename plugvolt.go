@@ -50,8 +50,6 @@ type (
 	CharacterizerConfig = core.CharacterizerConfig
 	// Countermeasure is any deployable defense.
 	Countermeasure = defense.Countermeasure
-	// AttackResult records one attack campaign.
-	AttackResult = attack.Result
 	// Spec describes a CPU model.
 	Spec = models.Spec
 )
@@ -60,10 +58,6 @@ type (
 var (
 	// NewPlundervolt builds the RSA-CRT key-extraction campaign.
 	NewPlundervolt = attack.DefaultPlundervolt
-	// NewVoltJockey builds the frequency-manipulation campaign.
-	NewVoltJockey = attack.DefaultVoltJockey
-	// NewV0LTpwn builds the integrity-corruption campaign.
-	NewV0LTpwn = attack.DefaultV0LTpwn
 	// DefaultGuardConfig is the paper-faithful polling configuration.
 	DefaultGuardConfig = core.DefaultGuardConfig
 )

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plugvolt"
+	"plugvolt/internal/attack"
 	"plugvolt/internal/core"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
@@ -56,7 +57,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if !sys.Kernel.Loaded(core.ModuleName) {
 		t.Fatal("guard module not resident after DeployGuard")
 	}
-	res, err := plugvolt.NewV0LTpwn().Run(sys.Env(), guard.Name())
+	res, err := attack.DefaultV0LTpwn().Run(sys.Env(), guard.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

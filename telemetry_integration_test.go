@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plugvolt"
+	"plugvolt/internal/attack"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
@@ -30,7 +31,7 @@ func runInstrumentedScenario(t *testing.T, seed int64) ([]byte, []byte, *telemet
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plugvolt.NewV0LTpwn().Run(sys.Env(), guard.Name()); err != nil {
+	if _, err := attack.DefaultV0LTpwn().Run(sys.Env(), guard.Name()); err != nil {
 		t.Fatal(err)
 	}
 	sys.RunFor(2 * sim.Millisecond)
