@@ -20,34 +20,24 @@ test-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Short fuzz pass over every Fuzz target in the tree: the grid and
-# unsafe-set codecs, the shard merge ordering, row monotonicity (what
-# bisection rests on), the compiled guard LUT, the 0x150 and perf-status
-# MSR codecs the guard trusts, the telemetry merge fold, the span tracer's
-# drop path against an always-minting reference, the fleet checkpoint and
-# incident bundle decoders, and the RSA signer's Montgomery kernel against
-# big.Int. CI runs this target.
+# Short fuzz pass over every Fuzz target in the tree. `go test -list` finds
+# the targets, so a new one joins without editing this file. CI runs this
+# target.
 fuzz:
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridFromJSON$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGridJSONRoundTrip$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRowMergeOrdering$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnsafeSetFromJSON$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRowMonotonicity$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLUTContainsEquivalence$$' -fuzztime 10s
-	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzDecodeVoltageOffset$$' -fuzztime 10s
-	$(GO) test ./internal/msr -run '^$$' -fuzz '^FuzzPerfStatus$$' -fuzztime 10s
-	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzMergeSnapshots$$' -fuzztime 10s
-	$(GO) test ./internal/telemetry/span -run '^$$' -fuzz '^FuzzTracerDropEquivalence$$' -fuzztime 10s
-	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzFleetCheckpointDecode$$' -fuzztime 10s
-	$(GO) test ./internal/flight -run '^$$' -fuzz '^FuzzIncidentBundleDecode$$' -fuzztime 10s
-	$(GO) test ./internal/victim -run '^$$' -fuzz '^FuzzModMul$$' -fuzztime 10s
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1 } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2 "," t[i]; n = 0 } \
+		/^FAIL/ { bad = 1 } END { exit bad }') || exit 1; \
+	for pt in $$targets; do \
+		echo "$(GO) test $${pt%,*} -run '^$$' -fuzz '^$${pt#*,}$$' -fuzztime 10s"; \
+		$(GO) test $${pt%,*} -run '^$$' -fuzz "^$${pt#*,}\$$" -fuzztime 10s || exit 1; \
+	done
 
-# One iteration of every benchmark in the root package. Performance is
-# compared with the benchmark module instead: run
+# One iteration of every package micro-benchmark, as CI's smoke job runs
+# them. The system itself is timed by the benchmark module: run
 #   bash benchmark/run.sh --workload W -out new.json
 # at both commits on the same host, then -compare OLD NEW.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Golden-artifact conformance: re-derive figs 2-4 at 1/2/8 workers and diff
 # bit-for-bit against artifacts/. golden-update rewrites the goldens after

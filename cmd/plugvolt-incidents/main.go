@@ -7,6 +7,7 @@
 // Usage:
 //
 //	plugvolt-incidents -list incidents.bin
+//	plugvolt-incidents -list -n 2 incidents.bin         # 2nd bundle only
 //	plugvolt-incidents -timeline incidents.bin          # every bundle
 //	plugvolt-incidents -timeline -n 2 incidents.bin     # 2nd bundle only
 //	plugvolt-incidents -diff a.bin b.bin                # exit 1 when they differ
@@ -15,8 +16,11 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"plugvolt/internal/buildinfo"
@@ -24,96 +28,110 @@ import (
 )
 
 func main() {
-	var (
-		list     = flag.Bool("list", false, "list the bundles in the file (one line each); the default mode")
-		timeline = flag.Bool("timeline", false, "print each selected bundle as a human-readable incident timeline")
-		diff     = flag.Bool("diff", false, "compare the selected bundle of two files field by field; exit 1 when they differ")
-		n        = flag.Int("n", 0, "select the n-th bundle in the file (1-based); 0 means every bundle (-list, -timeline) or the first (-diff)")
-		version  = flag.Bool("version", false, "print build information and exit")
-	)
-	flag.Parse()
-	if *version {
-		buildinfo.Fprint(os.Stdout, "plugvolt-incidents")
-		return
-	}
-
-	switch {
-	case *diff:
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-diff needs exactly two files, got %d", flag.NArg()))
-		}
-		a := pick(readBundles(flag.Arg(0)), *n, flag.Arg(0))
-		b := pick(readBundles(flag.Arg(1)), *n, flag.Arg(1))
-		same, err := flight.Diff(os.Stdout, a, b)
-		if err != nil {
-			fatal(err)
-		}
-		if !same {
-			os.Exit(1)
-		}
-	case *timeline:
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-timeline needs exactly one file, got %d", flag.NArg()))
-		}
-		bundles := readBundles(flag.Arg(0))
-		if *n != 0 {
-			bundles = []*flight.Bundle{pick(bundles, *n, flag.Arg(0))}
-		}
-		for i, b := range bundles {
-			if i > 0 {
-				fmt.Println()
-			}
-			if err := b.WriteTimeline(os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-	default:
-		if !*list && flag.NArg() != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-list needs exactly one file, got %d", flag.NArg()))
-		}
-		bundles := readBundles(flag.Arg(0))
-		for i, b := range bundles {
-			fmt.Printf("%3d  %s\n", i+1, b.Label())
-			if b.Detail != "" {
-				fmt.Printf("     %s\n", b.Detail)
-			}
-		}
-		if len(bundles) == 0 {
-			fmt.Println("no incidents")
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// readBundles decodes every framed bundle in the file.
-func readBundles(path string) []*flight.Bundle {
+// run is the whole CLI behind a testable seam: flag parsing, decoding,
+// rendering and the exit-code policy, with no direct os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plugvolt-incidents", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		list     = fs.Bool("list", false, "list the bundles in the file (one line each); the default mode")
+		timeline = fs.Bool("timeline", false, "print each selected bundle as a human-readable incident timeline")
+		diff     = fs.Bool("diff", false, "compare the selected bundle of two files field by field; exit 1 when they differ")
+		n        = fs.Int("n", 0, "select the n-th bundle in the file (1-based); 0 means every bundle (-list, -timeline) or the first (-diff)")
+		version  = fs.Bool("version", false, "print build information and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *version {
+		buildinfo.Fprint(stdout, "plugvolt-incidents")
+		return 0
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "plugvolt-incidents:", err)
+		return 2
+	}
+
+	if *diff {
+		if fs.NArg() != 2 {
+			return fail(fmt.Errorf("-diff needs exactly two files, got %d", fs.NArg()))
+		}
+		var pair [2]*flight.Bundle
+		for i := range pair {
+			bundles, err := selectBundles(fs.Arg(i), cmp.Or(*n, 1))
+			if err != nil {
+				return fail(err)
+			}
+			pair[i] = bundles[0]
+		}
+		same, err := flight.Diff(stdout, pair[0], pair[1])
+		if err != nil {
+			return fail(err)
+		}
+		if !same {
+			return 1
+		}
+		return 0
+	}
+	mode := "-list"
+	if *timeline {
+		mode = "-timeline"
+	} else if !*list && fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() != 1 {
+		return fail(fmt.Errorf("%s needs exactly one file, got %d", mode, fs.NArg()))
+	}
+	bundles, err := selectBundles(fs.Arg(0), *n)
+	if err != nil {
+		return fail(err)
+	}
+	if *timeline {
+		for i, b := range bundles {
+			if i > 0 {
+				fmt.Fprintln(stdout)
+			}
+			if err := b.WriteTimeline(stdout); err != nil {
+				return fail(err)
+			}
+		}
+		return 0
+	}
+	for i, b := range bundles {
+		fmt.Fprintf(stdout, "%3d  %s\n", cmp.Or(*n, 1)+i, b.Label())
+		if b.Detail != "" {
+			fmt.Fprintf(stdout, "     %s\n", b.Detail)
+		}
+	}
+	if len(bundles) == 0 {
+		fmt.Fprintln(stdout, "no incidents")
+	}
+	return 0
+}
+
+// selectBundles decodes every framed bundle in the file and keeps the
+// 1-based n-th, or all of them when n is 0.
+func selectBundles(path string, n int) ([]*flight.Bundle, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	bundles, err := flight.DecodeAll(data)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return bundles
-}
-
-// pick selects the 1-based n-th bundle (0 = first) or dies with a range
-// error naming the file.
-func pick(bundles []*flight.Bundle, n int, path string) *flight.Bundle {
 	if n == 0 {
-		n = 1
+		return bundles, nil
 	}
 	if n < 1 || n > len(bundles) {
-		fatal(fmt.Errorf("%s: bundle %d out of range (file has %d)", path, n, len(bundles)))
+		return nil, fmt.Errorf("%s: bundle %d out of range (file has %d)", path, n, len(bundles))
 	}
-	return bundles[n-1]
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "plugvolt-incidents:", err)
-	os.Exit(2)
+	return bundles[n-1 : n], nil
 }

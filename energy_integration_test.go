@@ -6,26 +6,20 @@ import (
 
 	"plugvolt"
 	"plugvolt/internal/attack"
+	"plugvolt/internal/core"
 	"plugvolt/internal/kernel"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
-// runEnergyScenario is runInstrumentedScenario's energy twin: guarded Sky
-// Lake under an LTpwn campaign, returning the live system for ledger
-// inspection.
-func runEnergyScenario(t *testing.T, seed int64) *plugvolt.System {
+// runGuardedV0LTpwn boots a Sky Lake, characterizes it (one worker so the
+// per-worker telemetry series are schedule-independent), deploys the guard,
+// runs a V0LTpwn campaign and 2 ms more, and returns the live system for
+// ledger and telemetry inspection.
+func runGuardedV0LTpwn(t *testing.T, seed int64) *plugvolt.System {
 	t.Helper()
-	sys, err := plugvolt.NewSystem("skylake", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := plugvolt.QuickSweep()
-	cfg.Workers = 1
-	grid, err := sys.Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, grid := characterize(t, "skylake", seed, 1)
 	guard, err := sys.DeployGuard(grid)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +36,7 @@ func runEnergyScenario(t *testing.T, seed int64) *plugvolt.System {
 // kind, the modeled RAPL counters agree with the integrator, and the
 // telemetry surface republishes the same ledgers.
 func TestEnergyEndToEnd(t *testing.T) {
-	sys := runEnergyScenario(t, 7)
+	sys := runGuardedV0LTpwn(t, 7)
 	p := sys.Platform
 	tr := p.Energy
 
@@ -126,27 +120,44 @@ func TestEnergyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEnergyPerPollPeriodExact pins the joules/op axis of
-// BenchmarkEnergyAccounting: one poll period of the guarded Sky Lake seed-42
-// steady state bills exactly this package energy (float64) and exactly this
-// guard energy (integer picojoules). Both are modeled, so any drift is a
-// change to the power model or to a billing point, never host noise.
+// TestEnergyPerPollPeriodExact pins the joules per poll period: one poll
+// period of the guarded Sky Lake seed-42 steady state (default guard,
+// telemetry off, after a 1 ms warm-up) bills exactly this package energy
+// (float64) and exactly this guard energy (integer picojoules). Both are
+// modeled, so any drift is a change to the power model or to a billing
+// point, never host noise.
 func TestEnergyPerPollPeriodExact(t *testing.T) {
 	const (
 		wantPackageJ = 0.005610847505345316 // ≈ 5.611 mJ
 		wantGuardPJ  = 9468984              // ≈ 9.5 µJ
 	)
-	sys, guard, period := guardedSteadyState(t)
+	sys, grid := characterize(t, "skylake", 42, 0)
+	sys.SetTelemetry(&telemetry.Set{})
+	cfg := core.DefaultGuardConfig()
+	guard, err := core.NewGuard(grid.UnsafeSet(), sys.Platform.Spec.BusMHz, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Kernel.Load(guard.Module()); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(sim.Millisecond)
+	guardPJ := func() (pj int64) {
+		for c := 0; c < sys.Platform.NumCores(); c++ {
+			pj += sys.Kernel.EnergyPJ(c)
+		}
+		return pj
+	}
 	tr := sys.Platform.Energy
-	pkgBefore, guardBefore := tr.PackageEnergyJ(), guardEnergyPJ(sys)
-	sys.RunFor(period)
+	pkgBefore, guardBefore := tr.PackageEnergyJ(), guardPJ()
+	sys.RunFor(cfg.PollPeriod)
 	if guard.Interventions != 0 {
 		t.Fatal("benign steady state triggered interventions; wrong path measured")
 	}
 	if got := tr.PackageEnergyJ() - pkgBefore; got != wantPackageJ {
 		t.Errorf("package energy per poll period %v J, want %v J", got, wantPackageJ)
 	}
-	if got := guardEnergyPJ(sys) - guardBefore; got != wantGuardPJ {
+	if got := guardPJ() - guardBefore; got != wantGuardPJ {
 		t.Errorf("guard energy per poll period %d pJ, want %d pJ", got, wantGuardPJ)
 	}
 }
@@ -157,7 +168,7 @@ func TestEnergyPerPollPeriodExact(t *testing.T) {
 // observability compatible with fleet determinism.
 func TestEnergyReadsDoNotPerturb(t *testing.T) {
 	render := func(noisy bool) []byte {
-		sys := runEnergyScenario(t, 42)
+		sys := runGuardedV0LTpwn(t, 42)
 		if noisy {
 			for i := 0; i < 50; i++ {
 				if _, err := sys.Platform.MSRFile(0).Read(msr.PkgEnergyStatus); err != nil {

@@ -61,7 +61,7 @@ func captureWithSpanCap(t *testing.T, seed int64, spanCap int, grid *plugvolt.Gr
 		}
 		defName = pol.Name()
 	}
-	res, err := atkRun(t, sys, seed, defName)
+	res, err := attack.DefaultPlundervolt(seed).Run(sys.Env(), defName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,6 @@ func captureWithSpanCap(t *testing.T, seed int64, spanCap int, grid *plugvolt.Gr
 	}
 	rec.Seal()
 	return rec.Bundles(), sys.Telemetry.Spans()
-}
-
-func atkRun(t *testing.T, sys *plugvolt.System, seed int64, defName string) (*attack.Result, error) {
-	t.Helper()
-	return attack.DefaultPlundervolt(seed).Run(sys.Env(), defName)
 }
 
 // TestFlightBundleCapturedUnderAttack is the forensic acceptance contract:
@@ -164,7 +159,7 @@ func TestFlightBundleByteIdenticalAcrossRuns(t *testing.T) {
 // undefended machine, and on a weakly guarded one whose poll scopes fill a
 // small tracer long before the campaign ends.
 func TestFlightBundleIndependentOfSpanCap(t *testing.T) {
-	_, grid := characterize(t, "skylake", 42)
+	_, grid := characterize(t, "skylake", 42, 0)
 	for _, tc := range []struct {
 		name string
 		grid *plugvolt.Grid

@@ -105,9 +105,9 @@ func TestRedTeamSucceedsUndefended(t *testing.T) {
 	t.Logf("first fault at probe %d; %d incident bundles", res.ProbesToFirstFault, len(bundles))
 }
 
-// TestRedTeamProbesToFirstFaultSeed42 pins the attacker-side cost that
-// BenchmarkAnnealTimeToFault reports: on an undefended Sky Lake at seed 42
-// the annealer lands its first fault at exactly this probe.
+// TestRedTeamProbesToFirstFaultSeed42 pins the attacker-side cost a
+// defense must inflate: on an undefended Sky Lake at seed 42 the annealer
+// lands its first fault at exactly this probe.
 func TestRedTeamProbesToFirstFaultSeed42(t *testing.T) {
 	res, err := DefaultRedTeam(42).Run(newEnv(t, "skylake", 42), "none")
 	if err != nil {

@@ -49,36 +49,45 @@ func TestShardedCharacterizerValidation(t *testing.T) {
 
 // TestShardedWorkerCountInvariance is the engine's core guarantee: the same
 // seed produces byte-identical Grid JSON no matter how many workers sweep
-// it, and replays are byte-identical too.
+// it, and replays are byte-identical too — on a short quick axis, and on
+// the paper axis of the widest frequency table (Comet Lake, 46 rows).
 func TestShardedWorkerCountInvariance(t *testing.T) {
-	cfg := quickSweepConfig()
-	cfg.OffsetEndMV = -200 // shorter for speed
-	runJSON := func(workers int) []byte {
-		c := cfg
-		c.Workers = workers
-		sc := newShardedCharacterizer(t, "skylake", 77, c)
-		g, err := sc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("workers=%d produced invalid grid: %v", workers, err)
-		}
-		data, err := g.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	ref := runJSON(1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := runJSON(workers); !bytes.Equal(ref, got) {
-			t.Fatalf("workers=%d grid JSON diverged from workers=1", workers)
-		}
-	}
-	// Same worker count, replayed: identical as well.
-	if got := runJSON(2); !bytes.Equal(ref, got) {
-		t.Fatal("replay with workers=2 diverged")
+	quick := quickSweepConfig()
+	quick.OffsetEndMV = -200 // shorter for speed
+	for _, tc := range []struct {
+		model string
+		seed  int64
+		cfg   CharacterizerConfig
+	}{{"skylake", 77, quick}, {"cometlake", 42, DefaultCharacterizerConfig()}} {
+		t.Run(tc.model, func(t *testing.T) {
+			runJSON := func(workers int) []byte {
+				c := tc.cfg
+				c.Workers = workers
+				sc := newShardedCharacterizer(t, tc.model, tc.seed, c)
+				g, err := sc.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Validate(); err != nil {
+					t.Fatalf("workers=%d produced invalid grid: %v", workers, err)
+				}
+				data, err := g.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			ref := runJSON(1)
+			for _, workers := range []int{2, 3, 8} {
+				if got := runJSON(workers); !bytes.Equal(ref, got) {
+					t.Fatalf("workers=%d grid JSON diverged from workers=1", workers)
+				}
+			}
+			// Same worker count, replayed: identical as well.
+			if got := runJSON(2); !bytes.Equal(ref, got) {
+				t.Fatal("replay with workers=2 diverged")
+			}
+		})
 	}
 }
 

@@ -350,11 +350,6 @@ func (c *Core) IMul(a, b uint64) (uint64, bool, error) {
 	return c.execALUOp(ClassIMul, a*b)
 }
 
-// ALUOp executes a simple integer operation with result `exact`.
-func (c *Core) ALUOp(exact uint64) (uint64, bool, error) {
-	return c.execALUOp(ClassALU, exact)
-}
-
 // Exec executes one instruction of the given class whose exact result is
 // provided by the caller, applying the fault model.
 func (c *Core) Exec(class Class, exact uint64) (uint64, bool, error) {

@@ -73,6 +73,10 @@ func TestGoldenFigures(t *testing.T) {
 					t.Fatalf("workers=%d vs workers=1: %s", w, DiffGrids(grids[1], grids[w]))
 				}
 			}
+			// Every row has a fault band, checked before -update can bless it.
+			if n, rows := len(grids[1].UnsafeSet().OnsetMV), len(grids[1].FreqsKHz); n != rows {
+				t.Fatalf("%d of %d rows have an unsafe region", n, rows)
+			}
 
 			jsonPath := filepath.Join(artifactsDir(), fig.base+".json")
 			csvPath := filepath.Join(artifactsDir(), fig.base+".csv")

@@ -398,15 +398,6 @@ func (k *Kernel) ReadMSRDirect(core int, addr msr.Addr) (uint64, error) {
 	return k.hw.MSRFile(core).Read(addr)
 }
 
-// WriteMSRDirect is the kernel's non-thread MSR write path.
-func (k *Kernel) WriteMSRDirect(core int, addr msr.Addr, val uint64) error {
-	k.stolen[core] += k.Costs.Wrmsr
-	k.stolenBy[CostWrmsr][core] += k.Costs.Wrmsr
-	k.chargeEnergy(CostWrmsr, core, k.Costs.Wrmsr)
-	k.MSRWrites++
-	return k.hw.MSRFile(core).Write(addr, val)
-}
-
 // StolenTime reports the cumulative CPU time kernel threads have consumed
 // on core — the quantity that becomes workload slowdown in Table 2.
 func (k *Kernel) StolenTime(core int) sim.Duration {

@@ -209,15 +209,8 @@ func TestDirectMSRPaths(t *testing.T) {
 	if ratio != p.Spec.BaseRatio {
 		t.Fatalf("direct read ratio %d", ratio)
 	}
-	if err := k.WriteMSRDirect(2, msr.OCMailbox, msr.EncodeVoltageOffset(-50, msr.PlaneCore)); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.StolenTime(2); got != k.Costs.Rdmsr+k.Costs.Wrmsr {
+	if got := k.StolenTime(2); got != k.Costs.Rdmsr {
 		t.Fatalf("direct path stolen = %v", got)
-	}
-	p.SettleAll()
-	if p.Core(2).OffsetMV() != -50 {
-		t.Fatal("direct wrmsr did not reach hardware")
 	}
 }
 

@@ -82,9 +82,6 @@ func NewIdleGovernor(s *sim.Simulator, numCores int, states []CState) (*IdleGove
 	return g, nil
 }
 
-// States returns the ladder.
-func (g *IdleGovernor) States() []CState { return g.states }
-
 // Current returns core's resident state.
 func (g *IdleGovernor) Current(core int) (CState, error) {
 	if core < 0 || core >= len(g.cores) {

@@ -88,9 +88,6 @@ func (r *Regulator) SetTarget(targetMV float64) {
 // Config returns the regulator's dynamic behaviour.
 func (r *Regulator) Config() Config { return r.cfg }
 
-// Target returns the most recently commanded voltage.
-func (r *Regulator) Target() float64 { return r.targetMV }
-
 // OutputMV returns the rail voltage now.
 func (r *Regulator) OutputMV() float64 { return r.outputAt(r.simr.Now()) }
 

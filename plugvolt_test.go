@@ -1,7 +1,6 @@
 package plugvolt_test
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -11,6 +10,23 @@ import (
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 )
+
+// characterize boots a model at seed and runs the standard quick sweep on
+// workers workers (0 means GOMAXPROCS).
+func characterize(t *testing.T, model string, seed int64, workers int) (*plugvolt.System, *plugvolt.Grid) {
+	t.Helper()
+	sys, err := plugvolt.NewSystem(model, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := plugvolt.QuickSweep()
+	cfg.Workers = workers
+	grid, err := sys.Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, grid
+}
 
 func TestNewSystemModels(t *testing.T) {
 	for _, m := range plugvolt.Models() {
@@ -42,14 +58,7 @@ func TestSweepConfigs(t *testing.T) {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	sys, err := plugvolt.NewSystem("skylake", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := sys.Characterize(plugvolt.QuickSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, grid := characterize(t, "skylake", 5, 0)
 	guard, err := sys.DeployGuard(grid)
 	if err != nil {
 		t.Fatal(err)
@@ -71,19 +80,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestDeployGuardValidation(t *testing.T) {
-	sys, err := plugvolt.NewSystem("skylake", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, grid := characterize(t, "skylake", 5, 0)
 	if _, err := sys.DeployGuard(nil); err == nil {
 		t.Fatal("nil grid accepted")
 	}
 	if _, err := sys.Defenses(nil); err == nil {
 		t.Fatal("nil grid accepted by Defenses")
-	}
-	grid, err := sys.Characterize(plugvolt.QuickSweep())
-	if err != nil {
-		t.Fatal(err)
 	}
 	bad := plugvolt.DefaultGuardConfig()
 	bad.PollPeriod = 0
@@ -93,14 +95,7 @@ func TestDeployGuardValidation(t *testing.T) {
 }
 
 func TestDefensesLineup(t *testing.T) {
-	sys, err := plugvolt.NewSystem("skylake", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := sys.Characterize(plugvolt.QuickSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, grid := characterize(t, "skylake", 6, 0)
 	defs, err := sys.Defenses(grid)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +124,6 @@ func TestCharacterizeInvalidConfig(t *testing.T) {
 	if _, err := sys.Characterize(cfg); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
-	var sentinel error
-	_ = errors.Is(err, sentinel) // document: errors are plain, not typed
 }
 
 // platformState is what a characterization on the system's own platform

@@ -5,36 +5,14 @@ import (
 	"math"
 	"testing"
 
-	"plugvolt"
-	"plugvolt/internal/attack"
-	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
 
-// runInstrumentedScenario boots a system, characterizes it (one worker so
-// the per-worker telemetry series are schedule-independent), deploys the
-// guard, runs an attack campaign, and returns the Prometheus exposition and
-// the event journal bytes.
+// runInstrumentedScenario runs a guarded V0LTpwn campaign and returns the
+// Prometheus exposition and the event journal bytes.
 func runInstrumentedScenario(t *testing.T, seed int64) ([]byte, []byte, *telemetry.Snapshot) {
 	t.Helper()
-	sys, err := plugvolt.NewSystem("skylake", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := plugvolt.QuickSweep()
-	cfg.Workers = 1
-	grid, err := sys.Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard, err := sys.DeployGuard(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := attack.DefaultV0LTpwn().Run(sys.Env(), guard.Name()); err != nil {
-		t.Fatal(err)
-	}
-	sys.RunFor(2 * sim.Millisecond)
+	sys := runGuardedV0LTpwn(t, seed)
 	sys.CollectTelemetry()
 	snap := sys.Telemetry.Registry().Snapshot()
 	var metrics, events bytes.Buffer

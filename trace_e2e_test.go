@@ -13,38 +13,51 @@ import (
 	"testing"
 
 	"plugvolt"
+	"plugvolt/internal/defense"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/slo"
 	"plugvolt/internal/telemetry/span"
 )
 
-// attackScenario characterizes, deploys the guard, runs a periodic
-// undervolting adversary for 10ms of virtual time, and returns the system
-// plus the exported Chrome trace bytes.
-func attackScenario(t *testing.T, workers int) (*plugvolt.System, *plugvolt.Guard, *plugvolt.Grid, []byte) {
+// guardedUnderAttack characterizes Sky Lake at seed 42 with the given
+// worker count, deploys the guard, and starts a periodic adversary writing
+// 60 mV past core 1's onset every 537 µs until the test ends.
+func guardedUnderAttack(t *testing.T, workers int) (*plugvolt.System, *defense.Polling, *plugvolt.Grid) {
 	t.Helper()
-	sys, err := plugvolt.NewSystem("skylake", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := plugvolt.QuickSweep()
-	cfg.Workers = workers
-	grid, err := sys.Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, grid := characterize(t, "skylake", 42, workers)
 	pol, err := sys.DeployGuard(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := sys.Platform
-	unsafe := grid.UnsafeSet()
-	offset := unsafe.OnsetMV[p.FreqKHz(1)] - 60
+	offset := grid.UnsafeSet().OnsetMV[p.FreqKHz(1)] - 60
 	attacker := p.Sim.Every(537*sim.Microsecond, func() {
 		_ = p.WriteOffsetViaMSR(1, offset, msr.PlaneCore)
 	})
-	defer attacker.Stop()
+	t.Cleanup(attacker.Stop)
+	return sys, pol, grid
+}
+
+// watchdog evaluates the default SLO rules over the system's spans and
+// journal, with grid's unsafe set as the dwell criterion.
+func watchdog(sys *plugvolt.System, grid *plugvolt.Grid) *slo.Watchdog {
+	unsafe, p := grid.UnsafeSet(), sys.Platform
+	return &slo.Watchdog{
+		Tracer:  sys.Telemetry.Spans(),
+		Journal: sys.Telemetry.Events(),
+		Rules:   slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
+		Unsafe: func(core, offsetMV int) bool {
+			return unsafe.Contains(p.FreqKHz(core), offsetMV)
+		},
+	}
+}
+
+// attackScenario runs guardedUnderAttack for 10ms of virtual time and
+// returns the system plus the exported Chrome trace bytes.
+func attackScenario(t *testing.T, workers int) (*plugvolt.System, *plugvolt.Guard, *plugvolt.Grid, []byte) {
+	t.Helper()
+	sys, pol, grid := guardedUnderAttack(t, workers)
 	sys.RunFor(10 * sim.Millisecond)
 
 	var buf bytes.Buffer
@@ -144,17 +157,7 @@ func TestGuardWritesCausallyCovered(t *testing.T) {
 
 func TestSLOQuietOnCleanRunAndFlagsStall(t *testing.T) {
 	sys, _, grid, _ := attackScenario(t, 1)
-	unsafe := grid.UnsafeSet()
-	p := sys.Platform
-	wd := &slo.Watchdog{
-		Tracer:  sys.Telemetry.Spans(),
-		Journal: sys.Telemetry.Events(),
-		Rules:   slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
-		Unsafe: func(core, offsetMV int) bool {
-			return unsafe.Contains(p.FreqKHz(core), offsetMV)
-		},
-	}
-	rep := wd.Evaluate(p.Sim.Now())
+	rep := watchdog(sys, grid).Evaluate(sys.Platform.Sim.Now())
 	if !rep.OK() {
 		t.Fatalf("clean guarded run violates SLO:\n%s", rep.Summary())
 	}
@@ -164,25 +167,7 @@ func TestSLOQuietOnCleanRunAndFlagsStall(t *testing.T) {
 }
 
 func TestSLOFlagsInducedStall(t *testing.T) {
-	sys, err := plugvolt.NewSystem("skylake", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := sys.Characterize(plugvolt.QuickSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := sys.DeployGuard(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sys.Platform
-	unsafe := grid.UnsafeSet()
-	offset := unsafe.OnsetMV[p.FreqKHz(1)] - 60
-	attacker := p.Sim.Every(537*sim.Microsecond, func() {
-		_ = p.WriteOffsetViaMSR(1, offset, msr.PlaneCore)
-	})
-	defer attacker.Stop()
+	sys, pol, grid := guardedUnderAttack(t, 0)
 	sys.RunFor(5 * sim.Millisecond)
 	// The adversary unloads the module mid-window: polls stop, and the
 	// last attacker writes are never corrected.
@@ -190,16 +175,7 @@ func TestSLOFlagsInducedStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunFor(5 * sim.Millisecond)
-
-	wd := &slo.Watchdog{
-		Tracer:  sys.Telemetry.Spans(),
-		Journal: sys.Telemetry.Events(),
-		Rules:   slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
-		Unsafe: func(core, offsetMV int) bool {
-			return unsafe.Contains(p.FreqKHz(core), offsetMV)
-		},
-	}
-	rep := wd.Evaluate(p.Sim.Now())
+	rep := watchdog(sys, grid).Evaluate(sys.Platform.Sim.Now())
 	if rep.OK() {
 		t.Fatalf("stalled guard passed the SLO:\n%s", rep.Summary())
 	}
