@@ -6,12 +6,24 @@
 //	plugvolt-attack -cpu skylake -attack plundervolt -defense none
 //	plugvolt-attack -attack all -defense polling
 //	plugvolt-attack -matrix            # full attack x defense matrix
+//	plugvolt-attack -search anneal -defense polling
+//
+// -matrix runs every attack against every defense, so it reads neither
+// -attack nor -defense; -search anneal replaces the attack list with the
+// annealing red-team attacker, so it does not read -attack either.
+//
+// Exit codes: 0 success; 1 runtime error; 2 usage error, including an
+// unknown attack, defense or search name, a flag the selected mode does not
+// read, and -flight-window without -incidents-out.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"plugvolt"
 	"plugvolt/internal/attack"
@@ -21,6 +33,14 @@ import (
 	"plugvolt/internal/report"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
+)
+
+var (
+	// replayAttacks are the published fixed-schedule campaigns, in matrix
+	// order; "redteam" is the annealing attacker.
+	replayAttacks = []string{"plundervolt", "voltjockey", "v0ltpwn"}
+	// defenseNames is the E2 lineup in sys.Defenses order.
+	defenseNames = []string{"none", "access-control", "polling", "microcode", "clamp"}
 )
 
 // campaignClock lets one telemetry set follow the matrix across systems:
@@ -38,52 +58,87 @@ func (c *campaignClock) now() sim.Time {
 }
 
 func main() {
-	var (
-		cpuName = flag.String("cpu", "skylake", "CPU model: skylake, kabylaker or cometlake")
-		seed    = flag.Int64("seed", 42, "experiment seed")
-		atkName = flag.String("attack", "plundervolt", "attack: plundervolt, voltjockey, v0ltpwn, redteam or all")
-		search  = flag.String("search", "replay", "attack schedule: replay (published fixed schedules) or anneal (adaptive red-team glitch search; one search-trace span per probe)")
-		defName = flag.String("defense", "none", "defense: none, access-control, polling, microcode, clamp or all")
-		matrix  = flag.Bool("matrix", false, "run every attack against every defense")
-		metrics = flag.String("metrics-out", "", `write the Prometheus metric exposition here after the matrix ("-" = stdout)`)
-		events  = flag.String("events-out", "", `write the JSONL event journal here after the matrix ("-" = stdout)`)
-		incOut  = flag.String("incidents-out", "", "write captured flight-recorder incident bundles (framed, concatenated) here; inspect with plugvolt-incidents")
-		flightW = flag.Int("flight-window", 0, "post-trigger records per incident bundle (0 = default); only meaningful with -incidents-out")
-	)
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Fprint(os.Stdout, "plugvolt-attack")
-		return
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	attackNames := []string{*atkName}
-	defenseNames := []string{*defName}
-	if *matrix || *atkName == "all" {
-		attackNames = []string{"plundervolt", "voltjockey", "v0ltpwn"}
+// run is the whole CLI behind a testable seam: flag parsing, the campaigns
+// and their outputs, with no direct os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plugvolt-attack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		cpuName = fs.String("cpu", "skylake", "CPU model: skylake, kabylaker or cometlake")
+		seed    = fs.Int64("seed", 42, "experiment seed")
+		atkName = fs.String("attack", "plundervolt", "attack: plundervolt, voltjockey, v0ltpwn, redteam or all")
+		search  = fs.String("search", "replay", "attack schedule: replay (published fixed schedules) or anneal (adaptive red-team glitch search; one search-trace span per probe)")
+		defName = fs.String("defense", "none", "defense: none, access-control, polling, microcode, clamp or all")
+		matrix  = fs.Bool("matrix", false, "run every attack against every defense")
+		metrics = fs.String("metrics-out", "", `write the Prometheus metric exposition here after the matrix ("-" = stdout)`)
+		events  = fs.String("events-out", "", `write the JSONL event journal here after the matrix ("-" = stdout)`)
+		incOut  = fs.String("incidents-out", "", `write captured flight-recorder incident bundles (framed, concatenated) here ("-" = stdout); inspect with plugvolt-incidents`)
+		flightW = fs.Int("flight-window", 0, "post-trigger records per incident bundle (0 = default); read only with -incidents-out")
+		version = fs.Bool("version", false, "print build information and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	switch *search {
-	case "replay":
-	case "anneal":
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "plugvolt-attack: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	if *version {
+		buildinfo.Fprint(stdout, "plugvolt-attack")
+		return 0
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "plugvolt-attack: "+format+"\n", a...)
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	switch {
+	case *search != "replay" && *search != "anneal":
+		return usage("unknown search mode %q (want replay or anneal)", *search)
+	case *matrix && (set["attack"] || set["defense"]):
+		return usage("-matrix does not read -attack or -defense")
+	case *search == "anneal" && set["attack"]:
+		return usage("-search anneal does not read -attack")
+	case set["flight-window"] && *incOut == "":
+		return usage("-flight-window is read only with -incidents-out")
+	}
+	attackNames := []string{*atkName}
+	switch {
+	case *search == "anneal":
 		// The adaptive glitch search replaces the published schedules: the
 		// campaign list collapses to the annealing red-team attacker.
 		attackNames = []string{"redteam"}
-	default:
-		fatal(fmt.Errorf("unknown search mode %q (want replay or anneal)", *search))
+	case *matrix || *atkName == "all":
+		attackNames = replayAttacks
+	case *atkName != "redteam" && !slices.Contains(replayAttacks, *atkName):
+		return usage("unknown attack %q", *atkName)
 	}
-	if *matrix || *defName == "all" {
-		defenseNames = []string{"none", "access-control", "polling", "microcode", "clamp"}
+	defenses := []string{*defName}
+	switch {
+	case *matrix || *defName == "all":
+		defenses = defenseNames
+	case !slices.Contains(defenseNames, *defName):
+		return usage("unknown defense %q", *defName)
 	}
 
 	clock := &campaignClock{}
 	tel := telemetry.NewSet(clock.now, telemetry.DefaultJournalCap, *seed)
 	var results []*attack.Result
 	var bundles []*flight.Bundle
-	for _, dn := range defenseNames {
+	for _, dn := range defenses {
 		for _, an := range attackNames {
 			res, incidents, err := runOne(*cpuName, *seed, an, dn, *incOut != "", *flightW, tel, clock)
 			if err != nil {
-				fatal(err)
+				fmt.Fprintln(stderr, "plugvolt-attack:", err)
+				return 1
 			}
 			results = append(results, res)
 			// Combo order: the incidents file is a pure function of the
@@ -91,33 +146,47 @@ func main() {
 			bundles = append(bundles, incidents...)
 		}
 	}
-	report.WriteAttackResults(os.Stdout, results)
-	fmt.Println()
+	report.WriteAttackResults(stdout, results)
+	fmt.Fprintln(stdout)
 	for _, r := range results {
 		if r.Notes != "" {
-			fmt.Printf("  %s vs %s: %s\n", r.Attack, r.Defense, r.Notes)
+			fmt.Fprintf(stdout, "  %s vs %s: %s\n", r.Attack, r.Defense, r.Notes)
 		}
 	}
-	if *metrics != "" {
-		if err := telemetry.DumpMetrics(*metrics, tel.Registry()); err != nil {
-			fatal(err)
+	if err := writeOutputs(stdout, tel, bundles, *metrics, *events, *incOut); err != nil {
+		fmt.Fprintln(stderr, "plugvolt-attack:", err)
+		return 1
+	}
+	return 0
+}
+
+// writeOutputs writes the requested exposition, journal and incident
+// bundles; an empty path skips that output.
+func writeOutputs(stdout io.Writer, tel *telemetry.Set, bundles []*flight.Bundle, metrics, events, incOut string) error {
+	if metrics != "" {
+		if err := telemetry.WriteOut(metrics, stdout, tel.Registry().Snapshot().WritePrometheus); err != nil {
+			return err
 		}
 	}
-	if *events != "" {
-		if err := telemetry.DumpEvents(*events, tel.Events()); err != nil {
-			fatal(err)
+	if events != "" {
+		if err := telemetry.WriteOut(events, stdout, tel.Events().WriteJSONL); err != nil {
+			return err
 		}
 	}
-	if *incOut != "" {
-		data, err := flight.EncodeAll(bundles)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*incOut, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n%d incident bundle(s) written to %s\n", len(bundles), *incOut)
+	if incOut == "" {
+		return nil
 	}
+	data, err := flight.EncodeAll(bundles)
+	if err != nil {
+		return err
+	}
+	if err := telemetry.WriteOutBytes(incOut, stdout, data); err != nil {
+		return err
+	}
+	if incOut != "-" {
+		fmt.Fprintf(stdout, "\n%d incident bundle(s) written to %s\n", len(bundles), incOut)
+	}
+	return nil
 }
 
 // runOne boots a fresh system per combination so campaigns never share
@@ -146,18 +215,7 @@ func runOne(cpuName string, seed int64, attackName, defenseName string, record b
 		if err != nil {
 			return nil, nil, err
 		}
-		switch defenseName {
-		case "access-control":
-			cm = all[1]
-		case "polling":
-			cm = all[2]
-		case "microcode":
-			cm = all[3]
-		case "clamp":
-			cm = all[4]
-		default:
-			return nil, nil, fmt.Errorf("unknown defense %q", defenseName)
-		}
+		cm = all[slices.Index(defenseNames, defenseName)]
 	}
 	if err := cm.Install(sys.Env()); err != nil {
 		return nil, nil, err
@@ -185,9 +243,4 @@ func runOne(cpuName string, seed int64, attackName, defenseName string, record b
 		incidents = rec.Bundles()
 	}
 	return res, incidents, err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "plugvolt-attack:", err)
-	os.Exit(1)
 }

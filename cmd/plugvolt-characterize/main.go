@@ -13,7 +13,12 @@
 // every frequency row derives its RNG stream from seed^freqKHz, so the grid
 // is bit-for-bit identical for any worker count.
 //
-// Exit codes: 0 success; 1 configuration or runtime error; 2 usage error.
+// -classes and -seeds N (N > 1) select the class comparison and the
+// multi-seed spread report; -csv, -json, -metrics-out and -events-out are
+// read only by the single-grid default.
+//
+// Exit codes: 0 success; 1 configuration or runtime error; 2 usage error,
+// including a flag the selected mode does not read.
 package main
 
 import (
@@ -22,17 +27,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"sync"
 
 	"plugvolt"
 	"plugvolt/internal/buildinfo"
 	"plugvolt/internal/core"
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
-	"plugvolt/internal/obs"
 	"plugvolt/internal/report"
-	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
 func main() {
@@ -49,14 +51,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 42, "experiment seed (replayable)")
 		paper    = fs.Bool("paper", false, "full paper sweep: 1 mV steps, 1M imuls/point (slower)")
 		csv      = fs.Bool("csv", false, "emit the raw grid as CSV instead of the heatmap")
-		jsonPath = fs.String("json", "", "also write the grid as JSON to this path")
+		jsonPath = fs.String("json", "", `also write the grid as JSON here ("-" = stdout)`)
 		classes  = fs.Bool("classes", false, "compare fault onsets across instruction classes (imul/aes/fma)")
 		seeds    = fs.Int("seeds", 1, "run N seeds and report onset spread + conservative aggregate")
 		strategy = fs.String("strategy", core.StrategySweep, "full-grid probe strategy: sweep (measure every cell) or bisect (per-row onset bisection; identical grid, 5-6x fewer probes on the default axis, 19-21x with -paper)")
 		workers  = fs.Int("workers", 0, "frequency-row shards swept in parallel (0 = GOMAXPROCS); results are identical for any value")
 		metrics  = fs.String("metrics-out", "", `write the Prometheus metric exposition here after the sweep ("-" = stdout)`)
 		events   = fs.String("events-out", "", `write the JSONL event journal here after the sweep ("-" = stdout)`)
-		listen   = fs.String("listen", "", "serve /metrics /events /traces /healthz on this address during the sweep; blocks after the sweep until interrupted")
 		version  = fs.Bool("version", false, "print build information and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,6 +73,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *version {
 		buildinfo.Fprint(stdout, "plugvolt-characterize")
 		return 0
+	}
+	var mode string
+	var unread []string
+	switch {
+	case *classes:
+		mode, unread = "-classes", []string{"seeds", "csv", "json", "metrics-out", "events-out"}
+	case *seeds > 1:
+		mode, unread = "-seeds", []string{"csv", "json", "metrics-out", "events-out"}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range unread {
+		if set[name] {
+			fmt.Fprintf(stderr, "plugvolt-characterize: %s does not read -%s\n", mode, name)
+			return 2
+		}
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "plugvolt-characterize:", err)
@@ -89,49 +106,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	buildinfo.Register(sys.Telemetry.Registry())
-	if *listen != "" {
-		// The sharded sweep publishes into the shared telemetry set from the
-		// merge loop; the lock serializes server reads against it.
-		var mu sync.Mutex
-		srv := &obs.Server{
-			Telemetry: sys.Telemetry,
-			Clock:     func() sim.Time { return sys.Platform.Sim.Now() },
-			Lock:      &mu,
-		}
-		httpSrv, addr, err := srv.Start(*listen)
-		if err != nil {
-			return fail(err)
-		}
-		defer httpSrv.Close()
-		fmt.Fprintf(stderr, "observability server on http://%s\n", addr)
-	}
 	cfg := plugvolt.QuickSweep()
 	if *paper {
 		cfg = plugvolt.PaperSweep()
 	}
 	cfg.Workers = *workers
 	cfg.Strategy = *strategy
-	switch {
-	case *classes:
+	switch mode {
+	case "-classes":
 		err = runClassComparison(stdout, stderr, spec, *seed, cfg)
-	case *seeds > 1:
+	case "-seeds":
 		err = runMultiSeed(stdout, stderr, spec, *seed, *seeds, cfg)
 	default:
 		err = runSingle(stdout, stderr, sys, cfg, *csv, *jsonPath)
 		if err == nil {
-			err = sys.DumpTelemetry(*metrics, *events)
+			err = sys.DumpTelemetry(*metrics, *events, stdout)
 		}
 	}
 	if err != nil {
 		return fail(err)
-	}
-	if *listen != "" {
-		// After the sweep (and its reports) finish, keep serving until ^C so
-		// the final metrics and trace can be pulled.
-		fmt.Fprintln(stderr, "sweep done; serving until interrupted (^C to exit)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
 	}
 	return 0
 }
@@ -164,10 +157,12 @@ func runSingle(stdout, stderr io.Writer, sys *plugvolt.System, cfg plugvolt.Char
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+	if err := telemetry.WriteOutBytes(jsonPath, stdout, data); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "grid written to %s\n", jsonPath)
+	if jsonPath != "-" {
+		fmt.Fprintf(stderr, "grid written to %s\n", jsonPath)
+	}
 	return nil
 }
 

@@ -1,21 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// exec drives the CLI through the run() harness — the same code path main
-// uses, minus os.Exit — and returns (exit code, stdout, stderr).
-func exec(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
+	"plugvolt/internal/clitest"
+)
 
 // TestRunStrategiesByteIdentical checks what -strategy promises: bisect
 // prints the same bytes as sweep, for the raw grid and for the multi-seed
@@ -28,11 +20,11 @@ func TestRunStrategiesByteIdentical(t *testing.T) {
 	for _, args := range [][]string{{"-csv"}, {"-seeds", "3"}} {
 		var outs []string
 		for _, strategy := range []string{"sweep", "bisect"} {
-			code, stdout, stderr := exec(t, append(args, "-strategy", strategy)...)
-			if code != 0 || stdout == "" {
-				t.Fatalf("%q -strategy %s: exit %d, %d bytes out (stderr: %s)", args, strategy, code, len(stdout), stderr)
+			r := clitest.Exec(t, run, append(args, "-strategy", strategy)...)
+			if r.Code != 0 || r.Stdout == "" {
+				t.Fatalf("%q -strategy %s: exit %d, %d bytes out (stderr: %s)", args, strategy, r.Code, len(r.Stdout), r.Stderr)
 			}
-			outs = append(outs, stdout)
+			outs = append(outs, r.Stdout)
 		}
 		if outs[0] != outs[1] {
 			t.Errorf("%q: bisect output differs from sweep", args)
@@ -43,32 +35,36 @@ func TestRunStrategiesByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRunExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		code   int
-		stderr string
-	}{
-		{"unknown_flag", []string{"-frobnicate"}, 2, "flag provided but not defined"},
-		{"positional_args", []string{"stray"}, 2, "unexpected arguments"},
-		{"unknown_strategy", []string{"-strategy", "random"}, 1, `unknown sweep strategy "random"`},
-		{"unknown_strategy_seeds", []string{"-strategy", "random", "-seeds", "2"}, 1, `unknown sweep strategy "random"`},
-		{"unknown_cpu", []string{"-cpu", "pentium4"}, 1, "pentium4"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := exec(t, tc.args...)
-			if code != tc.code {
-				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, stderr)
-			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Fatalf("stderr %q does not mention %q", stderr, tc.stderr)
+// TestRunOutputsIdentical: the heatmap, the grid JSON, the exposition and
+// the journal are the same bytes at any GOMAXPROCS and -workers, for both
+// strategies. The row counters, characterize_row events and row spans are
+// published in frequency order, not in the order the workers finish rows.
+func TestRunOutputsIdentical(t *testing.T) {
+	for _, strategy := range []string{"sweep", "bisect"} {
+		t.Run(strategy, func(t *testing.T) {
+			r := clitest.Identical(t, run, 0, true, "-cpu", "kabylaker", "-strategy", strategy,
+				"-json", clitest.Out+"/grid.json",
+				"-metrics-out", clitest.Out+"/m.prom", "-events-out", clitest.Out+"/e.jsonl")
+			if len(r.Files) != 3 || !strings.Contains(string(r.Files["e.jsonl"]), `"type":"characterize_row"`) {
+				t.Fatalf("wrote %d files; journal:\n%s", len(r.Files), r.Files["e.jsonl"])
 			}
 		})
 	}
-	code, stdout, _ := exec(t, "-version")
-	if code != 0 || !strings.Contains(stdout, "plugvolt-characterize") {
-		t.Fatalf("-version: exit %d, stdout %q", code, stdout)
+}
+
+func TestRunExitCodes(t *testing.T) {
+	clitest.ExitCodes(t, run, []clitest.Case{
+		{"unknown_flag", []string{"-frobnicate"}, 2, "flag provided but not defined"},
+		{"positional_args", []string{"stray"}, 2, "unexpected arguments"},
+		{"classes_with_csv", []string{"-classes", "-csv"}, 2, "-classes does not read -csv"},
+		{"classes_with_seeds", []string{"-classes", "-seeds", "2"}, 2, "-classes does not read -seeds"},
+		{"seeds_with_metrics", []string{"-seeds", "2", "-metrics-out", "m.prom"}, 2, "-seeds does not read -metrics-out"},
+		{"unknown_strategy", []string{"-strategy", "random"}, 1, `unknown sweep strategy "random"`},
+		{"unknown_strategy_seeds", []string{"-strategy", "random", "-seeds", "2"}, 1, `unknown sweep strategy "random"`},
+		{"unknown_cpu", []string{"-cpu", "pentium4"}, 1, "pentium4"},
+	})
+	r := clitest.Exec(t, run, "-version")
+	if r.Code != 0 || !strings.Contains(r.Stdout, "plugvolt-characterize") {
+		t.Fatalf("-version: exit %d, stdout %q", r.Code, r.Stdout)
 	}
 }

@@ -20,9 +20,13 @@
 //	plugvolt-fleet -machines 250000 -epochs 4 -attack none \
 //	    -resume fleet.ckpt -checkpoint fleet.ckpt -out fleet.json
 //
-// Exit codes: 0 success; 1 configuration or runtime error; 2 usage error;
-// 3 partial fleet (some machines failed; see the report); 4 halted by
-// SIGINT at a batch boundary (resume with -resume).
+// -window is read only by the idle fleet (-attack none); a campaign drives
+// its own timeline.
+//
+// Exit codes: 0 success; 1 configuration or runtime error; 2 usage error,
+// including -window with a campaign; 3 partial fleet (some machines failed;
+// see the report); 4 halted by SIGINT at a batch boundary (resume with
+// -resume).
 package main
 
 import (
@@ -30,8 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,7 +42,6 @@ import (
 
 	"plugvolt/internal/buildinfo"
 	"plugvolt/internal/fleet"
-	"plugvolt/internal/obs"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
@@ -66,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint here after every batch")
 		resumePath = fs.String("resume", "", "resume a previous run from this checkpoint file")
 		progress   = fs.Bool("progress", false, "print a progress line to stderr after every batch")
-		listen     = fs.String("listen", "", "serve live fleet progress gauges over HTTP at this address (e.g. :9090)")
 		out        = fs.String("out", "", `write the fleet report JSON here ("-" = stdout; default stdout summary only)`)
 		metricsOut = fs.String("metrics-out", "", `write the merged Prometheus exposition here ("-" = stdout)`)
 		version    = fs.Bool("version", false, "print build information and exit")
@@ -84,6 +84,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *batch > *machines {
 		fmt.Fprintf(stderr, "plugvolt-fleet: -batch %d exceeds -machines %d\n", *batch, *machines)
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["window"] && *attackName != "none" {
+		fmt.Fprintf(stderr, "plugvolt-fleet: -attack %s does not read -window\n", *attackName)
 		return 2
 	}
 
@@ -114,29 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ck.MachinesDone, ck.Machines, ck.BatchesDone)
 	}
 
-	// Live observability: machine-windows completed is the fleet-level
-	// virtual clock, and the progress gauges are served from their own
-	// telemetry set — the report's merged exposition must stay a pure
-	// function of the experiment, so the live surface never touches it.
-	var windowsDone atomic.Int64
-	if *listen != "" {
-		live := telemetry.NewSet(func() sim.Time { return sim.Time(windowsDone.Load()) },
-			telemetry.DefaultJournalCap, *seed)
-		cfg.Live = live
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(stderr, "plugvolt-fleet: -listen:", err)
-			return 1
-		}
-		defer ln.Close()
-		srv := &obs.Server{Telemetry: live, Clock: func() sim.Time { return sim.Time(windowsDone.Load()) }}
-		go http.Serve(ln, srv.Handler()) //nolint:errcheck // closed on return
-		fmt.Fprintf(stderr, "plugvolt-fleet: serving live progress on http://%s/metrics\n", ln.Addr())
-	}
-	showProgress := *progress
-	cfg.Progress = func(p fleet.Progress) {
-		windowsDone.Store(p.WindowsDone)
-		if showProgress {
+	if *progress {
+		cfg.Progress = func(p fleet.Progress) {
 			fmt.Fprintf(stderr, "plugvolt-fleet: %d/%d machine-windows (%d/%d machines, %d batches, %d errors, heap %.1f MiB)\n",
 				p.WindowsDone, p.Windows, p.MachinesDone, p.Machines, p.BatchesDone, p.Errors,
 				float64(p.HeapBytes)/(1<<20))
@@ -198,20 +183,17 @@ func finish(rep *fleet.StreamReport, err error, cfg fleet.StreamConfig, stdout, 
 	}
 
 	if out != "" {
-		if werr := writeTo(out, stdout, func(w io.Writer) error {
-			data, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			_, jerr = w.Write(append(data, '\n'))
-			return jerr
-		}); werr != nil {
+		data, werr := rep.JSON()
+		if werr == nil {
+			werr = telemetry.WriteOutBytes(out, stdout, append(data, '\n'))
+		}
+		if werr != nil {
 			fmt.Fprintln(stderr, "plugvolt-fleet:", werr)
 			return 1
 		}
 	}
 	if metricsOut != "" {
-		if werr := writeTo(metricsOut, stdout, rep.WriteMetrics); werr != nil {
+		if werr := telemetry.WriteOut(metricsOut, stdout, rep.WriteMetrics); werr != nil {
 			fmt.Fprintln(stderr, "plugvolt-fleet:", werr)
 			return 1
 		}
@@ -228,19 +210,4 @@ func finish(rep *fleet.StreamReport, err error, cfg fleet.StreamConfig, stdout, 
 		return 3
 	}
 	return 0
-}
-
-func writeTo(path string, stdout io.Writer, render func(io.Writer) error) error {
-	if path == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

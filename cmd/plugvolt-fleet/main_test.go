@@ -4,50 +4,47 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"plugvolt/internal/clitest"
 )
 
 // exec drives the CLI through the run() harness — the same code path main
 // uses, minus os.Exit — and returns (exit code, stdout, stderr).
 func exec(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
+	r := clitest.Exec(t, run, args...)
+	return r.Code, r.Stdout, r.Stderr
 }
 
 // tiny is the cheapest real fleet the tests can run end to end.
 var tiny = []string{"-machines", "1", "-attack", "none", "-window", "1ms"}
 
 func TestRunExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		code   int
-		stderr string
-	}{
+	clitest.ExitCodes(t, run, []clitest.Case{
 		{"unknown_flag", []string{"-frobnicate"}, 2, "flag provided but not defined"},
 		{"positional_args", append(tiny[:len(tiny):len(tiny)], "stray"), 2, "unexpected arguments"},
 		{"bad_models", []string{"-machines", "1", "-models", "pentium4"}, 1, "pentium4"},
 		{"bad_attack", []string{"-machines", "1", "-attack", "rowhammer"}, 1, "rowhammer"},
 		{"zero_machines", []string{"-machines", "0"}, 1, "at least one machine"},
 		{"batch_exceeds_machines", []string{"-machines", "2", "-batch", "5"}, 2, "-batch 5 exceeds -machines 2"},
+		{"window_with_attack", []string{"-machines", "1", "-attack", "voltjockey", "-window", "1ms"}, 2, "-attack voltjockey does not read -window"},
 		{"epochs_with_attack", []string{"-machines", "1", "-attack", "voltjockey", "-epochs", "2"}, 1, "epochs"},
 		{"resume_missing", []string{"-machines", "1", "-resume", "/nonexistent/fleet.ckpt"}, 1, "reading checkpoint"},
-		{"bad_listen", append(tiny[:len(tiny):len(tiny)], "-listen", "999.999.999.999:0"), 1, "-listen"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := exec(t, tc.args...)
-			if code != tc.code {
-				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, stderr)
-			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Fatalf("stderr %q does not mention %q", stderr, tc.stderr)
-			}
-		})
+	})
+}
+
+// TestRunOutputsIdentical: a campaign fleet's report and merged exposition
+// are the same bytes at any GOMAXPROCS and -workers.
+func TestRunOutputsIdentical(t *testing.T) {
+	r := clitest.Identical(t, run, 0, true, "-attack", "voltjockey",
+		"-out", clitest.Out+"/fleet.json", "-metrics-out", clitest.Out+"/fleet.prom")
+	if len(r.Files) != 2 || !strings.Contains(r.Stdout, "attacks: 8 run") {
+		t.Fatalf("wrote %d files; stdout:\n%s", len(r.Files), r.Stdout)
 	}
 }
 
@@ -154,26 +151,63 @@ func TestRunResumeWorkflow(t *testing.T) {
 	}
 }
 
-// TestRunLiveGauges: -listen serves the fleet progress gauges over HTTP
-// while never touching the report exposition.
-func TestRunLiveGauges(t *testing.T) {
+// TestRunHaltResume interrupts a checkpointed run with SIGINT: it halts at
+// a batch boundary with exit 4, and a resumed run ends with the bytes of an
+// uninterrupted one.
+func TestRunHaltResume(t *testing.T) {
+	// While this channel is registered, a SIGINT never takes the default
+	// action (exiting the test binary), even between runs.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt)
+	defer signal.Stop(sigc)
+
 	dir := t.TempDir()
-	prom := filepath.Join(dir, "fleet.prom")
-	// Occupy a port first so the address is real; run() prints the bound
-	// address to stderr. Use :0 to let the kernel pick.
-	code, _, stderr := exec(t, "-machines", "2", "-attack", "none", "-window", "1ms",
-		"-batch", "1", "-listen", "127.0.0.1:0", "-metrics-out", prom)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
+	ckpt := filepath.Join(dir, "fleet.ckpt")
+	ref := filepath.Join(dir, "ref.json")
+	got := filepath.Join(dir, "got.json")
+	fleet := []string{"-machines", "64", "-attack", "none", "-window", "1ms", "-batch", "1"}
+	if code, _, stderr := exec(t, append(fleet, "-out", ref)...); code != 0 {
+		t.Fatalf("reference run: exit %d: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "serving live progress on") {
-		t.Fatalf("no listen banner: %q", stderr)
-	}
-	data, err := os.ReadFile(prom)
+	// The checkpoint appears after the first of 64 batches; the signal
+	// then lands long before the last.
+	self, err := os.FindProcess(os.Getpid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "fleet_stream_") {
-		t.Fatal("live progress gauges leaked into the report exposition")
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if _, err := os.Stat(ckpt); err == nil {
+				if err := self.Signal(os.Interrupt); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+		}
+	}()
+	code, _, stderr := exec(t, append(fleet, "-checkpoint", ckpt)...)
+	close(done)
+	if code != 4 || !strings.Contains(stderr, "halted at a batch boundary") {
+		t.Fatalf("interrupted run: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr := exec(t, append(fleet, "-resume", ckpt, "-out", got)...); code != 0 {
+		t.Fatalf("resume: exit %d: %s", code, stderr)
+	}
+	a, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("resumed report differs from the uninterrupted reference")
 	}
 }

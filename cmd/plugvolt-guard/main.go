@@ -7,14 +7,21 @@
 //
 //	plugvolt-guard -cpu skylake
 //	plugvolt-guard -cpu cometlake -poll 250us -turnaround
+//
+// Every requested output file is written, whatever the outcome.
+//
+// Exit codes: 0 success; 1 configuration or runtime error; 2 usage error,
+// including -flight-window without -incidents-out; 3 an SLO rule was
+// violated (-slo); 4 the victim crashed under attack, i.e. the guard
+// failed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"plugvolt"
@@ -22,41 +29,67 @@ import (
 	"plugvolt/internal/flight"
 	"plugvolt/internal/kernel"
 	"plugvolt/internal/msr"
-	"plugvolt/internal/obs"
 	"plugvolt/internal/report"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/slo"
+	"plugvolt/internal/telemetry"
 	"plugvolt/internal/trace"
 	"plugvolt/internal/victim"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI behind a testable seam: flag parsing, the guarded
+// attack run, its outputs and the exit-code policy, with no direct os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plugvolt-guard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cpuName    = flag.String("cpu", "skylake", "CPU model")
-		seed       = flag.Int64("seed", 42, "experiment seed")
-		poll       = flag.Duration("poll", 100*time.Microsecond, "guard poll period")
-		window     = flag.Duration("window", 50*time.Millisecond, "attack observation window (virtual)")
-		turnaround = flag.Bool("turnaround", true, "print the E3 turnaround comparison")
-		metricsOut = flag.String("metrics-out", "", `write the Prometheus metric exposition here after the run ("-" = stdout)`)
-		eventsOut  = flag.String("events-out", "", `write the JSONL event journal here after the run ("-" = stdout)`)
-		tracePath  = flag.String("trace", "", `record the victim core's operating-point timeline and dump it as CSV here ("-" = stdout)`)
-		traceOut   = flag.String("trace-out", "", `write the causal span trace as Chrome trace JSON here ("-" = stdout); load in Perfetto`)
-		foldedOut  = flag.String("folded-out", "", `write the span trace in folded flamegraph format here ("-" = stdout)`)
-		listen     = flag.String("listen", "", `serve /metrics /events /traces /healthz /incidents /debug/pprof on this address (e.g. :8080) while the experiment runs`)
-		sloCheck   = flag.Bool("slo", false, "evaluate the guard SLO rules after the run; exit 3 on violation")
-		incOut     = flag.String("incidents-out", "", `write captured flight-recorder incident bundles (framed, concatenated) here ("-" = stdout); inspect with plugvolt-incidents`)
-		flightW    = flag.Int("flight-window", 0, "post-trigger records per incident bundle (0 = default); only meaningful with -incidents-out or -listen")
-		version    = flag.Bool("version", false, "print build information and exit")
+		cpuName    = fs.String("cpu", "skylake", "CPU model")
+		seed       = fs.Int64("seed", 42, "experiment seed")
+		poll       = fs.Duration("poll", 100*time.Microsecond, "guard poll period")
+		window     = fs.Duration("window", 50*time.Millisecond, "attack observation window (virtual)")
+		turnaround = fs.Bool("turnaround", true, "print the E3 turnaround comparison")
+		metricsOut = fs.String("metrics-out", "", `write the Prometheus metric exposition here after the run ("-" = stdout)`)
+		eventsOut  = fs.String("events-out", "", `write the JSONL event journal here after the run ("-" = stdout)`)
+		tracePath  = fs.String("trace", "", `record the victim core's operating-point timeline and dump it as CSV here ("-" = stdout)`)
+		traceOut   = fs.String("trace-out", "", `write the causal span trace as Chrome trace JSON here ("-" = stdout); load in Perfetto`)
+		foldedOut  = fs.String("folded-out", "", `write the span trace in folded flamegraph format here ("-" = stdout)`)
+		sloCheck   = fs.Bool("slo", false, "evaluate the guard SLO rules after the run; exit 3 on violation")
+		incOut     = fs.String("incidents-out", "", `write captured flight-recorder incident bundles (framed, concatenated) here ("-" = stdout); inspect with plugvolt-incidents`)
+		flightW    = fs.Int("flight-window", 0, "post-trigger records per incident bundle (0 = default); read only with -incidents-out")
+		version    = fs.Bool("version", false, "print build information and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "plugvolt-guard: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 	if *version {
-		buildinfo.Fprint(os.Stdout, "plugvolt-guard")
-		return
+		buildinfo.Fprint(stdout, "plugvolt-guard")
+		return 0
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["flight-window"] && *incOut == "" {
+		fmt.Fprintln(stderr, "plugvolt-guard: -flight-window is read only with -incidents-out")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "plugvolt-guard:", err)
+		return 1
 	}
 
 	sys, err := plugvolt.NewSystem(*cpuName, *seed)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	buildinfo.Register(sys.Telemetry.Registry())
 
@@ -64,73 +97,29 @@ func main() {
 	// freshest pre-trigger history of everything the machine did. Captures
 	// fire on victim crash and on SLO/energy-budget violations below.
 	var frec *flight.Recorder
-	if *incOut != "" || *listen != "" {
+	if *incOut != "" {
 		frec = sys.AttachFlightRecorder(0, *flightW)
 	}
-	dumpIncidents := func() {
-		if frec == nil || *incOut == "" {
-			return
-		}
-		frec.Seal()
-		bundles := frec.Bundles()
-		data, err := flight.EncodeAll(bundles)
-		if err != nil {
-			fatal(err)
-		}
-		if *incOut == "-" {
-			os.Stdout.Write(data)
-			return
-		}
-		if err := os.WriteFile(*incOut, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%d incident bundle(s) written to %s\n", len(bundles), *incOut)
-	}
-
-	// The exposition server answers from its own goroutines while main
-	// drives the (single-threaded) simulator, so main holds mu while the
-	// simulation advances and the server locks it per request; the attack
-	// loop releases it briefly between chunks so requests drain.
-	var mu sync.Mutex
-	var srv *obs.Server
-	if *listen != "" {
-		srv = &obs.Server{
-			Telemetry: sys.Telemetry,
-			Collect:   sys.CollectTelemetry,
-			Clock:     func() sim.Time { return sys.Platform.Sim.Now() },
-			Energy:    func() *obs.EnergyHealth { return energyHealth(sys) },
-			Flight:    frec,
-			Lock:      &mu,
-		}
-		httpSrv, addr, err := srv.Start(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer httpSrv.Close()
-		fmt.Fprintf(os.Stderr, "observability server on http://%s\n", addr)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	fmt.Printf("== %s (%s, microcode %s)\n", sys.Platform.Spec.Name,
+	fmt.Fprintf(stdout, "== %s (%s, microcode %s)\n", sys.Platform.Spec.Name,
 		sys.Platform.Spec.Codename, sys.Platform.Spec.Microcode)
 
-	fmt.Println("-- S1: characterizing safe/unsafe states (Algorithm 2)...")
+	fmt.Fprintln(stdout, "-- S1: characterizing safe/unsafe states (Algorithm 2)...")
 	grid, err := sys.Characterize(plugvolt.QuickSweep())
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	unsafe := grid.UnsafeSet()
 	msv := grid.MaximalSafeOffsetMV(5)
-	fmt.Printf("   unsafe regions found at all %d frequencies; maximal safe state %d mV; %d reboots\n",
+	fmt.Fprintf(stdout, "   unsafe regions found at all %d frequencies; maximal safe state %d mV; %d reboots\n",
 		len(unsafe.OnsetMV), msv, grid.Reboots)
 
 	cfg := plugvolt.DefaultGuardConfig()
 	cfg.PollPeriod = sim.Duration(poll.Nanoseconds()) * sim.Nanosecond
 	pol, err := sys.DeployGuardConfig(grid, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("-- S2: kernel module %q loaded, polling every %v\n", "plug_your_volt", *poll)
+	fmt.Fprintf(stdout, "-- S2: kernel module %q loaded, polling every %v\n", "plug_your_volt", *poll)
 
 	// The watchdog turns the paper's temporal guarantee into checkable
 	// rules: its predicate classifies a mailbox write against the grid's
@@ -152,19 +141,16 @@ func main() {
 		GuardEnergyJ: sys.Kernel.EnergyJ,
 		NumCores:     p.NumCores(),
 	}
-	if srv != nil {
-		srv.Watchdog = watchdog
-	}
 
 	// Live adversary: rewrite an unsafe offset on core 1 continually.
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec, err = trace.NewRecorder(p.Core(1), 5*sim.Microsecond)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := rec.Start(p.Sim); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	freq := p.FreqKHz(1)
@@ -175,40 +161,41 @@ func main() {
 	defer attacker.Stop()
 
 	faults := 0
+	crashed := false
 	deadline := p.Sim.Now() + sim.Duration(window.Nanoseconds())*sim.Nanosecond
 	for p.Sim.Now() < deadline {
-		// Yield the simulator lock between chunks so a live exposition
-		// server can answer mid-run.
-		mu.Unlock()
-		mu.Lock()
 		p.Sim.RunFor(200 * sim.Microsecond)
 		loop, err := victim.NewIMulLoop(p.Core(1), 100_000)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		res, err := loop.RunBatch()
 		if err != nil {
-			fmt.Println("   MACHINE CRASHED under attack — guard failed")
+			crashed = true
+			fmt.Fprintln(stdout, "   MACHINE CRASHED under attack — guard failed")
 			frec.Trigger(flight.CauseCrash, 1, fmt.Sprintf("victim crashed under attack: %v", err))
-			dumpIncidents()
-			os.Exit(2)
+			break
 		}
 		faults += res.Faults
 	}
-	fmt.Printf("-- attack: offset %d mV rewritten every 537us for %v (virtual)\n", attackOffset, *window)
-	fmt.Printf("   EXECUTE-thread faults: %d (paper: countermeasure completely eliminates faults)\n", faults)
-	fmt.Printf("   guard checks: %d, interventions: %d, last at %v\n",
-		pol.Guard.Checks, pol.Guard.Interventions, pol.Guard.LastIntervention)
+	if !crashed {
+		fmt.Fprintf(stdout, "-- attack: offset %d mV rewritten every 537us for %v (virtual)\n", attackOffset, *window)
+		fmt.Fprintf(stdout, "   EXECUTE-thread faults: %d (paper: countermeasure completely eliminates faults)\n", faults)
+		fmt.Fprintf(stdout, "   guard checks: %d, interventions: %d, last at %v\n",
+			pol.Guard.Checks, pol.Guard.Interventions, pol.Guard.LastIntervention)
+	}
 
-	printAttribution(sys)
+	if err := printAttribution(stdout, sys); err != nil {
+		return fail(err)
+	}
 
 	if rec != nil {
 		rec.Stop()
-		if err := writeTo(*tracePath, rec.WriteCSV); err != nil {
-			fatal(err)
+		if err := telemetry.WriteOut(*tracePath, stdout, rec.WriteCSV); err != nil {
+			return fail(err)
 		}
 		if *tracePath != "-" {
-			fmt.Fprintf(os.Stderr, "trace (%d samples) written to %s\n", rec.Len(), *tracePath)
+			fmt.Fprintf(stderr, "trace (%d samples) written to %s\n", rec.Len(), *tracePath)
 		}
 	}
 
@@ -218,8 +205,8 @@ func main() {
 	if *sloCheck {
 		rep := watchdog.Evaluate(p.Sim.Now())
 		rep.EmitJournal(sys.Telemetry.Events())
-		fmt.Println("\n-- SLO watchdog")
-		fmt.Print(rep.Summary())
+		fmt.Fprintln(stdout, "\n-- SLO watchdog")
+		fmt.Fprint(stdout, rep.Summary())
 		sloFailed = !rep.OK()
 		// Each violated rule freezes an incident: the ring holds the guard
 		// polls and mailbox writes leading up to the breach.
@@ -233,28 +220,28 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTo(*traceOut, sys.Telemetry.Spans().WriteChromeTrace); err != nil {
-			fatal(err)
+		if err := telemetry.WriteOut(*traceOut, stdout, sys.Telemetry.Spans().WriteChromeTrace); err != nil {
+			return fail(err)
 		}
 		if *traceOut != "-" {
-			fmt.Fprintf(os.Stderr, "span trace (%d spans) written to %s\n",
+			fmt.Fprintf(stderr, "span trace (%d spans) written to %s\n",
 				sys.Telemetry.Spans().Len(), *traceOut)
 		}
 	}
 	if *foldedOut != "" {
-		if err := writeTo(*foldedOut, sys.Telemetry.Spans().WriteFolded); err != nil {
-			fatal(err)
+		if err := telemetry.WriteOut(*foldedOut, stdout, sys.Telemetry.Spans().WriteFolded); err != nil {
+			return fail(err)
 		}
 	}
-	if err := sys.DumpTelemetry(*metricsOut, *eventsOut); err != nil {
-		fatal(err)
+	if err := sys.DumpTelemetry(*metricsOut, *eventsOut, stdout); err != nil {
+		return fail(err)
 	}
 
 	if *turnaround {
-		fmt.Println("\n-- E3: worst-case unsafe-register dwell per deployment level")
+		fmt.Fprintln(stdout, "\n-- E3: worst-case unsafe-register dwell per deployment level")
 		rail := p.Core(0).VR.Config()
 		wc := pol.Guard.WorstCaseTurnaround(rail.CommandLatency, rail.SlewMVPerUS)
-		report.WriteTurnaround(os.Stdout, []report.TurnaroundRow{
+		report.WriteTurnaround(stdout, []report.TurnaroundRow{
 			{Deployment: "kernel module (Sec. 4.3)", WorstCase: wc.String(),
 				Note: "poll period + VR command latency + slew from sweep floor"},
 			{Deployment: "microcode (Sec. 5.1)", WorstCase: "0",
@@ -263,10 +250,27 @@ func main() {
 				Note: "offset clamped to MSR_VOLTAGE_OFFSET_LIMIT in hardware"},
 		})
 	}
-	dumpIncidents()
-	if sloFailed {
-		os.Exit(3)
+	if *incOut != "" {
+		frec.Seal()
+		bundles := frec.Bundles()
+		data, err := flight.EncodeAll(bundles)
+		if err != nil {
+			return fail(err)
+		}
+		if err := telemetry.WriteOutBytes(*incOut, stdout, data); err != nil {
+			return fail(err)
+		}
+		if *incOut != "-" {
+			fmt.Fprintf(stderr, "%d incident bundle(s) written to %s\n", len(bundles), *incOut)
+		}
 	}
+	switch {
+	case crashed:
+		return 4
+	case sloFailed:
+		return 3
+	}
+	return 0
 }
 
 // printAttribution renders the Table-2-style overhead attribution: per core,
@@ -274,88 +278,50 @@ func main() {
 // rdmsr, wrmsr, corrective intervention), and the same decomposition for the
 // guard's energy bill in joules. Both splits must sum exactly to the
 // kernel's unattributed accounting — if they do not, the cost model leaks.
-func printAttribution(sys *plugvolt.System) {
+func printAttribution(w io.Writer, sys *plugvolt.System) error {
 	kinds := kernel.CostKinds()
-	fmt.Println("\n-- overhead attribution (virtual kernel CPU time per core)")
-	fmt.Printf("   %-6s %14s", "core", "total")
+	fmt.Fprintln(w, "\n-- overhead attribution (virtual kernel CPU time per core)")
+	fmt.Fprintf(w, "   %-6s %14s", "core", "total")
 	for _, k := range kinds {
-		fmt.Printf(" %14s", k.String())
+		fmt.Fprintf(w, " %14s", k.String())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for c := 0; c < sys.Platform.NumCores(); c++ {
 		total := sys.Kernel.StolenTime(c)
 		var sum sim.Duration
-		fmt.Printf("   %-6d %14s", c, total.String())
+		fmt.Fprintf(w, "   %-6d %14s", c, total.String())
 		for _, k := range kinds {
 			d := sys.Kernel.StolenTimeBy(k, c)
 			sum += d
-			fmt.Printf(" %14s", d.String())
+			fmt.Fprintf(w, " %14s", d.String())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if sum != total {
-			fatal(fmt.Errorf("core %d: attribution %v != stolen total %v", c, sum, total))
+			return fmt.Errorf("core %d: attribution %v != stolen total %v", c, sum, total)
 		}
 	}
-	fmt.Println("   attribution check: per-kind costs sum to the kernel accounting total on every core")
+	fmt.Fprintln(w, "   attribution check: per-kind costs sum to the kernel accounting total on every core")
 
-	fmt.Println("\n-- energy attribution (guard joules per core, kernel-attributed)")
-	fmt.Printf("   %-6s %14s", "core", "total J")
+	fmt.Fprintln(w, "\n-- energy attribution (guard joules per core, kernel-attributed)")
+	fmt.Fprintf(w, "   %-6s %14s", "core", "total J")
 	for _, k := range kinds {
-		fmt.Printf(" %14s", k.String())
+		fmt.Fprintf(w, " %14s", k.String())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for c := 0; c < sys.Platform.NumCores(); c++ {
 		totalPJ := sys.Kernel.EnergyPJ(c)
 		var sumPJ int64
-		fmt.Printf("   %-6d %14.9f", c, sys.Kernel.EnergyJ(c))
+		fmt.Fprintf(w, "   %-6d %14.9f", c, sys.Kernel.EnergyJ(c))
 		for _, k := range kinds {
 			pj := sys.Kernel.EnergyPJBy(k, c)
 			sumPJ += pj
-			fmt.Printf(" %14.9f", float64(pj)*1e-12)
+			fmt.Fprintf(w, " %14.9f", float64(pj)*1e-12)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if sumPJ != totalPJ {
-			fatal(fmt.Errorf("core %d: energy attribution %d pJ != total %d pJ", c, sumPJ, totalPJ))
+			return fmt.Errorf("core %d: energy attribution %d pJ != total %d pJ", c, sumPJ, totalPJ)
 		}
 	}
-	fmt.Println("   energy check: per-kind joules sum to the core's attributed total on every core")
-}
-
-// energyHealth assembles the /healthz joule ledger from the platform's
-// integrator and the kernel's guard attribution.
-func energyHealth(sys *plugvolt.System) *obs.EnergyHealth {
-	tr := sys.Platform.Energy
-	h := &obs.EnergyHealth{
-		PackageJoules: tr.PackageEnergyJ(),
-		CoresJoules:   tr.CoresEnergyJ(),
-		GuardByKind:   make(map[string]float64, len(kernel.CostKinds())),
-	}
-	for c := 0; c < sys.Platform.NumCores(); c++ {
-		h.GuardJoules += sys.Kernel.EnergyJ(c)
-		for _, k := range kernel.CostKinds() {
-			h.GuardByKind[k.String()] += sys.Kernel.EnergyJBy(k, c)
-		}
-	}
-	return h
-}
-
-// writeTo renders into the path, with "-" meaning stdout.
-func writeTo(path string, render func(io.Writer) error) error {
-	if path == "-" {
-		return render(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "plugvolt-guard:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "   energy check: per-kind joules sum to the core's attributed total on every core")
+	return nil
 }

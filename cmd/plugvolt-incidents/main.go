@@ -1,8 +1,7 @@
 // plugvolt-incidents inspects incident bundle files written by the flight
-// recorder (-incidents-out on plugvolt-guard and plugvolt-attack, or fetched
-// framed from a live /incidents endpoint). A file is framed bundles back to
-// back; every subcommand decodes it all-or-nothing, so a corrupt frame is an
-// error, never a silently partial listing.
+// recorder (-incidents-out on plugvolt-guard and plugvolt-attack). A file is
+// framed bundles back to back; every subcommand decodes it all-or-nothing,
+// so a corrupt frame is an error, never a silently partial listing.
 //
 // Usage:
 //

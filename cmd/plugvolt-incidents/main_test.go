@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"plugvolt/internal/buildinfo"
+	"plugvolt/internal/clitest"
 	"plugvolt/internal/flight"
 	"plugvolt/internal/sim"
 )
@@ -104,11 +105,10 @@ func TestRun(t *testing.T) {
 		{"version", []string{"-version"}, 0, version.String(), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run(tc.args, &stdout, &stderr)
-			if code != tc.code || stdout.String() != tc.stdout || !strings.Contains(stderr.String(), tc.stderr) {
+			r := clitest.Exec(t, run, tc.args...)
+			if r.Code != tc.code || r.Stdout != tc.stdout || !strings.Contains(r.Stderr, tc.stderr) {
 				t.Fatalf("exit %d, stdout\n%s\nstderr %q\nwant exit %d, stdout\n%s\nstderr containing %q",
-					code, stdout.String(), stderr.String(), tc.code, tc.stdout, tc.stderr)
+					r.Code, r.Stdout, r.Stderr, tc.code, tc.stdout, tc.stderr)
 			}
 		})
 	}

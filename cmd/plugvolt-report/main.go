@@ -16,6 +16,8 @@
 //	plugvolt-report -out artifacts
 //	plugvolt-report -out artifacts -full   # adds all 5 defenses + class curves
 //	plugvolt-report -workers 8             # shard the sweeps; same bytes out
+//
+// Exit codes: 0 success; 1 runtime error; 2 usage error.
 package main
 
 import (
@@ -37,23 +39,13 @@ import (
 	"plugvolt/internal/spec"
 )
 
-// errUsage reports a command-line error the flag set has already printed.
-var errUsage = errors.New("usage error")
-
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	switch {
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	case err != nil:
-		fmt.Fprintln(os.Stderr, "plugvolt-report:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the whole CLI behind a testable seam: flag parsing and the bundle
 // steps, with no direct os.Exit.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plugvolt-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	b := &bundle{stderr: stderr}
@@ -64,18 +56,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 	version := fs.Bool("version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return nil
+			return 0
 		}
-		return errUsage
+		return 2
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "plugvolt-report: unexpected arguments: %v\n", fs.Args())
-		return errUsage
+		return 2
 	}
 	if *version {
 		buildinfo.Fprint(stdout, "plugvolt-report")
-		return nil
+		return 0
 	}
+	if err := b.regenerate(); err != nil {
+		fmt.Fprintln(stderr, "plugvolt-report:", err)
+		return 1
+	}
+	return 0
+}
+
+// regenerate writes the bundle step by step.
+func (b *bundle) regenerate() error {
 	if err := os.MkdirAll(b.outDir, 0o755); err != nil {
 		return err
 	}
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := b.write("index.md", b.index.String()); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "bundle written to %s\n", b.outDir)
+	fmt.Fprintf(b.stderr, "bundle written to %s\n", b.outDir)
 	return nil
 }
 

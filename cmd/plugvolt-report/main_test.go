@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"plugvolt/internal/clitest"
 )
 
 // TestRunRegeneratesArtifacts regenerates the default bundle at seed 42
@@ -14,9 +15,8 @@ import (
 // Figs. 2-4, Table 2, E1, E2, E3 and the index.
 func TestRunRegeneratesArtifacts(t *testing.T) {
 	out := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-out", out, "-seed", "42"}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
+	if r := clitest.Exec(t, run, "-out", out, "-seed", "42"); r.Code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", r.Code, r.Stderr)
 	}
 	golden := filepath.Join("..", "..", "artifacts")
 	want, err := os.ReadDir(golden)
@@ -46,14 +46,12 @@ func TestRunRegeneratesArtifacts(t *testing.T) {
 }
 
 func TestRunUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-frobnicate"}, {"stray"}} {
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); !errors.Is(err, errUsage) {
-			t.Fatalf("run(%q) = %v, want a usage error", args, err)
-		}
-	}
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-version"}, &stdout, &stderr); err != nil || !strings.Contains(stdout.String(), "plugvolt-report") {
-		t.Fatalf("-version: err %v, stdout %q", err, stdout.String())
+	clitest.ExitCodes(t, run, []clitest.Case{
+		{"unknown_flag", []string{"-frobnicate"}, 2, "flag provided but not defined"},
+		{"positional_args", []string{"stray"}, 2, "unexpected arguments"},
+	})
+	r := clitest.Exec(t, run, "-version")
+	if r.Code != 0 || !strings.Contains(r.Stdout, "plugvolt-report") {
+		t.Fatalf("-version: exit %d, stdout %q", r.Code, r.Stdout)
 	}
 }

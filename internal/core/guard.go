@@ -81,12 +81,14 @@ type GuardConfig struct {
 // DefaultGuardConfig polls every 100 us and restores stock voltage.
 //
 // The period is chosen against the regulator's physics: after a malicious
-// wrmsr the rail needs cmdLatency + |onset|/slew (>= ~140 us on the fastest
-// characterized part) to reach fault depth, so a 100 us register poll
-// rewrites 0x150 before the voltage ever becomes exploitable — the
-// mechanism behind the paper's "completely prevents DVFS faults" result.
-// Per-tick cost (~0.7 us) over 100 us puts the direct overhead at ~0.3% of
-// the pinned core, the same order as the paper's measured 0.28%.
+// wrmsr the rail needs cmdLatency + |onset|/slew to reach fault depth, and
+// a poll that rewrites 0x150 sooner wins the race. For the shallowest onset
+// of a quick-sweep grid at seed 2017 (plugvolt-overhead -sweep) that is
+// 170 us on Comet Lake and 110 us on Kaby Lake R, the tightest part: a
+// 10 us margin. The onset moves with the seed, though: Kaby Lake R's is
+// -35 mV at seed 42, where the rail needs 90 us and a 100 us poll loses.
+// The per-tick cost (~0.7 us) over 100 us puts the direct overhead at 0.70%
+// of the pinned core, the same order as the paper's measured 0.28%.
 func DefaultGuardConfig() GuardConfig {
 	return GuardConfig{PollPeriod: 100 * sim.Microsecond, MarginMV: 15}
 }

@@ -27,8 +27,9 @@ func RowSeed(seed int64, freqKHz int) int64 { return seed ^ int64(freqKHz) }
 // row starts from offset 0 and stops at its own crash onset), so the sweep
 // is embarrassingly parallel; the engine preserves determinism by giving
 // every row a private platform stack (simulator, cores, MSR files, PLLs,
-// regulators, cpufreq) built from RowSeed and by merging finished rows by
-// frequency index, not completion order.
+// regulators, cpufreq) built from RowSeed and by merging finished rows —
+// grid cells, counters, journal events and spans alike — by frequency
+// index, not completion order.
 type ShardedCharacterizer struct {
 	// Factory builds the per-row platform stack. It is called concurrently
 	// from every worker and must be safe for concurrent use (pure
@@ -80,18 +81,17 @@ type rowResult struct {
 	row     []Classification
 	reboots int
 	err     error
-	// worker identifies the goroutine that swept the row; virtual is the
-	// row platform's elapsed virtual time; stats carries the row's search
-	// economics. All three feed telemetry only — the merged grid never
-	// depends on them.
-	worker  int
+	// virtual is the row platform's elapsed virtual time; stats carries the
+	// row's search economics. Both feed telemetry only — the merged grid
+	// never depends on them.
 	virtual sim.Duration
 	stats   rowStats
 }
 
-// Run executes the sharded sweep and returns the merged grid. The result is
-// byte-identical across worker counts and schedules for a given (spec, seed,
-// config); see RowSeed for why.
+// Run executes the sharded sweep and returns the merged grid. The result,
+// and everything it publishes to cfg.Telemetry, is byte-identical across
+// worker counts and schedules for a given (spec, seed, config); see RowSeed
+// for why.
 func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	freqs := sc.spec.FreqTableKHz()
 	offs := offsetAxis(sc.cfg)
@@ -113,17 +113,16 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	jobs := make(chan int)
 	results := make(chan rowResult)
 	var wg sync.WaitGroup
-	workers := sc.workers(len(freqs))
-	for w := 0; w < workers; w++ {
+	for range sc.workers(len(freqs)) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for fi := range jobs {
 				r := sc.classifyRow(cells[fi*len(offs):(fi+1)*len(offs):(fi+1)*len(offs)], freqs[fi], offs)
-				r.fi, r.worker = fi, w
+				r.fi = fi
 				results <- r
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		for fi := range freqs {
@@ -137,27 +136,38 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	}()
 
 	// The merge loop is the only consumer of results, so progress callbacks
-	// and telemetry updates are serialized here: rows may finish out of
-	// order, but callbacks never run concurrently and rowsDone counts
+	// are serialized here in completion order: rows may finish out of
+	// order, but callbacks never run concurrently and done counts
 	// completions monotonically.
-	obs := newSweepObserver(sc.cfg.Telemetry, workers, sc.strategy())
-	sc.stats = SearchStats{Strategy: sc.strategy()}
-	// A failed run reports the failing row with the lowest frequency index,
-	// not the first failure to arrive, so the error is independent of the
-	// worker count too.
-	var failErr error
-	failFI := len(freqs)
+	rows := make([]rowResult, len(freqs))
 	done := 0
 	for r := range results {
+		rows[r.fi] = r
 		if r.err != nil {
-			if r.fi < failFI {
-				failFI, failErr = r.fi, r.err
+			continue
+		}
+		done++
+		if sc.cfg.Progress != nil {
+			sc.cfg.Progress(freqs[r.fi], done, len(freqs))
+		}
+	}
+
+	// Everything else is published after the last row, in frequency-index
+	// order, so counters, journal events and spans depend on the rows
+	// alone. A failed run reports the failing row with the lowest frequency
+	// index, so the error is independent of the worker count too.
+	obs := newSweepObserver(sc.cfg.Telemetry, sc.strategy())
+	sc.stats = SearchStats{Strategy: sc.strategy()}
+	var failErr error
+	for fi, r := range rows {
+		if r.err != nil {
+			if failErr == nil {
+				failErr = fmt.Errorf("core: shard at %d kHz: %w", freqs[fi], r.err)
 			}
 			continue
 		}
 		mergeRow(g, r)
-		done++
-		obs.row(freqs[r.fi], r)
+		obs.row(freqs[fi], r)
 		sc.stats.Rows++
 		sc.stats.Probes += r.stats.probes
 		if r.stats.fallback {
@@ -166,13 +176,10 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 		if rowHasOnset(r.row) {
 			sc.stats.OnsetRows++
 		}
-		if sc.cfg.Progress != nil {
-			sc.cfg.Progress(freqs[r.fi], done, len(freqs))
-		}
 	}
 	obs.finish()
 	if failErr != nil {
-		return nil, fmt.Errorf("core: shard at %d kHz: %w", freqs[failFI], failErr)
+		return nil, failErr
 	}
 	return g, nil
 }
@@ -185,9 +192,6 @@ type sweepObserver struct {
 	rowsC   *telemetry.Counter
 	rebootC *telemetry.Counter
 	cellsC  [3]*telemetry.Counter // indexed by Classification
-	wRows   []*telemetry.Counter
-	wVirt   []*telemetry.Counter
-	util    []*telemetry.Gauge
 	rate    *telemetry.Gauge
 
 	probesC   *telemetry.Counter
@@ -196,11 +200,10 @@ type sweepObserver struct {
 
 	rows         int
 	totalVirtual sim.Duration
-	workerVirt   []sim.Duration
 }
 
-func newSweepObserver(tel *telemetry.Set, workers int, strategy string) *sweepObserver {
-	o := &sweepObserver{tel: tel, workerVirt: make([]sim.Duration, workers)}
+func newSweepObserver(tel *telemetry.Set, strategy string) *sweepObserver {
+	o := &sweepObserver{tel: tel}
 	if tel == nil {
 		return o
 	}
@@ -219,18 +222,6 @@ func newSweepObserver(tel *telemetry.Set, workers int, strategy string) *sweepOb
 			"classified (frequency, offset) grid points",
 			telemetry.Labels{"class": cls.String()})
 	}
-	o.wRows = make([]*telemetry.Counter, workers)
-	o.wVirt = make([]*telemetry.Counter, workers)
-	o.util = make([]*telemetry.Gauge, workers)
-	for w := 0; w < workers; w++ {
-		lbl := telemetry.Labels{"worker": fmt.Sprintf("%d", w)}
-		o.wRows[w] = reg.Counter("characterize_worker_rows_total",
-			"rows swept per worker (scheduler-dependent; varies run to run)", lbl)
-		o.wVirt[w] = reg.Counter("characterize_worker_virtual_seconds_total",
-			"virtual time swept per worker (scheduler-dependent)", lbl)
-		o.util[w] = reg.Gauge("characterize_worker_utilization",
-			"worker's share of total swept virtual time (scheduler-dependent)", lbl)
-	}
 	o.rate = reg.Gauge("characterize_rows_per_virtual_second",
 		"sweep throughput: rows per virtual second of row-platform time", nil)
 	return o
@@ -240,9 +231,6 @@ func newSweepObserver(tel *telemetry.Set, workers int, strategy string) *sweepOb
 func (o *sweepObserver) row(freqKHz int, r rowResult) {
 	o.rows++
 	o.totalVirtual += r.virtual
-	if r.worker < len(o.workerVirt) {
-		o.workerVirt[r.worker] += r.virtual
-	}
 	if o.tel == nil {
 		return
 	}
@@ -264,18 +252,14 @@ func (o *sweepObserver) row(freqKHz int, r rowResult) {
 	for cls, n := range perClass {
 		o.cellsC[cls].Add(float64(n))
 	}
-	o.wRows[r.worker].Inc()
-	o.wVirt[r.worker].Add(telemetry.Seconds(r.virtual))
 	o.tel.Events().Emit("characterize_row", map[string]any{
-		"freq_khz": freqKHz, "worker": r.worker, "cells": len(r.row),
+		"freq_khz": freqKHz, "cells": len(r.row),
 		"safe": perClass[Safe], "fault": perClass[Fault], "crash": perClass[Crash],
 		"reboots": r.reboots, "virtual_ps": int64(r.virtual),
 	})
 	// One causal span per merged row. The track is per-frequency (not
 	// per-worker) and the duration is the row platform's own virtual time,
-	// so the exported trace is byte-identical for any worker count and any
-	// merge arrival order — the worker attribution lives only in the
-	// explicitly scheduler-dependent metrics above.
+	// so the exported trace is byte-identical for any worker count.
 	o.tel.Spans().Complete(fmt.Sprintf("characterize/%d", freqKHz), "row",
 		0, r.virtual, map[string]any{
 			"freq_khz": freqKHz, "cells": len(r.row),
@@ -290,9 +274,6 @@ func (o *sweepObserver) finish() {
 		return
 	}
 	o.rate.Set(float64(o.rows) / telemetry.Seconds(o.totalVirtual))
-	for w, v := range o.workerVirt {
-		o.util[w].Set(float64(v) / float64(o.totalVirtual))
-	}
 }
 
 // rowHasOnset reports whether a row contains any non-Safe cell.

@@ -86,12 +86,6 @@ type StreamConfig struct {
 	// ErrHalted when it returns true. This is how a CLI turns SIGINT into
 	// a clean resumable exit.
 	Halt func(Progress) bool
-	// Live, when set, receives epoch-progress gauges
-	// (fleet_stream_machines_done, fleet_stream_windows_done, ...) after
-	// every batch. It is a live observability surface (plugvolt-fleet
-	// -listen serves it); it is never folded into the report, which must
-	// stay a pure function of the experiment.
-	Live *telemetry.Set
 }
 
 // Progress is the per-batch progress report.
@@ -365,8 +359,8 @@ func (st *streamState) modelRows() []ModelSummary {
 	return rows
 }
 
-// progress publishes one batch's progress to the Live gauges and the
-// Progress callback, and returns the Progress value for Halt.
+// progress publishes one batch's progress to the Progress callback, and
+// returns the Progress value for Halt.
 func (cfg *StreamConfig) progress(st *streamState, epochs, resident int) Progress {
 	p := Progress{
 		BatchesDone:  st.batchesDone,
@@ -377,23 +371,10 @@ func (cfg *StreamConfig) progress(st *streamState, epochs, resident int) Progres
 		Resident:     resident,
 		Errors:       st.partial.Total,
 	}
-	if cfg.Progress != nil || cfg.Live != nil {
+	if cfg.Progress != nil {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		p.HeapBytes = ms.HeapAlloc
-	}
-	if cfg.Live != nil {
-		reg := cfg.Live.Registry()
-		reg.Gauge("fleet_stream_machines_done", "machines carried through their full lifecycle", nil).Set(float64(p.MachinesDone))
-		reg.Gauge("fleet_stream_machines_total", "configured fleet size", nil).Set(float64(p.Machines))
-		reg.Gauge("fleet_stream_windows_done", "machine-windows completed (machines x epochs)", nil).Set(float64(p.WindowsDone))
-		reg.Gauge("fleet_stream_windows_total", "machine-windows configured", nil).Set(float64(p.Windows))
-		reg.Gauge("fleet_stream_batches_done", "completed stream batches (checkpointable boundaries)", nil).Set(float64(p.BatchesDone))
-		reg.Gauge("fleet_stream_resident_machines", "machines resident in the batch just retired", nil).Set(float64(p.Resident))
-		reg.Gauge("fleet_stream_errors", "failed machines so far", nil).Set(float64(p.Errors))
-		reg.Gauge("fleet_stream_heap_bytes", "heap in use after the last batch fold", nil).Set(float64(p.HeapBytes))
-	}
-	if cfg.Progress != nil {
 		cfg.Progress(p)
 	}
 	return p

@@ -172,7 +172,7 @@ const (
 )
 
 // Stats is the recorder's self-accounting, published as the flight_* metric
-// family and the /healthz flight section.
+// family.
 type Stats struct {
 	// Records counts every append; Overwrites counts appends that evicted
 	// the oldest record (ring saturated).

@@ -438,11 +438,6 @@ func (k *Kernel) EnergyPJBy(kind CostKind, core int) int64 {
 // EnergyJ is EnergyPJ in joules.
 func (k *Kernel) EnergyJ(core int) float64 { return float64(k.EnergyPJ(core)) * 1e-12 }
 
-// EnergyJBy is EnergyPJBy in joules.
-func (k *Kernel) EnergyJBy(kind CostKind, core int) float64 {
-	return float64(k.EnergyPJBy(kind, core)) * 1e-12
-}
-
 // ResetStolenTime zeroes the time and energy accounting (between benchmark
 // runs).
 func (k *Kernel) ResetStolenTime() {

@@ -101,19 +101,12 @@ func ModelFor(codename string) Model {
 	}
 }
 
-// IdleScaler reports the idle-state power factor for a core (1.0 = C0);
-// *pstate.IdleGovernor satisfies it.
-type IdleScaler interface {
-	PowerFactor(core int) float64
-}
-
 // OperatingPoint is the live electrical view of one core that a Meter
 // samples; *cpu.Core implements it. Keeping it an interface here is what
 // lets the cpu package own a power.Tracker without an import cycle.
 type OperatingPoint interface {
 	FreqGHz() float64
 	VoltageV() float64
-	Index() int
 }
 
 // Meter integrates a live core's power over virtual time.
@@ -122,10 +115,6 @@ type Meter struct {
 	core   OperatingPoint
 	period sim.Duration
 	ticker *sim.Ticker
-
-	// Idle, when set, scales each sample by the core's resident C-state
-	// power factor, so sleep time is billed at idle power.
-	Idle IdleScaler
 
 	// EnergyJ is the accumulated energy in joules.
 	EnergyJ float64
@@ -157,9 +146,6 @@ func (m *Meter) Start(s *sim.Simulator) error {
 	}
 	m.ticker = s.Every(m.period, func() {
 		w := m.model.TotalW(m.core.FreqGHz(), m.core.VoltageV())
-		if m.Idle != nil {
-			w *= m.Idle.PowerFactor(m.core.Index())
-		}
 		m.lastW = w
 		if w > m.PeakW {
 			m.PeakW = w

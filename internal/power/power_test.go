@@ -13,7 +13,6 @@ import (
 	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/power"
-	"plugvolt/internal/pstate"
 	"plugvolt/internal/sim"
 )
 
@@ -184,42 +183,5 @@ func TestMeterValidation(t *testing.T) {
 	m, _ := power.NewMeter(power.DefaultModel(), p.Core(0), sim.Microsecond)
 	if m.AverageW() != 0 {
 		t.Fatal("average on unstarted meter")
-	}
-}
-
-func TestMeterWithIdleStates(t *testing.T) {
-	spec, _ := models.SkyLake()
-	p, _ := cpu.NewPlatform(spec, 3)
-	gov, err := pstate.NewIdleGovernor(p.Sim, p.NumCores(), pstate.DefaultCStates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := power.NewMeter(power.DefaultModel(), p.Core(0), 10*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Idle = gov
-	if err := m.Start(p.Sim); err != nil {
-		t.Fatal(err)
-	}
-	// 5 ms awake, then 5 ms in C6 (5% power).
-	p.Sim.RunFor(5 * sim.Millisecond)
-	awakeW := m.LastW()
-	if _, err := gov.Enter(0, 10*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(5 * sim.Millisecond)
-	idleW := m.LastW()
-	if _, err := gov.Exit(0); err != nil {
-		t.Fatal(err)
-	}
-	m.Stop()
-	if idleW >= awakeW*0.10 {
-		t.Fatalf("C6 power %v not ~5%% of awake %v", idleW, awakeW)
-	}
-	// Energy is between all-idle and all-awake bounds.
-	span := m.Elapsed.Seconds()
-	if m.EnergyJ >= awakeW*span || m.EnergyJ <= idleW*span {
-		t.Fatalf("energy %v outside (%v, %v)", m.EnergyJ, idleW*span, awakeW*span)
 	}
 }

@@ -49,8 +49,8 @@ type priceMemo struct {
 // the only callers are the cpu package's retarget and reboot paths, which
 // are themselves event-driven). Every read (CoreEnergyJ, CoresEnergyJ,
 // PackageEnergyJ, PriceW) is PURE: it extrapolates the open segment to the
-// current virtual time without closing it, so a live /metrics or RAPL MSR
-// read mid-run can never regroup the floating-point accrual and break
+// current virtual time without closing it, so a telemetry collection or
+// RAPL MSR read mid-run can never regroup the floating-point accrual and break
 // byte-identity of the final totals across -workers/-batch/-epochs splits.
 // PriceW memoizes its last result per core, but stays observationally pure:
 // it returns the bits TotalW would at the live point, whatever was read

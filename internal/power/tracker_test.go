@@ -62,7 +62,7 @@ func TestTrackerConstantPoint(t *testing.T) {
 
 // Reads are pure: interleaving any number of mid-segment reads must leave
 // the committed totals bit-identical to an unread twin — this is what lets
-// live observability (RAPL reads, /metrics scrapes) coexist with the fleet
+// mid-run reads (RAPL MSRs, telemetry collection) coexist with the fleet
 // determinism contract.
 func TestTrackerReadsArePure(t *testing.T) {
 	run := func(reads int) float64 {

@@ -12,7 +12,6 @@ import (
 
 	"plugvolt/internal/attack"
 	"plugvolt/internal/core"
-	"plugvolt/internal/pstate"
 	"plugvolt/internal/spec"
 )
 
@@ -221,15 +220,5 @@ func WriteOnsetSpreads(w io.Writer, spreads []core.OnsetSpread) {
 	for _, sp := range spreads {
 		fmt.Fprintf(w, "%-10.1f %8d %8d %8.1f %8.2f %6d\n",
 			float64(sp.FreqKHz)/1e6, sp.MinMV, sp.MaxMV, sp.MeanMV, sp.StdMV, sp.Runs)
-	}
-}
-
-// WriteCStateResidency tabulates one core's idle-state accounting.
-func WriteCStateResidency(w io.Writer, gov *pstate.IdleGovernor, coreIdx int) {
-	res := gov.Residency(coreIdx)
-	entries := gov.Entries(coreIdx)
-	fmt.Fprintf(w, "core %d idle residency:\n", coreIdx)
-	for _, name := range pstate.SortedNames(res) {
-		fmt.Fprintf(w, "  %-5s %12v  (%d entries)\n", name, res[name], entries[name])
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"plugvolt/internal/attack"
 	"plugvolt/internal/core"
-	"plugvolt/internal/pstate"
-	"plugvolt/internal/sim"
 	"plugvolt/internal/spec"
 )
 
@@ -176,26 +174,5 @@ func TestWriteOnsetSpreads(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "3.2") || !strings.Contains(out, "-120") || !strings.Contains(out, "4.10") {
 		t.Fatalf("spreads table malformed:\n%s", out)
-	}
-}
-
-func TestWriteCStateResidency(t *testing.T) {
-	s := sim.New(1)
-	gov, err := pstate.NewIdleGovernor(s, 2, pstate.DefaultCStates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gov.Enter(0, sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(3 * sim.Millisecond)
-	if _, err := gov.Exit(0); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	WriteCStateResidency(&sb, gov, 0)
-	out := sb.String()
-	if !strings.Contains(out, "C6") || !strings.Contains(out, "1 entries") {
-		t.Fatalf("residency table malformed:\n%s", out)
 	}
 }

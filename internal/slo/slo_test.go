@@ -214,7 +214,7 @@ func TestEvaluateIsPure(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Evaluate not pure:\n%s\nvs\n%s", a.Summary(), b.Summary())
 	}
-	if n := h.j.Len(); n != 0 {
+	if n := len(h.j.Events()); n != 0 {
 		t.Fatalf("Evaluate wrote %d journal events", n)
 	}
 }

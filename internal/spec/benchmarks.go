@@ -48,11 +48,13 @@ type Benchmark struct {
 }
 
 // WeightedCPI returns the mix-weighted throughput CPI of the benchmark on
-// the simulated core model.
+// the simulated core model. It sums in mixClasses order: ranging over the
+// map would add the terms in Go's random order, and the sum's last bits,
+// and with them Table 2's virtual clock, would vary from run to run.
 func (b *Benchmark) WeightedCPI() float64 {
 	cpi := 0.0
-	for class, frac := range b.Mix {
-		cpi += frac * throughputCPI(class)
+	for _, class := range mixClasses {
+		cpi += b.Mix[class] * throughputCPI(class)
 	}
 	return cpi
 }
@@ -69,6 +71,9 @@ func throughputCPI(c cpu.Class) float64 {
 		return 0.25
 	}
 }
+
+// mixClasses lists the classes of a mix in mix's argument order.
+var mixClasses = [...]cpu.Class{cpu.ClassFMA, cpu.ClassLoad, cpu.ClassALU, cpu.ClassIMul}
 
 // mix builds an instruction mix; the four weights are FMA, load, ALU, imul.
 func mix(fma, load, alu, imul float64) map[cpu.Class]float64 {

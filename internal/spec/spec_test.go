@@ -54,6 +54,20 @@ func TestTwentyThreeBenchmarks(t *testing.T) {
 	}
 }
 
+// TestWeightedCPIIsStable: the mix-weighted CPI feeds Table 2's virtual
+// clock, so repeated calls must return the same bits for every benchmark.
+// Summing in map order returns more than one bit pattern for most of them.
+func TestWeightedCPIIsStable(t *testing.T) {
+	for _, b := range All() {
+		want := math.Float64bits(b.WeightedCPI())
+		for i := 0; i < 50; i++ {
+			if got := math.Float64bits(b.WeightedCPI()); got != want {
+				t.Fatalf("%s: WeightedCPI returned %#x, then %#x", b.Name, want, got)
+			}
+		}
+	}
+}
+
 func TestPaperReferenceRates(t *testing.T) {
 	// Spot-check normalization constants against Table 2.
 	cases := map[string][2]float64{

@@ -44,17 +44,15 @@ func (e Event) appendJSON(buf []byte) ([]byte, error) {
 }
 
 // Journal is a bounded, append-only structured event log. When the cap is
-// reached, further events are counted as dropped rather than evicting
-// history — an experiment's opening (module load, first interventions) is
+// reached, further events are dropped rather than evicting history — an experiment's opening (module load, first interventions) is
 // usually the part worth keeping, and a hard bound keeps memory safe under
 // runaway emitters like per-tick kthread wakes. Emit on a nil *Journal is a
 // no-op.
 type Journal struct {
-	mu      sync.Mutex
-	clock   Clock
-	cap     int
-	events  []Event
-	dropped uint64
+	mu     sync.Mutex
+	clock  Clock
+	cap    int
+	events []Event
 	// onDrop, when set, runs once per dropped event (outside the journal
 	// lock), letting NewSet surface the loss as a telemetry counter.
 	onDrop func()
@@ -83,7 +81,6 @@ func (j *Journal) Emit(typ string, fields map[string]any) {
 	}
 	j.mu.Lock()
 	if len(j.events) >= j.cap {
-		j.dropped++
 		cb := j.onDrop
 		j.mu.Unlock()
 		if cb != nil {
@@ -98,7 +95,7 @@ func (j *Journal) Emit(typ string, fields map[string]any) {
 // Full reports whether the journal has reached its cap, i.e. whether the
 // next Emit would be rejected under the drop-newest policy. Periodic hot
 // paths check it to skip building event field maps that cannot be retained;
-// events suppressed this way are not counted as dropped. Nil-safe.
+// events suppressed this way are not reported to OnDrop. Nil-safe.
 func (j *Journal) Full() bool {
 	if j == nil {
 		return false
@@ -118,34 +115,6 @@ func (j *Journal) OnDrop(fn func()) {
 	j.mu.Lock()
 	j.onDrop = fn
 	j.mu.Unlock()
-}
-
-// Len reports the number of retained events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
-}
-
-// Dropped reports events rejected after the cap was reached.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// Cap reports the journal's bound.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return j.cap
 }
 
 // Events returns a copy of the retained events in emission order.
@@ -174,24 +143,8 @@ func (j *Journal) OfType(typ string) []Event {
 // fields). Byte-identical across identically-seeded runs as long as every
 // emitter is driven by the virtual clock.
 func (j *Journal) WriteJSONL(w io.Writer) error {
-	return j.WriteJSONLTail(w, 0)
-}
-
-// WriteJSONLTail renders the last n retained events as JSONL (n <= 0 means
-// all) — the journal view the observability server's /events endpoint
-// serves.
-func (j *Journal) WriteJSONLTail(w io.Writer, n int) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	events := append([]Event(nil), j.events...)
-	j.mu.Unlock()
-	if n > 0 && len(events) > n {
-		events = events[len(events)-n:]
-	}
 	var buf []byte
-	for _, e := range events {
+	for _, e := range j.Events() {
 		buf = buf[:0]
 		b, err := e.appendJSON(buf)
 		if err != nil {

@@ -337,24 +337,11 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 	return out, nil
 }
 
-// DumpMetrics writes the registry's current snapshot in Prometheus text
-// form to path ("-" means stdout). The shared implementation behind every
-// CLI's -metrics-out flag.
-func DumpMetrics(path string, reg *Registry) error {
-	return dumpTo(path, func(w io.Writer) error {
-		return reg.Snapshot().WritePrometheus(w)
-	})
-}
-
-// DumpEvents writes the journal as JSONL to path ("-" means stdout) —
-// the shared implementation behind every CLI's -events-out flag.
-func DumpEvents(path string, j *Journal) error {
-	return dumpTo(path, j.WriteJSONL)
-}
-
-func dumpTo(path string, render func(io.Writer) error) error {
+// WriteOut renders into the file at path, or into stdout when path is "-":
+// the one implementation behind every CLI's output flags.
+func WriteOut(path string, stdout io.Writer, render func(io.Writer) error) error {
 	if path == "-" {
-		return render(os.Stdout)
+		return render(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -365,4 +352,12 @@ func dumpTo(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// WriteOutBytes is WriteOut for output already rendered into data.
+func WriteOutBytes(path string, stdout io.Writer, data []byte) error {
+	return WriteOut(path, stdout, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

@@ -464,14 +464,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped.Load()
 }
 
-// Cap reports the tracer's span bound (0 on nil).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.cap
-}
-
 // sorted returns the spans ordered by (Start, Track, Seq) — the canonical
 // export order, total because Seq is unique per track.
 func sorted(spans []Span) []Span {

@@ -71,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var j *Journal
 	j.Emit("x", nil)
-	if j.Len() != 0 || j.Dropped() != 0 {
+	if len(j.Events()) != 0 || j.Full() {
 		t.Fatal("nil journal recorded")
 	}
 	if err := j.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -211,18 +211,17 @@ func TestDiff(t *testing.T) {
 func TestJournalBoundedAndOrdered(t *testing.T) {
 	now := sim.Time(0)
 	j := NewJournal(testClock(&now), 3)
+	dropped := 0
+	j.OnDrop(func() { dropped++ })
 	for i := 0; i < 5; i++ {
 		now = sim.Time(i) * sim.Microsecond
 		j.Emit("tick", map[string]any{"i": i})
 	}
-	if j.Len() != 3 {
-		t.Fatalf("len %d", j.Len())
+	if n := len(j.Events()); n != 3 {
+		t.Fatalf("len %d", n)
 	}
-	if j.Dropped() != 2 {
-		t.Fatalf("dropped %d", j.Dropped())
-	}
-	if j.Cap() != 3 {
-		t.Fatalf("cap %d", j.Cap())
+	if dropped != 2 {
+		t.Fatalf("dropped %d", dropped)
 	}
 	ev := j.Events()
 	for i, e := range ev {
@@ -319,8 +318,8 @@ func TestSetConstruction(t *testing.T) {
 	if s.Registry() == nil || s.Events() == nil || s.Spans() == nil {
 		t.Fatal("set components nil")
 	}
-	if s.Events().Cap() != 8 {
-		t.Fatalf("journal cap %d", s.Events().Cap())
+	if s.Events().cap != 8 {
+		t.Fatalf("journal cap %d", s.Events().cap)
 	}
 	if Seconds(1500*sim.Millisecond) != 1.5 {
 		t.Fatal("Seconds conversion")
@@ -344,28 +343,28 @@ func TestJournalExactCapacityBoundary(t *testing.T) {
 	// the journal still has room for.
 	for i := 0; i < cap; i++ {
 		if j.Full() {
-			t.Fatalf("full at len %d, cap %d", j.Len(), cap)
+			t.Fatalf("full at len %d, cap %d", i, cap)
 		}
 		now = sim.Time(i) * sim.Microsecond
 		j.Emit("tick", map[string]any{"i": i})
 	}
-	if j.Len() != cap {
-		t.Fatalf("len %d after filling to cap %d", j.Len(), cap)
+	if n := len(j.Events()); n != cap {
+		t.Fatalf("len %d after filling to cap %d", n, cap)
 	}
 	if !j.Full() {
 		t.Fatal("not full at exactly cap")
 	}
-	if j.Dropped() != 0 || dropCB != 0 {
-		t.Fatalf("drops before the cap was exceeded: counter %d, callback %d", j.Dropped(), dropCB)
+	if dropCB != 0 {
+		t.Fatalf("%d drops before the cap was exceeded", dropCB)
 	}
 
 	// The first over-cap Emit is rejected, keeping the oldest history.
 	j.Emit("over", map[string]any{"i": cap})
-	if j.Len() != cap {
-		t.Fatalf("len %d after over-cap emit", j.Len())
+	if n := len(j.Events()); n != cap {
+		t.Fatalf("len %d after over-cap emit", n)
 	}
-	if j.Dropped() != 1 || dropCB != 1 {
-		t.Fatalf("one rejection, counter %d, callback %d", j.Dropped(), dropCB)
+	if dropCB != 1 {
+		t.Fatalf("one rejection, %d drops reported", dropCB)
 	}
 	if got := len(j.OfType("over")); got != 0 {
 		t.Fatalf("over-cap event retained: %d", got)
@@ -378,12 +377,12 @@ func TestJournalExactCapacityBoundary(t *testing.T) {
 		}
 	}
 
-	// Counter and callback stay in lockstep across further rejections.
+	// Every further rejection is reported once.
 	for i := 0; i < 3; i++ {
 		j.Emit("over", nil)
 	}
-	if j.Dropped() != 4 || dropCB != 4 {
-		t.Fatalf("counter %d, callback %d after 4 total rejections", j.Dropped(), dropCB)
+	if dropCB != 4 {
+		t.Fatalf("%d drops reported after 4 total rejections", dropCB)
 	}
 }
 
@@ -392,23 +391,25 @@ func TestJournalExactCapacityBoundary(t *testing.T) {
 func TestJournalCapOneAndDefault(t *testing.T) {
 	now := sim.Time(0)
 	j := NewJournal(testClock(&now), 1)
+	dropped := 0
+	j.OnDrop(func() { dropped++ })
 	if j.Full() {
 		t.Fatal("empty cap-1 journal reports full")
 	}
 	j.Emit("only", nil)
-	if !j.Full() || j.Len() != 1 || j.Dropped() != 0 {
-		t.Fatalf("after one emit: full=%v len=%d dropped=%d", j.Full(), j.Len(), j.Dropped())
+	if !j.Full() || len(j.Events()) != 1 || dropped != 0 {
+		t.Fatalf("after one emit: full=%v len=%d dropped=%d", j.Full(), len(j.Events()), dropped)
 	}
 	j.Emit("rejected", nil)
-	if j.Len() != 1 || j.Dropped() != 1 {
-		t.Fatalf("after rejection: len=%d dropped=%d", j.Len(), j.Dropped())
+	if len(j.Events()) != 1 || dropped != 1 {
+		t.Fatalf("after rejection: len=%d dropped=%d", len(j.Events()), dropped)
 	}
 	if ev := j.Events(); len(ev) != 1 || ev[0].Type != "only" {
 		t.Fatalf("retained %+v", ev)
 	}
 
 	for _, cap := range []int{0, -7} {
-		if got := NewJournal(testClock(&now), cap).Cap(); got != DefaultJournalCap {
+		if got := NewJournal(testClock(&now), cap).cap; got != DefaultJournalCap {
 			t.Fatalf("cap %d selected %d, want DefaultJournalCap", cap, got)
 		}
 	}

@@ -126,15 +126,3 @@ func (r *Regulator) SettleTime() sim.Time {
 	us := delta / r.cfg.SlewMVPerUS
 	return r.startAt + sim.Duration(us*float64(sim.Microsecond))
 }
-
-// TurnaroundFor returns the total duration from a command issued now until
-// the output would reach targetMV — the regulator half of the paper's
-// countermeasure turnaround time.
-func (r *Regulator) TurnaroundFor(targetMV float64) sim.Duration {
-	delta := targetMV - r.OutputMV()
-	if delta < 0 {
-		delta = -delta
-	}
-	us := delta / r.cfg.SlewMVPerUS
-	return r.cfg.CommandLatency + sim.Duration(us*float64(sim.Microsecond))
-}

@@ -108,18 +108,6 @@ func TestPreemptingCommandStartsFromCurrentOutput(t *testing.T) {
 	}
 }
 
-func TestTurnaroundFor(t *testing.T) {
-	s := sim.New(1)
-	r := newRail(t, s, 1100)
-	// 100 mV away at 5 mV/us = 20 us + 10 us latency.
-	if got := r.TurnaroundFor(1000); got != 30*sim.Microsecond {
-		t.Fatalf("TurnaroundFor = %v, want 30us", got)
-	}
-	if got := r.TurnaroundFor(1100); got != 10*sim.Microsecond {
-		t.Fatalf("TurnaroundFor(no-op) = %v, want latency only", got)
-	}
-}
-
 // Property: the output never overshoots the segment between the pre-empt
 // point and the target, and always settles exactly at the target.
 func TestQuickNoOvershoot(t *testing.T) {

@@ -19,6 +19,7 @@ package plugvolt
 
 import (
 	"fmt"
+	"io"
 
 	"plugvolt/internal/attack"
 	"plugvolt/internal/core"
@@ -168,6 +169,11 @@ func (s *System) CollectTelemetry() {
 		reg.Gauge("msr_write_hook_rewrites", "OC-mailbox writes rewritten by a hook", lbl).Set(float64(st.Rewrites))
 	}
 	reg.Gauge("platform_reboots", "machine crash/reboot count", nil).Set(float64(s.Platform.Reboots))
+	// Read here rather than counted per drop, which would put a registry
+	// update on the instrumented poll path once the tracer is full.
+	reg.Gauge("telemetry_spans_dropped_total",
+		"spans rejected after the tracer's cap was reached (drop-newest policy)", nil).
+		Set(float64(s.Telemetry.Spans().Dropped()))
 	if tr := s.Platform.Energy; tr != nil {
 		for i := 0; i < s.Platform.NumCores(); i++ {
 			gov := "none"
@@ -208,20 +214,18 @@ func (s *System) SetTelemetry(t *telemetry.Set) {
 // DumpTelemetry collects pull-style state and writes the Prometheus
 // exposition and/or the JSONL event journal to the given paths. An empty
 // path skips that output; "-" writes to stdout.
-func (s *System) DumpTelemetry(metricsPath, eventsPath string) error {
+func (s *System) DumpTelemetry(metricsPath, eventsPath string, stdout io.Writer) error {
 	if metricsPath == "" && eventsPath == "" {
 		return nil
 	}
 	s.CollectTelemetry()
 	if metricsPath != "" {
-		if err := telemetry.DumpMetrics(metricsPath, s.Telemetry.Registry()); err != nil {
+		if err := telemetry.WriteOut(metricsPath, stdout, s.Telemetry.Registry().Snapshot().WritePrometheus); err != nil {
 			return err
 		}
 	}
 	if eventsPath != "" {
-		if err := telemetry.DumpEvents(eventsPath, s.Telemetry.Events()); err != nil {
-			return err
-		}
+		return telemetry.WriteOut(eventsPath, stdout, s.Telemetry.Events().WriteJSONL)
 	}
 	return nil
 }

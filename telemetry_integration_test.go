@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
+	"plugvolt/internal/telemetry/span"
 )
 
 // runInstrumentedScenario runs a guarded V0LTpwn campaign and returns the
@@ -107,5 +109,38 @@ func TestTelemetryOverheadAttribution(t *testing.T) {
 			t.Fatalf("kthread %s/%s: attributed %.15g != busy %.15g",
 				s.Labels["thread"], s.Labels["core"], sum, s.Value)
 		}
+	}
+}
+
+// TestDropCountsInExposition: a journal and a span tracer past their caps
+// both report their drops in the exposition. The span count is read at
+// collect time, not counted per drop, so it appears only once collected.
+func TestDropCountsInExposition(t *testing.T) {
+	sys, grid := characterize(t, "skylake", 42, 1)
+	set := telemetry.NewSet(sys.Platform.Sim.Now, 4, 42)
+	set.Trace = span.NewTracer(sys.Platform.Sim.Now, 42, 8)
+	sys.SetTelemetry(set)
+	if _, err := sys.DeployGuard(grid); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(5 * sim.Millisecond)
+	// Periodic emitters skip a full journal; an explicit Emit is dropped.
+	for i := 0; i < 5; i++ {
+		set.Events().Emit("probe", nil)
+	}
+	dropped := set.Spans().Dropped()
+	if dropped == 0 {
+		t.Fatal("an 8-span tracer dropped nothing in 5 ms of polling")
+	}
+	if set.Registry().Snapshot().Find("telemetry_spans_dropped_total") != nil {
+		t.Fatal("span drops published before collect")
+	}
+	sys.CollectTelemetry()
+	snap := set.Registry().Snapshot()
+	if got := snap.Value("telemetry_spans_dropped_total", nil); got != float64(dropped) {
+		t.Fatalf("telemetry_spans_dropped_total = %v, tracer dropped %d", got, dropped)
+	}
+	if got := snap.Value("telemetry_journal_dropped_total", nil); got == 0 {
+		t.Fatal("a 4-event journal reported no drops")
 	}
 }
