@@ -57,6 +57,7 @@ func (a *PlundervoltAES) Run(env *defense.Env, defName string) (*Result, error) 
 	p := env.Platform
 	r := &Result{Attack: a.Name(), Defense: defName, Model: p.Spec.Codename}
 	tel := newCampaignTel(env, r.Attack, defName, a.VictimCore)
+	defer tel.done(r)
 	start := p.Sim.Now()
 	defer func() { r.Duration = p.Sim.Now() - start }()
 

@@ -1,9 +1,11 @@
 package victim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 
 	"plugvolt/internal/cpu"
 )
@@ -15,6 +17,19 @@ import (
 type AES128 struct {
 	roundKeys [11][16]byte
 	rng       *mrand.Rand
+	// traj is the fault-free encryption of the block last encrypted,
+	// valid once haveTraj is set (see EncryptOn).
+	traj     aesTrajectory
+	haveTraj bool
+}
+
+// aesTrajectory is the fault-free encryption of one plaintext: the state
+// entering each round, the checksum that round passes to the core, and the
+// ciphertext. Index r-1 holds round r.
+type aesTrajectory struct {
+	pt, ct [16]byte
+	in     [10][16]byte
+	sum    [10]uint64
 }
 
 // sbox is the AES forward S-box.
@@ -111,26 +126,28 @@ func addRoundKey(s *[16]byte, k *[16]byte) {
 	}
 }
 
+// round applies round r's transform to s: SubBytes, ShiftRows, MixColumns
+// (except in the last round) and AddRoundKey.
+func (a *AES128) round(s *[16]byte, r int) {
+	subBytes(s)
+	shiftRows(s)
+	if r != 10 {
+		mixColumns(s)
+	}
+	addRoundKey(s, &a.roundKeys[r])
+}
+
+// checksum is the operand word round r's instruction passes to the core.
+func checksum(s *[16]byte, r int) uint64 {
+	return uint64(s[0]) | uint64(s[5])<<8 | uint64(s[10])<<16 | uint64(s[15])<<24 | uint64(r)<<32
+}
+
 // EncryptPure computes the reference ciphertext without the fault model.
 func (a *AES128) EncryptPure(pt []byte) ([]byte, error) {
 	if len(pt) != 16 {
 		return nil, errors.New("victim: AES block must be 16 bytes")
 	}
-	var s [16]byte
-	copy(s[:], pt)
-	addRoundKey(&s, &a.roundKeys[0])
-	for r := 1; r <= 9; r++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		addRoundKey(&s, &a.roundKeys[r])
-	}
-	subBytes(&s)
-	shiftRows(&s)
-	addRoundKey(&s, &a.roundKeys[10])
-	out := make([]byte, 16)
-	copy(out, s[:])
-	return out, nil
+	return slices.Clone(a.trajectory(pt).ct[:]), nil
 }
 
 // EncryptOn encrypts one block with every round executed on the core.
@@ -138,6 +155,11 @@ func (a *AES128) EncryptPure(pt []byte) ([]byte, error) {
 // round, so the corruption diffuses exactly as a hardware round fault
 // would. faultedRound is -1 when the ciphertext is exact, else the first
 // round index that was hit.
+//
+// The core's fault draws never read the checksum, so until a round faults
+// the encryption follows the plaintext's fault-free trajectory: EncryptOn
+// feeds the core the recorded checksums and computes no round. At the
+// first faulted round it resumes from that round's recorded state.
 func (a *AES128) EncryptOn(core *cpu.Core, pt []byte) (ct []byte, faultedRound int, err error) {
 	if core == nil {
 		return nil, -1, errors.New("victim: nil core")
@@ -145,31 +167,65 @@ func (a *AES128) EncryptOn(core *cpu.Core, pt []byte) (ct []byte, faultedRound i
 	if len(pt) != 16 {
 		return nil, -1, errors.New("victim: AES block must be 16 bytes")
 	}
-	var s [16]byte
-	copy(s[:], pt)
-	faultedRound = -1
-	addRoundKey(&s, &a.roundKeys[0])
+	return a.encryptOn(core, pt)
+}
+
+// roundCore is the execution surface the rounds run on: the subset of
+// *cpu.Core EncryptOn needs.
+type roundCore interface {
+	Exec(class cpu.Class, exact uint64) (uint64, bool, error)
+}
+
+// encryptOn is EncryptOn on any roundCore, for a 16-byte pt.
+func (a *AES128) encryptOn(core roundCore, pt []byte) (ct []byte, faultedRound int, err error) {
+	t := a.trajectory(pt)
 	for r := 1; r <= 10; r++ {
 		// One round = one ClassAES instruction on the core.
-		checksum := uint64(s[0]) | uint64(s[5])<<8 | uint64(s[10])<<16 | uint64(s[15])<<24 | uint64(r)<<32
-		_, faulted, err := core.Exec(cpu.ClassAES, checksum)
+		_, faulted, err := core.Exec(cpu.ClassAES, t.sum[r-1])
 		if err != nil {
-			return nil, faultedRound, err
+			return nil, -1, err
 		}
 		if faulted {
-			if faultedRound < 0 {
-				faultedRound = r
+			s := t.in[r-1]
+			return a.resume(core, &s, r)
+		}
+	}
+	return slices.Clone(t.ct[:]), -1, nil
+}
+
+// trajectory returns the fault-free encryption of pt, computing it when
+// the memo holds another plaintext.
+func (a *AES128) trajectory(pt []byte) *aesTrajectory {
+	t := &a.traj
+	if a.haveTraj && bytes.Equal(t.pt[:], pt) {
+		return t
+	}
+	copy(t.pt[:], pt)
+	s := t.pt
+	addRoundKey(&s, &a.roundKeys[0])
+	for r := 1; r <= 10; r++ {
+		t.in[r-1], t.sum[r-1] = s, checksum(&s, r)
+		a.round(&s, r)
+	}
+	t.ct = s
+	a.haveTraj = true
+	return t
+}
+
+// resume finishes an encryption whose round r0 faulted on the core, from
+// the state s entering that round; later rounds execute live on the core.
+func (a *AES128) resume(core roundCore, s *[16]byte, r0 int) (ct []byte, faultedRound int, err error) {
+	faulted := true
+	for r := r0; r <= 10; r++ {
+		if r > r0 {
+			if _, faulted, err = core.Exec(cpu.ClassAES, checksum(s, r)); err != nil {
+				return nil, r0, err
 			}
+		}
+		if faulted {
 			s[a.rng.Intn(16)] ^= byte(1 + a.rng.Intn(255))
 		}
-		subBytes(&s)
-		shiftRows(&s)
-		if r != 10 {
-			mixColumns(&s)
-		}
-		addRoundKey(&s, &a.roundKeys[r])
+		a.round(s, r)
 	}
-	out := make([]byte, 16)
-	copy(out, s[:])
-	return out, faultedRound, nil
+	return slices.Clone(s[:]), r0, nil
 }

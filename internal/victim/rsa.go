@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	mrand "math/rand"
 )
 
@@ -106,6 +108,8 @@ type FaultyCore interface {
 // prime factor — the classic Boneh–DeMillo–Lipton condition that
 // Plundervolt weaponized against SGX enclaves.
 type CRTSigner struct {
+	// Key signs. Sign memoizes per key pointer: assign a new *RSAKey
+	// rather than mutate the one it points to.
 	Key  *RSAKey
 	Core FaultyCore
 
@@ -133,17 +137,30 @@ type CRTSigner struct {
 	// runs replay.
 	rng *mrand.Rand
 
-	// mm reduces the non-faulted steps; prod is the big.Int product of the
-	// others. sp, sq, h and base are Sign's scratch, so a warmed signer
-	// allocates nothing per step.
-	mm              modMul
-	prod            big.Int
-	sp, sq, h, base big.Int
+	// traj is the fault-free trajectory of the digest last signed under
+	// Key (see signOnce).
+	traj *trajectory
+	// at indexes the next step of the arithmetic in progress, and live is
+	// the first step it runs on the core (see step). rec, when set,
+	// records the run into a trajectory.
+	at, live int
+	rec      *trajectory
+	// prod, sp, sq, h and base are the arithmetic's scratch.
+	prod, sp, sq, h, base big.Int
 
 	// Steps counts core multiplications in the last Sign call.
 	Steps int
 	// FaultedSteps counts multiplications whose product was corrupted.
 	FaultedSteps int
+}
+
+// trajectory is the fault-free run of one signature: the operand words
+// each core multiplication is fed, in step order, and the signature.
+type trajectory struct {
+	key *RSAKey
+	m   big.Int
+	ops [][2]uint64
+	sig *big.Int
 }
 
 // NewCRTSigner builds a signer bound to a key and an execution core.
@@ -157,26 +174,32 @@ func NewCRTSigner(key *RSAKey, core FaultyCore, seed int64) (*CRTSigner, error) 
 	return &CRTSigner{Key: key, Core: core, rng: mrand.New(mrand.NewSource(seed))}, nil
 }
 
-// coreMul sets z = x*y mod mod, executing the multiply on the core; z may
-// alias x or y. If the core faults the checksum multiplication, the
-// big-integer product is corrupted by a bit flip before reduction —
-// faithful to how a timing violation in one multiplier stage corrupts the
-// wide result. IMul reports the fault before the product is formed, so a
-// clean step reduces through the word-level kernel when its operands allow.
-func (s *CRTSigner) coreMul(z, x, y, mod *big.Int) error {
+// mulOnCore executes one step's multiply on the core, fed the operand
+// words a and b, and reports whether the core faulted it.
+func (s *CRTSigner) mulOnCore(a, b uint64) (faulted bool, err error) {
 	if s.StepHook != nil {
 		s.StepHook(s.Steps)
 	}
 	s.Steps++
-	a := low64(x) | 1
-	b := low64(y) | 1
-	_, faulted, err := s.Core.IMul(a, b)
+	_, faulted, err = s.Core.IMul(a, b)
+	return faulted, err
+}
+
+// coreMul sets z = x*y mod mod, executing the multiply on the core; z may
+// alias x or y.
+func (s *CRTSigner) coreMul(z, x, y, mod *big.Int) error {
+	faulted, err := s.mulOnCore(low64(x)|1, low64(y)|1)
 	if err != nil {
 		return err
 	}
-	if !faulted && s.mm.mul(z, x, y, mod) {
-		return nil
-	}
+	s.reduce(z, x, y, mod, faulted)
+	return nil
+}
+
+// reduce sets z = x*y mod mod. A faulted product has one rng-drawn bit
+// flipped before reduction — faithful to how a timing violation in one
+// multiplier stage corrupts the wide result.
+func (s *CRTSigner) reduce(z, x, y, mod *big.Int, faulted bool) {
 	prod := s.prod.Mul(x, y)
 	if faulted {
 		s.FaultedSteps++
@@ -184,20 +207,36 @@ func (s *CRTSigner) coreMul(z, x, y, mod *big.Int) error {
 		prod.SetBit(prod, bit, prod.Bit(bit)^1)
 	}
 	z.Mod(prod, mod)
+}
+
+// step sets z = x*y mod mod as step s.at of the arithmetic in progress; z
+// may alias x or y. Steps before s.live already ran on the core: they
+// reduce clean, except step s.live-1, which faulted there. Steps from
+// s.live on run live through coreMul.
+func (s *CRTSigner) step(z, x, y, mod *big.Int) error {
+	i := s.at
+	s.at++
+	if i >= s.live {
+		return s.coreMul(z, x, y, mod)
+	}
+	if s.rec != nil {
+		s.rec.ops = append(s.rec.ops, [2]uint64{low64(x) | 1, low64(y) | 1})
+	}
+	s.reduce(z, x, y, mod, i == s.live-1)
 	return nil
 }
 
-// expOnCore sets z = base^exp mod mod by square-and-multiply with every
-// multiplication routed through coreMul.
+// expOnCore sets z = base^exp mod mod by square-and-multiply, one step
+// per multiplication.
 func (s *CRTSigner) expOnCore(z, base, exp, mod *big.Int) error {
 	b := s.base.Mod(base, mod)
 	z.SetInt64(1)
 	for i := exp.BitLen() - 1; i >= 0; i-- {
-		if err := s.coreMul(z, z, z, mod); err != nil {
+		if err := s.step(z, z, z, mod); err != nil {
 			return err
 		}
 		if exp.Bit(i) == 1 {
-			if err := s.coreMul(z, z, b, mod); err != nil {
+			if err := s.step(z, z, b, mod); err != nil {
 				return err
 			}
 		}
@@ -236,10 +275,47 @@ func (s *CRTSigner) Sign(m *big.Int) (sig *big.Int, faulted bool, err error) {
 	return nil, false, ErrSignatureUnstable
 }
 
-// signOnce is one unprotected CRT signature.
+// signOnce is one unprotected CRT signature. The core's fault and crash
+// draws never read the operands, so until a step faults the signature
+// follows the digest's fault-free trajectory: signOnce feeds the core the
+// recorded operand words and computes nothing. At the first faulted step
+// it reruns the arithmetic with that step corrupted and the later steps
+// live on the core.
 func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error) {
 	s.Steps = 0
 	s.FaultedSteps = 0
+	t := s.trajectory(m)
+	for i, op := range t.ops {
+		faulted, err := s.mulOnCore(op[0], op[1])
+		if err != nil {
+			return nil, false, err
+		}
+		if faulted {
+			return s.compute(m, i+1)
+		}
+	}
+	return new(big.Int).Set(t.sig), false, nil
+}
+
+// trajectory returns the fault-free trajectory of digest m under s.Key,
+// computing it off the core when the memo holds another key or digest.
+func (s *CRTSigner) trajectory(m *big.Int) *trajectory {
+	if t := s.traj; t != nil && t.key == s.Key && t.m.Cmp(m) == 0 {
+		return t
+	}
+	t := &trajectory{key: s.Key}
+	t.m.Set(m)
+	s.rec = t
+	t.sig, _, _ = s.compute(m, math.MaxInt) // no step reaches the core
+	s.rec = nil
+	s.traj = t
+	return t
+}
+
+// compute runs the CRT signature arithmetic with the first live steps
+// already executed on the core (see step).
+func (s *CRTSigner) compute(m *big.Int, live int) (sig *big.Int, faulted bool, err error) {
+	s.at, s.live = 0, live
 	k := s.Key
 	if err := s.expOnCore(&s.sp, m, k.Dp, k.P); err != nil {
 		return nil, false, err
@@ -250,7 +326,7 @@ func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error)
 	// Garner recombination: sig = sq + q * ((sp - sq) * qinv mod p).
 	h := s.h.Sub(&s.sp, &s.sq)
 	h.Mod(h, k.P)
-	if err := s.coreMul(h, h, k.Qinv, k.P); err != nil {
+	if err := s.step(h, h, k.Qinv, k.P); err != nil {
 		return nil, false, err
 	}
 	sig = new(big.Int).Mul(h, k.Q)
@@ -259,22 +335,21 @@ func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error)
 	return sig, s.FaultedSteps > 0, nil
 }
 
-// StepsPerSign returns the deterministic number of core multiplications a
-// Sign call issues for this key (useful for planning single-step attacks).
-func (s *CRTSigner) StepsPerSign(m *big.Int) int {
-	count := 0
-	countExp := func(exp *big.Int) {
-		for i := exp.BitLen() - 1; i >= 0; i-- {
-			count++ // square
-			if exp.Bit(i) == 1 {
-				count++ // multiply
-			}
+// low64 returns the low 64 bits of x (the word fed to the core's
+// multiplier for fault sampling) in two's complement, as x & (2⁶⁴−1)
+// does, on 32- and 64-bit words alike.
+func low64(x *big.Int) uint64 {
+	var v uint64
+	for i, w := range x.Bits() {
+		if i*bits.UintSize >= 64 {
+			break
 		}
+		v |= uint64(w) << (i * bits.UintSize)
 	}
-	countExp(s.Key.Dp)
-	countExp(s.Key.Dq)
-	count++ // Garner multiply
-	return count
+	if x.Sign() < 0 {
+		v = -v
+	}
+	return v
 }
 
 // RecoverFactor runs the Boneh–DeMillo–Lipton / Lenstra attack: given the
@@ -303,98 +378,3 @@ func FactorsN(n, factor *big.Int) bool {
 	}
 	return new(big.Int).Mod(n, factor).Sign() == 0
 }
-
-// SignProgram is the CRT signature decomposed into single-instruction
-// steps, satisfying the sgx Program interface so enclaves, single-stepping
-// adversaries and Minefield instrumentation can all drive a *real* RSA
-// signing operation instruction by instruction.
-//
-// The schedule is precomputed from the (public) exponent bit patterns —
-// square/multiply structure is not secret-dependent beyond the key itself,
-// which the stepping adversary does not need.
-type SignProgram struct {
-	signer *CRTSigner
-	m      *big.Int
-
-	// ops is the remaining multiply schedule; state carries the running
-	// values between steps.
-	ops  []func() error
-	pos  int
-	sig  *big.Int
-	sp   *big.Int
-	sq   *big.Int
-	work *big.Int
-}
-
-// NewSignProgram builds the steppable signature of digest m.
-func NewSignProgram(s *CRTSigner, m *big.Int) (*SignProgram, error) {
-	if s == nil || m == nil {
-		return nil, errors.New("victim: signer and digest required")
-	}
-	p := &SignProgram{signer: s, m: m}
-	p.plan()
-	return p, nil
-}
-
-// plan builds the step list: square-and-multiply for both CRT halves, then
-// the Garner recombination.
-func (p *SignProgram) plan() {
-	k := p.signer.Key
-	half := func(exp, mod *big.Int, out **big.Int) {
-		// result is captured per-half and threaded through the closures.
-		p.ops = append(p.ops, func() error {
-			p.work = big.NewInt(1)
-			return nil
-		})
-		base := new(big.Int).Mod(p.m, mod)
-		for i := exp.BitLen() - 1; i >= 0; i-- {
-			p.ops = append(p.ops, func() error {
-				return p.signer.coreMul(p.work, p.work, p.work, mod)
-			})
-			if exp.Bit(i) == 1 {
-				p.ops = append(p.ops, func() error {
-					return p.signer.coreMul(p.work, p.work, base, mod)
-				})
-			}
-		}
-		p.ops = append(p.ops, func() error {
-			*out = p.work
-			return nil
-		})
-	}
-	half(k.Dp, k.P, &p.sp)
-	half(k.Dq, k.Q, &p.sq)
-	p.ops = append(p.ops, func() error {
-		h := new(big.Int).Sub(p.sp, p.sq)
-		h.Mod(h, k.P)
-		if err := p.signer.coreMul(h, h, k.Qinv, k.P); err != nil {
-			return err
-		}
-		sig := new(big.Int).Mul(h, k.Q)
-		sig.Add(sig, p.sq)
-		sig.Mod(sig, k.N)
-		p.sig = sig
-		return nil
-	})
-}
-
-// Step implements the sgx Program interface.
-func (p *SignProgram) Step() (bool, error) {
-	if p.pos >= len(p.ops) {
-		return true, nil
-	}
-	if err := p.ops[p.pos](); err != nil {
-		return false, err
-	}
-	p.pos++
-	return p.pos >= len(p.ops), nil
-}
-
-// Len returns the total step count; Pos the next step index.
-func (p *SignProgram) Len() int { return len(p.ops) }
-
-// Pos returns the next step index.
-func (p *SignProgram) Pos() int { return p.pos }
-
-// Signature returns the completed signature, or nil before completion.
-func (p *SignProgram) Signature() *big.Int { return p.sig }

@@ -517,117 +517,3 @@ func TestVerifyBeforeReleaseUnstableMachine(t *testing.T) {
 		t.Fatal("retry budget never exhausted at 5% per-mul fault rate")
 	}
 }
-
-func TestSignProgramMatchesDirectSign(t *testing.T) {
-	p := newPlatform(t, 31)
-	k, err := GenerateRSAKey(512, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewCRTSigner(k, p.Core(0), 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := k.HashToInt([]byte("steppable"))
-	prog, err := NewSignProgram(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSignProgram(nil, m); err == nil {
-		t.Fatal("nil signer accepted")
-	}
-	if prog.Len() == 0 || prog.Signature() != nil {
-		t.Fatal("bad initial state")
-	}
-	steps := 0
-	for {
-		done, err := prog.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps++
-		if done {
-			break
-		}
-	}
-	if steps != prog.Len() || prog.Pos() != prog.Len() {
-		t.Fatalf("steps %d of %d", steps, prog.Len())
-	}
-	sig := prog.Signature()
-	if sig == nil || !k.Verify(m, sig) {
-		t.Fatal("stepped signature invalid")
-	}
-	// Identical to the monolithic path (deterministic platform, no faults).
-	direct, _, err := s.Sign(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig.Cmp(direct) != 0 {
-		t.Fatal("stepped and direct signatures differ")
-	}
-	// Step after completion keeps reporting done.
-	if done, err := prog.Step(); err != nil || !done {
-		t.Fatal("completed program not done")
-	}
-}
-
-func TestSignProgramUnderSingleSteppingAttack(t *testing.T) {
-	// The stepping adversary undervolts during exactly one multiply step
-	// of a real RSA-CRT signature and recovers a factor from the result —
-	// the full Sec. 4.1 threat model against the application layer.
-	p := newPlatform(t, 32)
-	c := p.Core(0)
-	attackOffset := 0
-	for off := -1; off >= -400; off-- {
-		if err := p.WriteOffsetViaMSR(0, off, msr.PlaneCore); err != nil {
-			t.Fatal(err)
-		}
-		p.SettleAll()
-		if c.FaultProbability(cpu.ClassIMul) > 0.4 && c.CrashProbability() < 1e-6 {
-			attackOffset = off
-			break
-		}
-	}
-	if attackOffset == 0 {
-		t.Fatal("no high-rate fault point")
-	}
-	restore := func() { _ = p.WriteOffsetViaMSR(0, 0, msr.PlaneCore); p.SettleAll() }
-	undervolt := func() { _ = p.WriteOffsetViaMSR(0, attackOffset, msr.PlaneCore); p.SettleAll() }
-	restore()
-
-	k, _ := GenerateRSAKey(512, 37)
-	s, _ := NewCRTSigner(k, c, 39)
-	m := k.HashToInt([]byte("stepped-fault"))
-
-	for attempt := 0; attempt < 200; attempt++ {
-		prog, err := NewSignProgram(s, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Target one multiply inside the first CRT half.
-		target := 5 + attempt%40
-		for i := 0; ; i++ {
-			if i == target {
-				undervolt()
-			}
-			done, err := prog.Step()
-			if i == target {
-				restore()
-			}
-			if err != nil {
-				t.Fatalf("crash at step %d: %v", i, err)
-			}
-			if done {
-				break
-			}
-		}
-		sig := prog.Signature()
-		if k.Verify(m, sig) {
-			continue // the targeted step didn't fault this time
-		}
-		if f, ok := RecoverFactor(k.N, k.E, m, sig); ok && FactorsN(k.N, f) {
-			return // key material extracted via stepping
-		}
-	}
-	t.Fatal("stepping attack never produced an exploitable signature")
-}

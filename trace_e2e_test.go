@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"plugvolt"
+	"plugvolt/internal/attack"
 	"plugvolt/internal/defense"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
@@ -188,5 +189,41 @@ func TestSLOFlagsInducedStall(t *testing.T) {
 	}
 	if !kinds[slo.KindInterventionClosure] {
 		t.Errorf("uncorrected writes not flagged as closure violations:\n%s", rep.Summary())
+	}
+}
+
+// Every campaign closes the span it opens: one Run records exactly one
+// campaign_<attack> span, and a mailbox write after Run returns is a root
+// span instead of a child of the finished campaign.
+func TestCampaignSpansClose(t *testing.T) {
+	sys, err := plugvolt.NewSystem("skylake", 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A short AES campaign: it stops without faults, and its span must
+	// close on that path too.
+	aes := attack.DefaultPlundervoltAES(81)
+	aes.FloorMV, aes.BlocksPerStep = aes.StartMV+2*aes.StepMV, 200
+	for _, atk := range []attack.Attack{attack.DefaultPlundervolt(81), aes} {
+		if _, err := atk.Run(sys.Env(), "none"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Platform.WriteOffsetViaMSR(0, 0, msr.PlaneCore); err != nil {
+			t.Fatal(err)
+		}
+		spans := sys.Telemetry.Spans().Spans()
+		campaigns := 0
+		for _, s := range spans {
+			if s.Name == "campaign_"+atk.Name() {
+				campaigns++
+			}
+		}
+		if campaigns != 1 {
+			t.Fatalf("%s: %d campaign spans recorded, want 1", atk.Name(), campaigns)
+		}
+		if last := spans[len(spans)-1]; last.Name != "mailbox_write" || last.Parent != 0 {
+			t.Fatalf("%s: the write after the campaign is span %q with parent %x, want a root mailbox_write",
+				atk.Name(), last.Name, last.Parent)
+		}
 	}
 }
