@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz bench golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
+.PHONY: build test test-race fuzz bench identity golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,15 @@ fuzz:
 # at both commits on the same host, then -compare OLD NEW.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# Byte identity against another revision: `make identity BASE=<rev>` builds
+# the CLIs at BASE and in the working tree, runs the same fleet, attack
+# matrix, overhead and guard invocations with both, and fails on any output
+# that differs apart from the plugvolt_build_info line. Not a CI gate: a
+# change may alter outputs by design.
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>" >&2; exit 2; }
+	GO="$(GO)" sh scripts/identity.sh "$(BASE)"
 
 # Golden-artifact conformance: re-derive figs 2-4 at 1/2/8 workers and diff
 # bit-for-bit against artifacts/. golden-update rewrites the goldens after

@@ -92,6 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	buildinfo.Register(sys.Telemetry.Registry())
+	// The span exports and the SLO watchdog read stored spans; ask for the
+	// store before characterization so the trace holds its rows.
+	if *traceOut != "" || *foldedOut != "" || *sloCheck {
+		sys.Telemetry.Spans().Keep()
+	}
 
 	// Flight recorder: attach before characterization so the ring holds the
 	// freshest pre-trigger history of everything the machine did. Captures

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -16,16 +17,40 @@ var every = []string{
 }
 
 // TestRunOutputsIdentical: the guarded run with the SLO watchdog writes
-// every output, and each is the same bytes at any GOMAXPROCS.
+// every output, and each is the same bytes at any GOMAXPROCS. The span
+// outputs and the watchdog read the stored spans, so the trace's span count
+// and the watchdog's stats line are pinned: a run that stores no spans
+// exports an empty trace and reports polls=0.
 func TestRunOutputsIdentical(t *testing.T) {
 	r := clitest.Identical(t, run, 0, false, append([]string{"-window", "10ms", "-slo"}, every...)...)
 	if len(r.Files) != 6 {
 		t.Fatalf("wrote %d files, want 6", len(r.Files))
 	}
-	for _, want := range []string{"EXECUTE-thread faults: 0", "-- SLO watchdog", "-- E3:"} {
+	for _, want := range []string{"EXECUTE-thread faults: 0", "-- SLO watchdog", "-- E3:",
+		"  polls=400 interventions=18 writes(accepted=36 unsafe=18 guard=18) faults=0\n"} {
 		if !strings.Contains(r.Stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, r.Stdout)
 		}
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(r.Files["spans.json"], &trace); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			spans++
+		}
+	}
+	if spans != 1401 {
+		t.Errorf("-trace-out holds %d spans, want 1401", spans)
+	}
+	if !strings.Contains(string(r.Files["spans.folded"]), "guard_poll") {
+		t.Errorf("-folded-out has no guard_poll stack:\n%s", r.Files["spans.folded"])
 	}
 }
 

@@ -8,6 +8,7 @@ package plugvolt_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"plugvolt"
@@ -27,11 +28,12 @@ func captureUnderAttack(t *testing.T, seed int64) []*flight.Bundle {
 	return bundles
 }
 
-// captureWithSpanCap is captureUnderAttack with the span tracer bounded at
-// spanCap spans (0 keeps the tracer NewSystem attaches) and, when grid is
-// non-nil, a weak guard deployed: a 2 ms poll and no margin, slow enough
-// that the campaign still faults and busy enough that guard scopes fill a
-// small tracer. It also returns the tracer.
+// captureWithSpanCap is captureUnderAttack with, when spanCap > 0, a tracer
+// that stores up to spanCap spans in place of the one NewSystem attaches,
+// which stores none, and, when grid is non-nil, a weak guard deployed: a
+// 2 ms poll and no margin, slow enough that the campaign still faults and
+// busy enough that guard scopes fill a small store. It also returns the
+// tracer.
 func captureWithSpanCap(t *testing.T, seed int64, spanCap int, grid *plugvolt.Grid) ([]*flight.Bundle, *span.Tracer) {
 	t.Helper()
 	sys, err := plugvolt.NewSystem("skylake", seed)
@@ -41,6 +43,7 @@ func captureWithSpanCap(t *testing.T, seed int64, spanCap int, grid *plugvolt.Gr
 	if spanCap > 0 {
 		tel := telemetry.NewSet(sys.Platform.Sim.Now, telemetry.DefaultJournalCap, seed)
 		tel.Trace = span.NewTracer(span.Clock(sys.Platform.Sim.Now), seed, spanCap)
+		tel.Trace.Keep()
 		sys.SetTelemetry(tel)
 	}
 	rec := sys.AttachFlightRecorder(0, 16)
@@ -155,9 +158,10 @@ func TestFlightBundleByteIdenticalAcrossRuns(t *testing.T) {
 
 // TestFlightBundleIndependentOfSpanCap: mailbox-write records carry the ID
 // of their span, minted whether or not the tracer keeps the span, so the
-// framed incident bytes must not depend on the tracer's cap — on an
-// undefended machine, and on a weakly guarded one whose poll scopes fill a
-// small tracer long before the campaign ends.
+// framed incident bytes must not depend on the tracer's store — none at the
+// default cap, and a 32-span one — on an undefended machine, and on a
+// weakly guarded one whose poll scopes fill the small store long before the
+// campaign ends.
 func TestFlightBundleIndependentOfSpanCap(t *testing.T) {
 	_, grid := characterize(t, "skylake", 42, 0)
 	for _, tc := range []struct {
@@ -188,13 +192,100 @@ func TestFlightBundleIndependentOfSpanCap(t *testing.T) {
 			if wideTr.Dropped() != 0 {
 				t.Fatalf("default tracer dropped %d spans; the comparison needs an unbounded run", wideTr.Dropped())
 			}
-			if narrowTr.Dropped() == 0 {
-				t.Fatal("the 32-span tracer never filled; the drop path was not exercised")
+			if narrowTr.Len() != 32 || narrowTr.Dropped() == 0 {
+				t.Fatalf("the 32-span store holds %d spans and dropped %d; the drop path was not exercised",
+					narrowTr.Len(), narrowTr.Dropped())
 			}
 			if !bytes.Equal(wide, narrow) {
 				t.Fatalf("incident bytes depend on the span cap (%d spans dropped)", narrowTr.Dropped())
 			}
-			t.Logf("%d spans recorded at the default cap, %d dropped at cap 32", wideTr.Len(), narrowTr.Dropped())
+			t.Logf("32 spans stored and %d dropped at cap 32", narrowTr.Dropped())
+		})
+	}
+}
+
+// TestSpanStoreLeavesOutputsUnchanged runs one Plundervolt campaign twice
+// on NewSystem("skylake", 81) with a flight recorder, once with a tracer
+// that stores spans and once with the default one that stores none. The
+// exposition, telemetry_spans_dropped_total included, the journal and the
+// encoded incident bundles must be the same bytes: on an undefended machine
+// the campaign faults and freezes a bundle, and under the default guard its
+// poll scopes run the tracer past its cap.
+func TestSpanStoreLeavesOutputsUnchanged(t *testing.T) {
+	type outputs struct {
+		prom, journal, incidents []byte
+		stored                   int
+		dropped                  uint64
+	}
+	run := func(t *testing.T, guarded, keep bool) outputs {
+		sys, err := plugvolt.NewSystem("skylake", 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep {
+			sys.Telemetry.Spans().Keep()
+		}
+		rec := sys.AttachFlightRecorder(0, 16)
+		defName := "none"
+		if guarded {
+			grid, err := sys.Characterize(plugvolt.QuickSweep())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol, err := sys.DeployGuard(grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defName = pol.Name()
+		} else if err := (defense.None{}).Install(sys.Env()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := attack.DefaultPlundervolt(81).Run(sys.Env(), defName); err != nil {
+			t.Fatal(err)
+		}
+		rec.Seal()
+		sys.CollectTelemetry()
+		var prom, journal bytes.Buffer
+		if err := sys.Telemetry.Registry().Snapshot().WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Telemetry.Events().WriteJSONL(&journal); err != nil {
+			t.Fatal(err)
+		}
+		incidents, err := flight.EncodeAll(rec.Bundles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := sys.Telemetry.Spans()
+		return outputs{prom.Bytes(), journal.Bytes(), incidents, tr.Len(), tr.Dropped()}
+	}
+	for _, tc := range []struct {
+		name    string
+		guarded bool
+	}{{"undefended", false}, {"guarded", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			stored, bare := run(t, tc.guarded, true), run(t, tc.guarded, false)
+			if stored.stored == 0 || bare.stored != 0 {
+				t.Fatalf("stored %d spans when asked and %d when not; want some and none", stored.stored, bare.stored)
+			}
+			if tc.guarded && bare.dropped == 0 {
+				t.Fatal("the guarded campaign never ran the tracer past its cap")
+			}
+			if !tc.guarded && len(bare.incidents) == 0 {
+				t.Fatal("the undefended campaign froze no incident bundle")
+			}
+			if !bytes.Contains(bare.prom, []byte(fmt.Sprintf("telemetry_spans_dropped_total %d\n", bare.dropped))) {
+				t.Fatalf("exposition lacks telemetry_spans_dropped_total %d", bare.dropped)
+			}
+			for _, o := range []struct {
+				name         string
+				stored, bare []byte
+			}{{"exposition", stored.prom, bare.prom}, {"journal", stored.journal, bare.journal},
+				{"incident bundles", stored.incidents, bare.incidents}} {
+				if !bytes.Equal(o.stored, o.bare) {
+					t.Errorf("%s: a run that stores spans and one that does not disagree", o.name)
+				}
+			}
 		})
 	}
 }

@@ -119,8 +119,8 @@ func (a *PlundervoltAES) Run(env *defense.Env, defName string) (*Result, error) 
 	}
 
 	// Phase 2: harvest round-9 pairs and run the DFA.
-	pairs, err := aes.CollectRound9Pairs(c, pt, a.PairsWanted, a.CollectBudget)
-	r.Attempts += a.CollectBudget // upper bound; exact count not surfaced
+	pairs, harvested, err := aes.CollectRound9Pairs(c, pt, a.PairsWanted, a.CollectBudget)
+	r.Attempts += harvested
 	if err != nil {
 		if errors.Is(err, cpu.ErrCrashed) {
 			r.Crashes++
@@ -142,8 +142,8 @@ func (a *PlundervoltAES) Run(env *defense.Env, defName string) (*Result, error) 
 	if bytes.Equal(recovered[:], key) {
 		r.KeyRecovered = true
 		r.Succeeded = true
-		r.Notes = fmt.Sprintf("AES-128 key recovered by DFA at offset %d mV from %d round-9 pairs",
-			workingOffset, len(pairs))
+		r.Notes = fmt.Sprintf("AES-128 key recovered by DFA at offset %d mV from %d round-9 pairs in %d encryptions",
+			workingOffset, len(pairs), harvested)
 	} else {
 		r.Notes = "DFA produced a wrong key (model anomaly)"
 	}

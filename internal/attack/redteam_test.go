@@ -13,12 +13,14 @@ import (
 	"plugvolt/internal/telemetry"
 )
 
-// instrumentedEnv builds an undefended env with live telemetry and a flight
-// recorder attached, so red-team runs exercise the full capture path.
+// instrumentedEnv builds an undefended env with live telemetry, a tracer
+// that stores spans and a flight recorder attached, so red-team runs
+// exercise the full capture path.
 func instrumentedEnv(t *testing.T, model string, seed int64) (*defense.Env, *flight.Recorder) {
 	t.Helper()
 	env := newEnv(t, model, seed)
 	env.Telemetry = telemetry.NewSet(env.Platform.Sim.Now, 4096, seed)
+	env.Telemetry.Spans().Keep()
 	rec := flight.NewRecorder(env.Platform.Sim.Now, 4096, 64, model, seed)
 	env.Flight = rec
 	return env, rec

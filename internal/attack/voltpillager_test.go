@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"fmt"
 	"testing"
 
 	"plugvolt/internal/core"
@@ -138,6 +139,19 @@ func TestPlundervoltAESSucceedsUndefended(t *testing.T) {
 	}
 	if !res.Succeeded || !res.KeyRecovered {
 		t.Fatalf("AES Plundervolt failed undefended: %s (%s)", res, res.Notes)
+	}
+	// Attempts are the phase-1 blocks, one BlocksPerStep batch per accepted
+	// probe write, plus the encryptions the harvest ran, which the notes
+	// report and which stop at PairsWanted pairs, inside the budget.
+	var offsetMV, pairs, harvested int
+	if _, err := fmt.Sscanf(res.Notes, "AES-128 key recovered by DFA at offset %d mV from %d round-9 pairs in %d encryptions",
+		&offsetMV, &pairs, &harvested); err != nil {
+		t.Fatalf("notes %q: %v", res.Notes, err)
+	}
+	phase1 := (res.MailboxWrites - res.BlockedWrites) * a.BlocksPerStep
+	if res.Attempts != phase1+harvested || pairs != a.PairsWanted || harvested < pairs || harvested >= a.CollectBudget {
+		t.Fatalf("attempts %d, want %d phase-1 blocks + %d harvested for %d pairs (budget %d)",
+			res.Attempts, phase1, harvested, pairs, a.CollectBudget)
 	}
 }
 

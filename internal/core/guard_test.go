@@ -514,6 +514,7 @@ func TestGuardPollZeroAlloc(t *testing.T) {
 			Journal: telemetry.NewJournal(p.Sim.Now, 64),
 			Trace:   span.NewTracer(span.Clock(p.Sim.Now), 33, 256),
 		}
+		tel.Trace.Keep()
 		k.SetTelemetry(tel)
 		cfg := DefaultGuardConfig()
 		cfg.Telemetry = tel

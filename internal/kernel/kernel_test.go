@@ -165,6 +165,7 @@ func TestEmptyTelemetrySetSkipsSpans(t *testing.T) {
 			tel := &telemetry.Set{}
 			if tc.traced {
 				tel.Trace = span.NewTracer(span.Clock(p.Sim.Now), 1, 8)
+				tel.Trace.Keep()
 			}
 			k.SetTelemetry(tel)
 			k.SetEnergyPrice(p.Energy.PriceW)

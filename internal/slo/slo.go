@@ -38,7 +38,9 @@ const (
 	KindPollLatencyP99 Kind = "poll_latency_p99"
 	// KindMaxPollGap bounds the virtual time between consecutive guard
 	// polls on the same core, and from the last poll to the end of the
-	// evaluation window — the stall detector. Limit is a duration.
+	// evaluation window — the stall detector. With NumCores set, a core
+	// that never polls has stalled for the whole window. Limit is a
+	// duration.
 	KindMaxPollGap Kind = "max_poll_gap"
 	// KindMaxUnsafeDwell bounds the time from an accepted unsafe non-guard
 	// mailbox write to the guard intervention that closes it. Limit is a
@@ -232,7 +234,10 @@ type Watchdog struct {
 	// be set for KindGuardEnergyBudget to run — a nil source skips the rule
 	// rather than fabricating a zero reading.
 	GuardEnergyJ func(core int) float64
-	NumCores     int
+	// NumCores is the machine's core count. KindMaxPollGap expects a poll
+	// on each of cores 0..NumCores-1, so a trace that shows none on a core
+	// fails instead of passing unseen.
+	NumCores int
 }
 
 // window is one open unsafe interval on a core.
@@ -442,9 +447,14 @@ func (w *Watchdog) checkPollLatency(rep *Report, rule Rule, polls []*span.Span) 
 }
 
 func (w *Watchdog) checkPollGap(rep *Report, rule Rule, polls []*span.Span, end sim.Time) {
-	// Group poll start times per core (spans are already time-sorted).
+	// Group poll start times per core (spans are already time-sorted). Every
+	// core below NumCores is judged, polled or not.
 	perCore := map[int][]sim.Time{}
 	cores := []int{}
+	for c := 0; c < w.NumCores; c++ {
+		perCore[c] = nil
+		cores = append(cores, c)
+	}
 	for _, p := range polls {
 		c := attrInt(p, "core")
 		if _, ok := perCore[c]; !ok {
@@ -462,8 +472,15 @@ func (w *Watchdog) checkPollGap(rep *Report, rule Rule, polls []*span.Span, end 
 				worstGap, worstAt = g, times[i]
 			}
 		}
-		// The stall case: polls simply stop before the window ends.
-		if g := end - times[len(times)-1]; g > worstGap {
+		// The stall case: polls stop before the window ends, or a core
+		// never polls at all and stalls for the whole window.
+		last, why := sim.Time(0), "guard stalled?"
+		if n := len(times); n > 0 {
+			last = times[n-1]
+		} else {
+			why = "no poll in the window"
+		}
+		if g := end - last; g > worstGap {
 			worstGap, worstAt = g, end
 		}
 		if worstGap > rep.Stats.MaxPollGap {
@@ -472,8 +489,8 @@ func (w *Watchdog) checkPollGap(rep *Report, rule Rule, polls []*span.Span, end 
 		if worstGap > rule.Limit {
 			rep.Violations = append(rep.Violations, Violation{
 				Rule: rule, Core: c, At: worstAt, Measured: worstGap,
-				Detail: fmt.Sprintf("poll gap %v over limit %v (guard stalled?)",
-					sim.Time(worstGap), sim.Time(rule.Limit)),
+				Detail: fmt.Sprintf("poll gap %v over limit %v (%s)",
+					sim.Time(worstGap), sim.Time(rule.Limit), why),
 			})
 		}
 	}

@@ -23,6 +23,7 @@ func newHarness() *harness {
 	h := &harness{}
 	clock := func() sim.Time { return h.now }
 	h.tr = span.NewTracer(clock, 1, 0)
+	h.tr.Keep()
 	h.j = telemetry.NewJournal(clock, 256)
 	return h
 }
@@ -185,6 +186,7 @@ func TestFaultOutsideWindowFlagged(t *testing.T) {
 func TestTruncatedBufferClampsWindow(t *testing.T) {
 	h := newHarness()
 	h.tr = span.NewTracer(func() sim.Time { return h.now }, 1, 8)
+	h.tr.Keep()
 	end := sim.Time(10 * sim.Millisecond)
 	h.polls(0, 0, end) // 100 polls into an 8-span buffer: 92 dropped
 	rep := h.watchdog(allUnsafe).Evaluate(end)
@@ -258,6 +260,54 @@ func TestPollLatencyP99(t *testing.T) {
 	}
 }
 
+// TestUnpolledCoresStall: with NumCores set, a core that never polls in
+// the window has stalled for the whole of it. An empty trace fails on every
+// core, and a trace where one core never polls fails on that core alone.
+func TestUnpolledCoresStall(t *testing.T) {
+	end := sim.Time(10 * sim.Millisecond)
+	gaps := func(rep *Report) []int {
+		var cores []int
+		for _, v := range rep.Violations {
+			if v.Rule.Kind != KindMaxPollGap {
+				t.Fatalf("unexpected violation %v", v)
+			}
+			if v.Measured != end || v.At != end {
+				t.Fatalf("core %d: gap %v at %v, want the whole %v window", v.Core, v.Measured, v.At, end)
+			}
+			cores = append(cores, v.Core)
+		}
+		return cores
+	}
+
+	empty := &Watchdog{Tracer: span.NewTracer(nil, 1, 0), Rules: DefaultRules(100 * sim.Microsecond), NumCores: 4}
+	rep := empty.Evaluate(end)
+	if got := gaps(rep); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("empty trace: max_poll_gap on cores %v, want all four:\n%s", got, rep.Summary())
+	}
+	if rep.Stats.MaxPollGap != end {
+		t.Fatalf("MaxPollGap = %v, want %v", rep.Stats.MaxPollGap, end)
+	}
+
+	h := newHarness()
+	for _, c := range []int{0, 1, 3} {
+		h.polls(c, 0, end)
+	}
+	wd := h.watchdog(allUnsafe)
+	wd.NumCores = 4
+	rep = wd.Evaluate(end)
+	if got := gaps(rep); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("core 2 never polls: max_poll_gap on cores %v, want [2]:\n%s", got, rep.Summary())
+	}
+	if !strings.Contains(rep.Summary(), "no poll in the window") {
+		t.Fatalf("summary does not say core 2 never polled:\n%s", rep.Summary())
+	}
+	// Without NumCores the watchdog judges only the cores it sees.
+	wd.NumCores = 0
+	if rep := wd.Evaluate(end); !rep.OK() {
+		t.Fatalf("NumCores unset flagged a core it was not told about:\n%s", rep.Summary())
+	}
+}
+
 // The energy-budget rule converts each core's attributed joules into mean
 // watts over the window: under budget is quiet, over budget names the core,
 // and a watchdog without an energy source skips the rule entirely.
@@ -265,6 +315,7 @@ func TestEnergyBudgetRule(t *testing.T) {
 	h := newHarness()
 	end := sim.Time(10 * sim.Millisecond) // window 0.01 s
 	h.polls(0, 0, end)
+	h.polls(1, 0, end)
 	// Core 0: 0.4 mJ over 10 ms = 40 mW; core 1: 2 mJ = 200 mW.
 	joules := []float64{0.0004, 0.002}
 

@@ -2,6 +2,7 @@ package span
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -106,24 +107,30 @@ var (
 	dropAttrs  = []map[string]any{nil, {"core": 0}, {"core": 1, "addr": "0x198"}}
 )
 
-// openSpan pairs a span open on the tracer under test with its reference.
+// openSpan is one span open on the storing tracer, on the bare tracer and
+// on the reference. Exactly one of scope and active is set, and bareScope or
+// bareActive to match.
 type openSpan struct {
-	scope  *Scope
-	active *Active
-	ref    *refSpan
+	scope      *Scope
+	active     *Active
+	bareScope  *Scope
+	bareActive *Active
+	ref        *refSpan
 }
 
-// runDropScript interprets script on a tracer and on the reference tracer
-// in lockstep and fails on the first observable difference. script[0]
-// picks the cap (0-24, 0 selecting DefaultCap); each following byte pair
-// is one operation and its argument.
+// runDropScript interprets script in lockstep on a storing tracer, on a
+// bare tracer that was never asked to store, and on the reference tracer,
+// and fails on the first observable difference. script[0] picks the cap
+// (0-24, 0 selecting DefaultCap); each following byte pair is one operation
+// and its argument.
 func runDropScript(t *testing.T, script []byte) {
 	if len(script) == 0 {
 		return
 	}
 	c := &fakeClock{}
 	capacity := int(script[0]) % 25
-	tr := NewTracer(c.clock, 21, capacity)
+	tr := kept(c.clock, 21, capacity)
+	bare := NewTracer(c.clock, 21, capacity)
 	ref := newRefTracer(c.clock, 21, capacity)
 	var open []openSpan
 	pick := func(arg byte) *openSpan {
@@ -139,32 +146,38 @@ func runDropScript(t *testing.T, script []byte) {
 		switch op {
 		case 0, 1: // StartScope, StartRootScope
 			root := op == 1
-			sc := new(Scope)
+			start := (*Tracer).StartScope
 			if root {
-				*sc = tr.StartRootScope(track, name, attrs)
-			} else {
-				*sc = tr.StartScope(track, name, attrs)
+				start = (*Tracer).StartRootScope
 			}
+			sc, bsc := new(Scope), new(Scope)
+			*sc, *bsc = start(tr, track, name, attrs), start(bare, track, name, attrs)
 			r := ref.start(track, name, attrs, root)
 			if id := sc.ID(); id != 0 && id != r.span.ID {
 				t.Fatalf("op %d: scope ID %x, reference %x", i, id, r.span.ID)
 			} else if id == 0 && len(ref.spans) < ref.cap {
 				t.Fatalf("op %d: drop-only scope on a tracer with %d of %d spans", i, len(ref.spans), ref.cap)
 			}
-			open = append(open, openSpan{scope: sc, ref: r})
+			if id := bsc.ID(); id != 0 {
+				t.Fatalf("op %d: the bare tracer's scope carries ID %x", i, id)
+			}
+			open = append(open, openSpan{scope: sc, bareScope: bsc, ref: r})
 		case 2: // Start
 			a := tr.Start(track, name, map[string]any{"n": int(arg)})
+			b := bare.Start(track, name, map[string]any{"n": int(arg)})
 			r := ref.start(track, name, map[string]any{"n": int(arg)}, false)
-			if a.ID() != r.span.ID {
-				t.Fatalf("op %d: Start ID %x, reference %x", i, a.ID(), r.span.ID)
+			if a.ID() != r.span.ID || b.ID() != r.span.ID {
+				t.Fatalf("op %d: Start IDs %x (bare %x), reference %x", i, a.ID(), b.ID(), r.span.ID)
 			}
-			open = append(open, openSpan{active: a, ref: r})
+			open = append(open, openSpan{active: a, bareActive: b, ref: r})
 		case 3: // End, possibly out of order or a second time
 			if o := pick(arg); o != nil {
 				if o.scope != nil {
 					o.scope.End()
+					o.bareScope.End()
 				} else {
 					o.active.End()
+					o.bareActive.End()
 				}
 				o.ref.end(c.now - o.ref.span.Start)
 			}
@@ -173,8 +186,10 @@ func runDropScript(t *testing.T, script []byte) {
 				d := sim.Duration(int(arg)-96) * sim.Nanosecond
 				if o.scope != nil {
 					o.scope.EndWithCost(d)
+					o.bareScope.EndWithCost(d)
 				} else {
 					o.active.EndWithCost(d)
+					o.bareActive.EndWithCost(d)
 				}
 				o.ref.end(d)
 			}
@@ -182,13 +197,14 @@ func runDropScript(t *testing.T, script []byte) {
 			start := c.now - sim.Time(arg)*sim.Nanosecond
 			d := sim.Duration(int(arg)-64) * sim.Nanosecond
 			got := tr.Complete(track, name, start, d, map[string]any{"n": int(arg)})
-			if want := ref.complete(track, name, start, d, map[string]any{"n": int(arg)}); got != want {
-				t.Fatalf("op %d: Complete ID %x, reference %x", i, got, want)
+			gotBare := bare.Complete(track, name, start, d, map[string]any{"n": int(arg)})
+			if want := ref.complete(track, name, start, d, map[string]any{"n": int(arg)}); got != want || gotBare != want {
+				t.Fatalf("op %d: Complete IDs %x (bare %x), reference %x", i, got, gotBare, want)
 			}
 		case 6: // Instant
-			got := tr.Instant(track, name, attrs)
-			if want := ref.complete(track, name, c.now, 0, attrs); got != want {
-				t.Fatalf("op %d: Instant ID %x, reference %x", i, got, want)
+			got, gotBare := tr.Instant(track, name, attrs), bare.Instant(track, name, attrs)
+			if want := ref.complete(track, name, c.now, 0, attrs); got != want || gotBare != want {
+				t.Fatalf("op %d: Instant IDs %x (bare %x), reference %x", i, got, gotBare, want)
 			}
 		default: // the clock moves
 			c.now += sim.Time(arg) * sim.Nanosecond
@@ -196,37 +212,49 @@ func runDropScript(t *testing.T, script []byte) {
 		if tr.Len() != len(ref.spans) || tr.Dropped() != ref.dropped {
 			t.Fatalf("op %d: Len %d, Dropped %d; reference %d, %d", i, tr.Len(), tr.Dropped(), len(ref.spans), ref.dropped)
 		}
+		if bare.Len() != 0 || bare.Dropped() != ref.dropped {
+			t.Fatalf("op %d: bare tracer Len %d, Dropped %d; want 0 and %d", i, bare.Len(), bare.Dropped(), ref.dropped)
+		}
 	}
 	if got := tr.Spans(); !reflect.DeepEqual(got, ref.spans) {
 		t.Fatalf("recorded spans differ:\n%+v\nreference:\n%+v", got, ref.spans)
 	}
-	refOut := &Tracer{spans: ref.spans}
-	for _, w := range []struct {
-		name      string
-		got, want func(*bytes.Buffer) error
-	}{
-		{"WriteChromeTrace", func(b *bytes.Buffer) error { return tr.WriteChromeTrace(b) },
-			func(b *bytes.Buffer) error { return refOut.WriteChromeTrace(b) }},
-		{"WriteFolded", func(b *bytes.Buffer) error { return tr.WriteFolded(b) },
-			func(b *bytes.Buffer) error { return refOut.WriteFolded(b) }},
+	if got := bare.Spans(); len(got) != 0 {
+		t.Fatalf("the bare tracer stored %d spans", len(got))
+	}
+	// The storing tracer exports the reference's spans; the bare one exports
+	// what an empty store does.
+	for _, pair := range []struct{ got, want *Tracer }{
+		{tr, &Tracer{spans: ref.spans}},
+		{bare, &Tracer{}},
 	} {
-		var got, want bytes.Buffer
-		if err := w.got(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.want(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s differs from the reference:\n%s\nreference:\n%s", w.name, got.Bytes(), want.Bytes())
+		for _, w := range []struct {
+			name  string
+			write func(*Tracer, io.Writer) error
+		}{
+			{"WriteChromeTrace", (*Tracer).WriteChromeTrace},
+			{"WriteFolded", (*Tracer).WriteFolded},
+		} {
+			var got, want bytes.Buffer
+			if err := w.write(pair.got, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.write(pair.want, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s differs from the reference:\n%s\nreference:\n%s", w.name, got.Bytes(), want.Bytes())
+			}
 		}
 	}
 }
 
-// FuzzTracerDropEquivalence checks the drop-only scope path against the
-// always-minting reference: for any script, the recorded spans, Len,
-// Dropped, both exports and every ID Start, Complete and Instant return
-// are identical.
+// FuzzTracerDropEquivalence checks the drop-only path against the
+// always-minting reference: for any script, a storing tracer has the
+// reference's recorded spans, Len, Dropped and exports, a tracer that
+// stores nothing has its Dropped and an empty store and exports, and both
+// return every ID that Start, Complete and Instant return on the
+// reference.
 func FuzzTracerDropEquivalence(f *testing.F) {
 	// Fill a 3-span tracer, then drop scopes on the tracks Complete and
 	// Instant use next.

@@ -24,14 +24,18 @@
 //     rendering, so export bytes are independent of emission interleaving —
 //     in particular of the characterizer's worker count, provided emitters
 //     use per-row tracks.
-//   - The buffer keeps the first cap spans and never shrinks, so once it is
-//     full every later span is dropped. A scope started on a full tracer is
-//     drop-only: it advances its track's sequence but mints no ID and skips
-//     the lock and the scope stack. Start, Complete and Instant always mint,
-//     so every ID they return, and every recorded byte, equals what an
-//     unbounded tracer produces up to the cap; only Scope.ID of a drop-only
-//     scope reads zero. Incident bundles, which carry mailbox-write Instant
-//     IDs, therefore do not depend on the cap.
+//   - A tracer stores spans only for a reader that asks (Keep): the
+//     exporters and the SLO watchdog read them, and nothing else does. A
+//     tracer that is never asked still mints every ID, advances every
+//     track's sequence and counts every span that ends, so the IDs Start,
+//     Complete and Instant return, and Dropped, are the same whether or
+//     not it stores. A store keeps the first cap spans that end and never
+//     shrinks. While a tracer stores nothing, before Keep or once its store
+//     is full, a scope is drop-only: it advances its track's sequence but
+//     mints no ID and skips the lock and the scope stack. Start, Complete
+//     and Instant always mint, so incident bundles, which carry
+//     mailbox-write Instant IDs, depend neither on the cap nor on whether
+//     anything stores.
 //
 // All methods are nil-receiver safe: instrumented code holds a possibly-nil
 // *Tracer and calls it unconditionally.
@@ -74,20 +78,23 @@ type Span struct {
 // part worth keeping.
 const DefaultCap = 1 << 16
 
-// Tracer records spans. Construct with NewTracer; a nil *Tracer is a valid
-// no-op sink.
+// Tracer mints span IDs and, once a reader asks (Keep), stores spans.
+// Construct with NewTracer; a nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	mu    sync.Mutex
 	clock Clock
 	seed  int64
 	cap   int
+	// spans is the store: empty until Keep, then the first cap spans that
+	// end.
 	spans []Span
-	// full is set once spans holds cap entries. The buffer never shrinks,
-	// so it is never cleared, and every span that ends afterwards is
-	// dropped: scopes started on a full tracer skip the lock, the ID hash
-	// and the scope stack (see dropping).
-	full    atomic.Bool
-	dropped atomic.Uint64
+	// discard is set while a span that ends would not be stored: until
+	// Keep, and again once spans holds cap entries, which it never shrinks
+	// from. Scopes started while it is set are drop-only (see dropping).
+	discard atomic.Bool
+	// ended counts every span that ended, stored or not; Dropped derives
+	// the spans past the cap from it.
+	ended atomic.Uint64
 	// seqs holds each track's next sequence number, boxed so that hot, the
 	// two most recently used tracks, can advance theirs without hashing the
 	// track name: the guard's steady-state poll alternates between two.
@@ -95,20 +102,37 @@ type Tracer struct {
 	hot  [2]trackSeq
 	// stack is the scope stack of currently-open span IDs; the top is the
 	// parent of the next span started. The simulation core is single-threaded,
-	// which makes a single stack a sound causality model; the mutex keeps the
-	// race detector happy for concurrent readers (the obs server), which
-	// never read seqs or stack.
+	// which makes a single stack a sound causality model. Only that writer
+	// touches seqs and stack; the mutex guards the store against readers on
+	// other goroutines (an exporter, a test).
 	stack []ID
 }
 
 // NewTracer builds a tracer stamped by clock, minting IDs from seed, bounded
-// at cap spans (cap <= 0 selects DefaultCap). A nil clock stamps spans at
-// time zero.
+// at cap spans (cap <= 0 selects DefaultCap). It stores nothing until Keep.
+// A nil clock stamps spans at time zero.
 func NewTracer(clock Clock, seed int64, cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	return &Tracer{clock: clock, seed: seed, cap: cap, seqs: map[string]*uint64{}}
+	t := &Tracer{clock: clock, seed: seed, cap: cap, seqs: map[string]*uint64{}}
+	t.discard.Store(true)
+	return t
+}
+
+// Keep makes the tracer store the spans that end from now on, up to its
+// cap. Call it before the first span, on the tracer of a run whose spans
+// something will read; a span started before Keep stays drop-only. Keep is
+// idempotent and nil-safe.
+func (t *Tracer) Keep() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.spans) < t.cap {
+		t.discard.Store(false)
+	}
 }
 
 // now reads the tracer clock.
@@ -181,25 +205,23 @@ func (t *Tracer) nextSeq(track string) uint64 {
 	return seq
 }
 
-// record appends a completed span, honoring the cap. Caller holds t.mu.
+// record counts a span that ended and stores it while the tracer stores.
+// Caller holds t.mu.
 func (t *Tracer) record(s Span) {
-	if len(t.spans) >= t.cap {
-		t.dropped.Add(1)
+	t.ended.Add(1)
+	if t.discard.Load() {
 		return
 	}
 	t.spans = append(t.spans, s)
 	if len(t.spans) == t.cap {
-		t.full.Store(true)
+		t.discard.Store(true)
 	}
 }
 
-// Active is a span under construction, returned by Start. A nil *Active
-// (from a nil tracer) absorbs all calls.
-type Active struct {
-	t     *Tracer
-	span  Span
-	ended bool
-}
+// Active is a span under construction, returned by Start: a heap-held Scope
+// that can still take attributes. A nil *Active (from a nil tracer) absorbs
+// all calls.
+type Active struct{ s Scope }
 
 // Start opens a span on track at the current virtual time, parented under
 // the innermost span still open (the scope stack top). Close it with End or
@@ -208,81 +230,37 @@ func (t *Tracer) Start(track, name string, attrs map[string]any) *Active {
 	if t == nil {
 		return nil
 	}
-	at := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, seq := t.mint(track)
-	var parent ID
-	if n := len(t.stack); n > 0 {
-		parent = t.stack[n-1]
-	}
-	t.stack = append(t.stack, id)
-	return &Active{t: t, span: Span{
-		ID: id, Parent: parent, Track: track, Name: name,
-		Start: at, Attrs: attrs, Seq: seq,
-	}}
-}
-
-// ID reports the active span's ID (zero on nil).
-func (a *Active) ID() ID {
-	if a == nil {
-		return 0
-	}
-	return a.span.ID
+	return &Active{t.startScope(track, name, attrs, false)}
 }
 
 // SetAttr attaches or overwrites one attribute before the span ends.
 func (a *Active) SetAttr(key string, value any) {
-	if a == nil || a.ended {
+	if a == nil || a.s.ended {
 		return
 	}
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	if a.span.Attrs == nil {
-		a.span.Attrs = map[string]any{}
+	a.s.t.mu.Lock()
+	defer a.s.t.mu.Unlock()
+	if a.s.span.Attrs == nil {
+		a.s.span.Attrs = map[string]any{}
 	}
-	a.span.Attrs[key] = value
+	a.s.span.Attrs[key] = value
 }
 
 // End closes the span with a virtual-clock duration (now - start) and pops
 // it from the scope stack. Ending twice is a no-op.
 func (a *Active) End() {
-	if a == nil || a.ended {
+	if a == nil || a.s.ended {
 		return
 	}
-	a.finish(a.t.now() - a.span.Start)
+	a.s.finish(a.s.t.now() - a.s.span.Start)
 }
 
-// EndWithCost closes the span with an explicit duration — the CPU cost the
-// work charged — instead of a clock delta. This is how kthread-side spans
-// (polls, rdmsr/wrmsr steps) get nonzero durations: kernel work charges
-// stolen time against the core without advancing the virtual clock, so a
-// clock delta would always read zero.
+// EndWithCost closes the span with an explicit CPU-cost duration, like
+// (*Scope).EndWithCost.
 func (a *Active) EndWithCost(d sim.Duration) {
-	if a == nil || a.ended {
-		return
+	if a != nil {
+		a.s.EndWithCost(d)
 	}
-	if d < 0 {
-		d = 0
-	}
-	a.finish(d)
-}
-
-func (a *Active) finish(d sim.Duration) {
-	a.ended = true
-	a.span.Dur = d
-	t := a.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Pop this span from the scope stack. Out-of-order ends (a parent ended
-	// before a still-open child) are tolerated by unwinding to the span.
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == a.span.ID {
-			t.stack = t.stack[:i]
-			break
-		}
-	}
-	t.record(a.span)
 }
 
 // Scope is a by-value active span for allocation-free hot paths. Unlike
@@ -297,18 +275,18 @@ type Scope struct {
 	t     *Tracer
 	span  Span
 	ended bool
-	// drop marks a scope started on a full tracer: it holds no span, and
-	// ending it only counts the drop.
+	// drop marks a scope started while the tracer stored nothing: it holds
+	// no span, and ending it only counts it.
 	drop bool
 }
 
 // StartScope opens a span exactly like Start — minted ID, parented under the
 // scope-stack top, recorded when ended — but returns the active span by
-// value. See Scope for the attrs aliasing contract. On a full tracer, whose
-// span would be dropped at its end whatever happened in between, it returns
-// a drop-only scope instead: the track's sequence still advances, so later
-// IDs on the track are the ones an unbounded run mints, but the scope gets
-// no ID, takes no lock and never touches the scope stack.
+// value. See Scope for the attrs aliasing contract. On a tracer that stores
+// nothing, whose span would be dropped at its end whatever happened in
+// between, it returns a drop-only scope instead: the track's sequence still
+// advances, so later IDs on the track are the ones a storing run mints, but
+// the scope gets no ID, takes no lock and never touches the scope stack.
 func (t *Tracer) StartScope(track, name string, attrs map[string]any) Scope {
 	if t.dropping(track) {
 		return Scope{t: t, drop: true}
@@ -334,7 +312,7 @@ func (t *Tracer) StartRootScope(track, name string, attrs map[string]any) Scope 
 // single-threaded (see Tracer.stack) and readers never touch seqs, so this
 // takes no lock.
 func (t *Tracer) dropping(track string) bool {
-	if t == nil || !t.full.Load() {
+	if t == nil || !t.discard.Load() {
 		return false
 	}
 	t.nextSeq(track)
@@ -362,20 +340,11 @@ func (t *Tracer) startScope(track, name string, attrs map[string]any, root bool)
 	}}
 }
 
-// ID reports the scope's span ID (zero on the zero Scope and on a drop-only
-// scope from a full tracer).
-func (s *Scope) ID() ID { return s.span.ID }
-
-// End closes the scope with a virtual-clock duration, like (*Active).End.
-func (s *Scope) End() {
-	if s.t == nil || s.ended {
-		return
-	}
-	s.finish(s.t.now() - s.span.Start)
-}
-
-// EndWithCost closes the scope with an explicit CPU-cost duration, like
-// (*Active).EndWithCost. Ending twice is a no-op.
+// EndWithCost closes the scope with an explicit duration — the CPU cost the
+// work charged — instead of a clock delta, and pops it from the scope stack.
+// This is how kthread-side spans (polls, rdmsr/wrmsr steps) get nonzero
+// durations: kernel work charges stolen time without advancing the virtual
+// clock, so a clock delta would always read zero. Ending twice is a no-op.
 func (s *Scope) EndWithCost(d sim.Duration) {
 	if s.t == nil || s.ended {
 		return
@@ -389,7 +358,7 @@ func (s *Scope) EndWithCost(d sim.Duration) {
 func (s *Scope) finish(d sim.Duration) {
 	s.ended = true
 	if s.drop {
-		s.t.dropped.Add(1)
+		s.t.ended.Add(1)
 		return
 	}
 	s.span.Dur = d
@@ -436,7 +405,7 @@ func (t *Tracer) Instant(track, name string, attrs map[string]any) ID {
 	return t.Complete(track, name, t.now(), 0, attrs)
 }
 
-// Spans returns a copy of the recorded spans in emission order.
+// Spans returns a copy of the stored spans in the order they ended.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
@@ -446,7 +415,7 @@ func (t *Tracer) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// Len reports the number of retained spans.
+// Len reports the number of stored spans.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -456,12 +425,17 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Dropped reports spans rejected after the cap was reached.
+// Dropped reports the spans that ended after cap others had: those a
+// storing tracer rejects. A tracer that stores nothing reports the same
+// count, so the exposition does not depend on whether a reader asked.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	if n, c := t.ended.Load(), uint64(t.cap); n > c {
+		return n - c
+	}
+	return 0
 }
 
 // sorted returns the spans ordered by (Start, Track, Seq) — the canonical

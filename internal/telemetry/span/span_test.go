@@ -11,6 +11,13 @@ import (
 	"plugvolt/internal/sim"
 )
 
+// kept returns a tracer that stores spans, as NewTracer followed by Keep.
+func kept(clock Clock, seed int64, cap int) *Tracer {
+	tr := NewTracer(clock, seed, cap)
+	tr.Keep()
+	return tr
+}
+
 // fakeClock is a manually-advanced virtual clock for pure unit tests.
 type fakeClock struct{ now sim.Time }
 
@@ -35,7 +42,7 @@ func emitSample(tr *Tracer, c *fakeClock) {
 func TestDeterministicIDsAndParents(t *testing.T) {
 	build := func() *Tracer {
 		c := &fakeClock{}
-		tr := NewTracer(c.clock, 42, 0)
+		tr := kept(c.clock, 42, 0)
 		emitSample(tr, c)
 		return tr
 	}
@@ -87,7 +94,7 @@ func TestSeedChangesIDs(t *testing.T) {
 func TestChromeTraceByteIdentical(t *testing.T) {
 	render := func() []byte {
 		c := &fakeClock{}
-		tr := NewTracer(c.clock, 7, 0)
+		tr := kept(c.clock, 7, 0)
 		emitSample(tr, c)
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -124,7 +131,7 @@ func TestChromeTraceOrderIndependent(t *testing.T) {
 	// Two emission interleavings of the same spans must render identically:
 	// this is what makes the export worker-count invariant.
 	mk := func(order []int) []byte {
-		tr := NewTracer(nil, 3, 0)
+		tr := kept(nil, 3, 0)
 		for _, freq := range order {
 			tr.Complete("characterize/"+strings.Repeat("0", 0)+itoa(freq), "row",
 				0, sim.Duration(freq)*sim.Microsecond, map[string]any{"freq_khz": freq})
@@ -155,7 +162,7 @@ func itoa(v int) string {
 
 func TestFolded(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracer(c.clock, 7, 0)
+	tr := kept(c.clock, 7, 0)
 	emitSample(tr, c)
 	var buf bytes.Buffer
 	if err := tr.WriteFolded(&buf); err != nil {
@@ -180,7 +187,7 @@ func TestFolded(t *testing.T) {
 }
 
 func TestCapDropsNewest(t *testing.T) {
-	tr := NewTracer(nil, 1, 4)
+	tr := kept(nil, 1, 4)
 	for i := 0; i < 10; i++ {
 		tr.Complete("t", "s", sim.Time(i), 0, nil)
 	}
@@ -200,6 +207,7 @@ func TestCapDropsNewest(t *testing.T) {
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
+	tr.Keep()
 	a := tr.Start("t", "s", nil)
 	a.SetAttr("k", 1)
 	a.End()
@@ -243,7 +251,7 @@ func TestTsMicros(t *testing.T) {
 
 func TestEndTwiceAndScopeUnwind(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracer(c.clock, 9, 0)
+	tr := kept(c.clock, 9, 0)
 	outer := tr.Start("t", "outer", nil)
 	inner := tr.Start("t", "inner", nil)
 	outer.End() // out of order: unwinds past inner
@@ -309,7 +317,7 @@ func TestMintMatchesFNV(t *testing.T) {
 func TestScopeMirrorsActive(t *testing.T) {
 	viaActive := func() []Span {
 		c := &fakeClock{}
-		tr := NewTracer(c.clock, 7, 0)
+		tr := kept(c.clock, 7, 0)
 		tick := tr.Start("kernel/g", "tick", map[string]any{"core": 0})
 		poll := tr.Start("guard", "poll", map[string]any{"core": 1})
 		rd := tr.Start("kernel/g", "rdmsr", map[string]any{"addr": "0x198"})
@@ -321,7 +329,7 @@ func TestScopeMirrorsActive(t *testing.T) {
 	}
 	viaScope := func() []Span {
 		c := &fakeClock{}
-		tr := NewTracer(c.clock, 7, 0)
+		tr := kept(c.clock, 7, 0)
 		tick := tr.StartScope("kernel/g", "tick", map[string]any{"core": 0})
 		poll := tr.StartScope("guard", "poll", map[string]any{"core": 1})
 		rd := tr.StartScope("kernel/g", "rdmsr", map[string]any{"addr": "0x198"})
@@ -357,7 +365,7 @@ func TestScopeZeroValueAndDoubleEnd(t *testing.T) {
 	var zero Scope
 	zero.End() // must not panic
 
-	tr := NewTracer(nil, 3, 0)
+	tr := kept(nil, 3, 0)
 	sc := tr.StartScope("t", "x", nil)
 	sc.EndWithCost(10)
 	sc.EndWithCost(20)
@@ -369,27 +377,77 @@ func TestScopeZeroValueAndDoubleEnd(t *testing.T) {
 }
 
 // TestScopeSteadyStateZeroAlloc is the tracer-level half of the guard's
-// zero-alloc contract: once the span buffer is full (drop-newest steady
-// state), StartScope returns drop-only scopes, which still advance the
-// track's sequence; once that entry exists, StartScope+EndWithCost must not
-// allocate.
+// zero-alloc contract: once the store is full (drop-newest steady state),
+// and on a tracer that stores nothing from its first span, StartScope
+// returns drop-only scopes, which still advance the track's sequence; once
+// that entry exists, StartScope+EndWithCost must not allocate.
 func TestScopeSteadyStateZeroAlloc(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracer(c.clock, 11, 8)
 	attrs := map[string]any{"core": 0}
-	for i := 0; i < 16; i++ { // fill buffer + warm seqs/stack capacity
-		sc := tr.StartScope("guard", "poll", attrs)
-		sc.EndWithCost(700 * sim.Nanosecond)
+	for _, tc := range []struct {
+		name    string
+		tr      *Tracer
+		wantLen int
+	}{{"full store", kept(c.clock, 11, 8), 8}, {"no store", NewTracer(c.clock, 11, 8), 0}} {
+		tr := tc.tr
+		for i := 0; i < 16; i++ { // fill the store + warm seqs/stack capacity
+			sc := tr.StartScope("guard", "poll", attrs)
+			sc.EndWithCost(700 * sim.Nanosecond)
+		}
+		if tr.Len() != tc.wantLen || tr.Dropped() != 8 {
+			t.Fatalf("%s: warm-up: len=%d dropped=%d, want len %d and 8 spans past the cap", tc.name, tr.Len(), tr.Dropped(), tc.wantLen)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			sc := tr.StartScope("guard", "poll", attrs)
+			sc.EndWithCost(700 * sim.Nanosecond)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: StartScope/EndWithCost allocates %.1f per span in steady state, want 0", tc.name, allocs)
+		}
 	}
-	if tr.Len() != 8 || tr.Dropped() == 0 {
-		t.Fatalf("warm-up: len=%d dropped=%d, want full buffer", tr.Len(), tr.Dropped())
+}
+
+// TestUnkeptTracerStoresNothing: a tracer that was never asked to store
+// mints the IDs a storing tracer mints and reports the same drop count, but
+// stores and exports nothing, and its drop-only scopes carry no ID.
+func TestUnkeptTracerStoresNothing(t *testing.T) {
+	c := &fakeClock{}
+	st, bare := kept(c.clock, 5, 4), NewTracer(c.clock, 5, 4)
+	for i := 0; i < 3; i++ {
+		emitSample(st, c)
+		emitSample(bare, c)
+		if st.Complete("msr/core1", "x", 0, 0, nil) != bare.Complete("msr/core1", "x", 0, 0, nil) ||
+			st.Start("guard", "y", nil).ID() != bare.Start("guard", "y", nil).ID() {
+			t.Fatalf("round %d: IDs differ between a storing and a bare tracer", i)
+		}
+		if st.Dropped() != bare.Dropped() {
+			t.Fatalf("round %d: Dropped %d, storing tracer %d", i, bare.Dropped(), st.Dropped())
+		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		sc := tr.StartScope("guard", "poll", attrs)
-		sc.EndWithCost(700 * sim.Nanosecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("StartScope/EndWithCost allocates %.1f per span in steady state, want 0", allocs)
+	if sc := bare.StartScope("guard", "poll", nil); sc.ID() != 0 {
+		t.Fatalf("bare tracer's scope carries ID %x", sc.ID())
+	}
+	if st.Len() != 4 || st.Dropped() != 3*6-4 {
+		t.Fatalf("storing tracer: Len %d, Dropped %d; want 4 and %d", st.Len(), st.Dropped(), 3*6-4)
+	}
+	if bare.Len() != 0 || bare.Spans() != nil {
+		t.Fatalf("bare tracer stored %d spans", bare.Len())
+	}
+	var trace, folded bytes.Buffer
+	if err := bare.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.WriteFolded(&folded); err != nil {
+		t.Fatal(err)
+	}
+	if got := trace.String(); got != "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n" || folded.Len() != 0 {
+		t.Fatalf("bare tracer exported %q and %q", got, folded.String())
+	}
+	// Keep after the store filled does not reopen it.
+	st.Keep()
+	st.Complete("t", "z", 0, 0, nil)
+	if st.Len() != 4 {
+		t.Fatalf("Keep reopened a full store: Len %d", st.Len())
 	}
 }
 
@@ -400,7 +458,7 @@ func TestScopeSteadyStateZeroAlloc(t *testing.T) {
 // track's sequence.
 func TestFullTracerDropOnlyScopes(t *testing.T) {
 	const seed = 13
-	tr := NewTracer(nil, seed, 2)
+	tr := kept(nil, seed, 2)
 	tr.Complete("msr/core0", "mailbox_write", 0, 0, nil)
 	open := tr.StartScope("guard", "poll", nil) // guard seq 0, started before full
 	tr.Complete("msr/core0", "mailbox_write", 0, 0, nil)
@@ -438,11 +496,12 @@ func TestFullTracerDropOnlyScopes(t *testing.T) {
 
 // TestConcurrentReadersDuringDrops runs the single writer past the cap,
 // through both the locked record path and the lock-free drop path, while
-// another goroutine reads the way the obs server does. Under -race this
-// checks that readers never touch writer-only state unsynchronized.
+// another goroutine reads the store and the drop count and exports. Under
+// -race this checks that readers never touch writer-only state
+// unsynchronized.
 func TestConcurrentReadersDuringDrops(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracer(c.clock, 17, 64)
+	tr := kept(c.clock, 17, 64)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

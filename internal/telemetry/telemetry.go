@@ -358,7 +358,8 @@ type Set struct {
 }
 
 // NewSet builds a registry, a journal bounded at journalCap events, and a
-// span tracer minting IDs from seed, all on the same clock. The journal's
+// span tracer minting IDs from seed, which stores spans only once a reader
+// asks (span.Tracer.Keep), all on the same clock. The journal's
 // drop-newest count is wired to the telemetry_journal_dropped_total counter
 // so silent event loss is visible in the exposition.
 func NewSet(clock Clock, journalCap int, seed int64) *Set {

@@ -69,20 +69,23 @@ type FaultyPair struct {
 // CollectRound9Pairs drives the on-core encryptor until `want` pairs with a
 // round-9 fault have been gathered (other rounds' faults are discarded).
 // The core must already sit in a fault-prone operating point. maxTries
-// bounds the total encryptions.
-func (a *AES128) CollectRound9Pairs(core *cpu.Core, pt []byte, want, maxTries int) ([]FaultyPair, error) {
+// bounds the total encryptions. It also returns the encryptions it ran,
+// counting one that crashed the core.
+func (a *AES128) CollectRound9Pairs(core *cpu.Core, pt []byte, want, maxTries int) ([]FaultyPair, int, error) {
 	if want <= 0 || maxTries <= 0 {
-		return nil, errors.New("victim: want and maxTries must be positive")
+		return nil, 0, errors.New("victim: want and maxTries must be positive")
 	}
 	ref, err := a.EncryptPure(pt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out []FaultyPair
-	for try := 0; try < maxTries && len(out) < want; try++ {
+	tries := 0
+	for tries < maxTries && len(out) < want {
+		tries++
 		ct, round, err := a.EncryptOn(core, pt)
 		if err != nil {
-			return nil, err
+			return nil, tries, err
 		}
 		if round != 9 {
 			continue
@@ -96,9 +99,9 @@ func (a *AES128) CollectRound9Pairs(core *cpu.Core, pt []byte, want, maxTries in
 		out = append(out, p)
 	}
 	if len(out) < want {
-		return out, fmt.Errorf("victim: only %d/%d round-9 pairs after %d encryptions", len(out), want, maxTries)
+		return out, tries, fmt.Errorf("victim: only %d/%d round-9 pairs after %d encryptions", len(out), want, maxTries)
 	}
-	return out, nil
+	return out, tries, nil
 }
 
 // diffColumn determines which round-9 MC column a pair's fault spread over,

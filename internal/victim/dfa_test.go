@@ -57,15 +57,16 @@ func TestInvertKeySchedule(t *testing.T) {
 func TestCollectRound9PairsValidation(t *testing.T) {
 	p := newPlatform(t, 41)
 	a, _ := NewAES128(make([]byte, 16), 1)
-	if _, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 0, 10); err == nil {
-		t.Fatal("zero want accepted")
+	if _, n, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 0, 10); err == nil || n != 0 {
+		t.Fatalf("zero want accepted (%d encryptions)", n)
 	}
-	if _, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 1, 0); err == nil {
-		t.Fatal("zero tries accepted")
+	if _, n, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 1, 0); err == nil || n != 0 {
+		t.Fatalf("zero tries accepted (%d encryptions)", n)
 	}
-	// At stock voltage no faults occur: collection must time out cleanly.
-	if _, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 1, 50); err == nil {
-		t.Fatal("collected a pair at stock voltage")
+	// At stock voltage no faults occur: collection must time out cleanly,
+	// having spent its whole budget.
+	if _, n, err := a.CollectRound9Pairs(p.Core(0), make([]byte, 16), 1, 50); err == nil || n != 50 {
+		t.Fatalf("collected a pair at stock voltage, or ran %d encryptions of 50", n)
 	}
 }
 
@@ -100,9 +101,12 @@ func TestAESDFAEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := []byte("DFA target block")
-	pairs, err := a.CollectRound9Pairs(c, pt, 48, 1_500_000)
+	pairs, n, err := a.CollectRound9Pairs(c, pt, 48, 1_500_000)
 	if err != nil {
 		t.Fatalf("pair collection: %v", err)
+	}
+	if n < len(pairs) || n >= 1_500_000 {
+		t.Fatalf("%d pairs reported after %d encryptions of a 1.5M budget", len(pairs), n)
 	}
 	master, err := DFARecoverMasterKey(pairs, pt, 0)
 	if err != nil {
@@ -135,7 +139,7 @@ func TestDFANeedsAllColumns(t *testing.T) {
 		}
 	}
 	a, _ := NewAES128(make([]byte, 16), 9)
-	pairs, err := a.CollectRound9Pairs(c, make([]byte, 16), 12, 1_000_000)
+	pairs, _, err := a.CollectRound9Pairs(c, make([]byte, 16), 12, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

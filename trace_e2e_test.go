@@ -21,12 +21,24 @@ import (
 	"plugvolt/internal/telemetry/span"
 )
 
-// guardedUnderAttack characterizes Sky Lake at seed 42 with the given
-// worker count, deploys the guard, and starts a periodic adversary writing
-// 60 mV past core 1's onset every 537 µs until the test ends.
+// guardedUnderAttack boots Sky Lake at seed 42 with a tracer that stores
+// spans from boot, as plugvolt-guard's -trace-out does, so the trace holds
+// the characterization rows too. It characterizes with the given worker
+// count, deploys the guard, and starts a periodic adversary writing 60 mV
+// past core 1's onset every 537 µs until the test ends.
 func guardedUnderAttack(t *testing.T, workers int) (*plugvolt.System, *defense.Polling, *plugvolt.Grid) {
 	t.Helper()
-	sys, grid := characterize(t, "skylake", 42, workers)
+	sys, err := plugvolt.NewSystem("skylake", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Telemetry.Spans().Keep()
+	cfg := plugvolt.QuickSweep()
+	cfg.Workers = workers
+	grid, err := sys.Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pol, err := sys.DeployGuard(grid)
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +212,7 @@ func TestCampaignSpansClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Telemetry.Spans().Keep()
 	// A short AES campaign: it stops without faults, and its span must
 	// close on that path too.
 	aes := attack.DefaultPlundervoltAES(81)
