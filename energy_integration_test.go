@@ -1,6 +1,7 @@
 package plugvolt_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -9,14 +10,14 @@ import (
 	"plugvolt/internal/core"
 	"plugvolt/internal/kernel"
 	"plugvolt/internal/msr"
+	"plugvolt/internal/power"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
 
-// runGuardedV0LTpwn boots a Sky Lake, characterizes it (one worker so the
-// per-worker telemetry series are schedule-independent), deploys the guard,
-// runs a V0LTpwn campaign and 2 ms more, and returns the live system for
-// ledger and telemetry inspection.
+// runGuardedV0LTpwn boots a Sky Lake, characterizes it on one worker,
+// deploys the guard, runs a V0LTpwn campaign and 2 ms more, and returns the
+// live system for ledger and telemetry inspection.
 func runGuardedV0LTpwn(t *testing.T, seed int64) *plugvolt.System {
 	t.Helper()
 	sys, grid := characterize(t, "skylake", seed, 1)
@@ -76,14 +77,14 @@ func TestEnergyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msr.DecodeEnergyStatus(pkgRaw, msr.DefaultEnergyUnitJ); math.Abs(got-pkgJ) > msr.DefaultEnergyUnitJ {
+	if got := float64(uint32(pkgRaw)) * msr.DefaultEnergyUnitJ; math.Abs(got-pkgJ) > msr.DefaultEnergyUnitJ {
 		t.Fatalf("MSR_PKG_ENERGY_STATUS %g J vs integrator %g J", got, pkgJ)
 	}
 	pp0Raw, err := p.MSRFile(0).Read(msr.PP0EnergyStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msr.DecodeEnergyStatus(pp0Raw, msr.DefaultEnergyUnitJ); math.Abs(got-tr.CoresEnergyJ()) > msr.DefaultEnergyUnitJ {
+	if got := float64(uint32(pp0Raw)) * msr.DefaultEnergyUnitJ; math.Abs(got-tr.CoresEnergyJ()) > msr.DefaultEnergyUnitJ {
 		t.Fatalf("MSR_PP0_ENERGY_STATUS %g J vs cores %g J", got, tr.CoresEnergyJ())
 	}
 	// PKG strictly exceeds PP0: the uncore draw is package-only.
@@ -95,7 +96,7 @@ func TestEnergyEndToEnd(t *testing.T) {
 	// series sum to the kernel totals, and the integrator gauges match.
 	sys.CollectTelemetry()
 	snap := sys.Telemetry.Registry().Snapshot()
-	fam := snap.Find("power_energy_joules_total")
+	fam := family(snap, "power_energy_joules_total")
 	if fam == nil {
 		t.Fatal("power_energy_joules_total missing from the exposition")
 	}
@@ -106,10 +107,10 @@ func TestEnergyEndToEnd(t *testing.T) {
 	if want := float64(guardTotalPJ) * 1e-12; math.Abs(famSum-want) > 1e-9 {
 		t.Fatalf("power_energy_joules_total sums to %g J, kernel ledger %g J", famSum, want)
 	}
-	if got := snap.Value("power_package_energy_joules", nil); math.Abs(got-tr.PackageEnergyJ()) > 1e-9 {
+	if got := seriesSum(snap, "power_package_energy_joules"); math.Abs(got-tr.PackageEnergyJ()) > 1e-9 {
 		t.Fatalf("power_package_energy_joules %g vs integrator %g", got, tr.PackageEnergyJ())
 	}
-	coreFam := snap.Find("power_core_energy_joules")
+	coreFam := family(snap, "power_core_energy_joules")
 	if coreFam == nil || len(coreFam.Series) != p.NumCores() {
 		t.Fatal("per-core energy gauges missing")
 	}
@@ -181,14 +182,60 @@ func TestEnergyReadsDoNotPerturb(t *testing.T) {
 			sys.RunFor(50 * 20 * sim.Microsecond)
 		}
 		sys.CollectTelemetry()
-		j, err := sys.Telemetry.Registry().Snapshot().JSON()
-		if err != nil {
+		var exposition bytes.Buffer
+		if err := sys.Telemetry.Registry().Snapshot().WritePrometheus(&exposition); err != nil {
 			t.Fatal(err)
 		}
-		return j
+		return exposition.Bytes()
 	}
 	quiet, noisy := render(false), render(true)
 	if string(quiet) != string(noisy) {
 		t.Fatal("interleaved energy reads changed the exposition")
+	}
+}
+
+// TestSafeUndervoltSavingsMatchClosedForm measures the safe undervolt's
+// core-plane savings against a full clamp the way plugvolt-overhead -energy
+// does (fresh systems at its default seed, the quick sweep's maximal safe
+// state with a 5 mV band on every core, a 500 ms window) and holds them to
+// Model.UndervoltSavingsPct at core 0's stock point. The measured figure
+// bills every core at its own commanded point, so the two differ by less
+// than savingsTolPct. On the default Comet Lake they are 18.21% and 18.36%.
+func TestSafeUndervoltSavingsMatchClosedForm(t *testing.T) {
+	const (
+		seed          = 2017
+		window        = 500 * sim.Millisecond
+		savingsTolPct = 0.5
+	)
+	coresJ := func(model string, offsetMV int) float64 {
+		sys, err := plugvolt.NewSystem(model, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < sys.Platform.NumCores() && offsetMV != 0; c++ {
+			if err := sys.Platform.WriteOffsetViaMSR(c, offsetMV, msr.PlaneCore); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := sys.Platform.Energy.CoresEnergyJ()
+		sys.RunFor(window)
+		return sys.Platform.Energy.CoresEnergyJ() - before
+	}
+	for _, model := range plugvolt.Models() {
+		sys, grid := characterize(t, model, seed, 0)
+		safeMV := grid.MaximalSafeOffsetMV(5)
+		if safeMV >= 0 {
+			t.Fatalf("%s: no safe undervolt to measure (%d mV)", model, safeMV)
+		}
+		clampJ, safeJ := coresJ(model, 0), coresJ(model, safeMV)
+		measured := (clampJ - safeJ) / clampJ * 100
+		c0 := sys.Platform.Core(0)
+		closed := power.ModelFor(sys.Platform.Spec.Codename).
+			UndervoltSavingsPct(c0.CommandedGHz(), c0.CommandedVoltV()*1000, safeMV)
+		t.Logf("%s: %d mV saves %.2f%% measured, %.2f%% closed form", model, safeMV, measured, closed)
+		if math.Abs(measured-closed) > savingsTolPct {
+			t.Errorf("%s: %d mV saves %.2f%% measured, %.2f%% closed form; want within %.1f points",
+				model, safeMV, measured, closed, savingsTolPct)
+		}
 	}
 }

@@ -65,17 +65,3 @@ func Matrix(newEnv EnvFactory, defenses []DefenseFactory, attacks []AttackFactor
 func ResultsJSON(results []*Result) ([]byte, error) {
 	return json.MarshalIndent(results, "", " ")
 }
-
-// Summary aggregates a result set: how many cells succeeded per defense.
-func Summary(results []*Result) map[string]struct{ Total, Succeeded int } {
-	out := map[string]struct{ Total, Succeeded int }{}
-	for _, r := range results {
-		s := out[r.Defense]
-		s.Total++
-		if r.Succeeded {
-			s.Succeeded++
-		}
-		out[r.Defense] = s
-	}
-	return out
-}

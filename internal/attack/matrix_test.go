@@ -50,10 +50,6 @@ func TestMatrixRunsEveryCellOnFreshMachines(t *testing.T) {
 	if !byKey["voltpillager|polling (this work)"].Succeeded {
 		t.Fatal("polling magically stopped the hardware injector")
 	}
-	sum := Summary(results)
-	if sum["none"].Succeeded != 2 || sum["polling (this work)"].Succeeded != 1 {
-		t.Fatalf("summary: %+v", sum)
-	}
 	data, err := ResultsJSON(results)
 	if err != nil {
 		t.Fatal(err)

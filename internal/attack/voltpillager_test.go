@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"fmt"
 	"testing"
 
 	"plugvolt/internal/core"
@@ -127,52 +126,5 @@ func TestCrossCheckConfigValidation(t *testing.T) {
 	cfg.CrossCheckSlackMV = -1
 	if _, err := core.NewGuard(u, 100, cfg); err == nil {
 		t.Fatal("negative slack accepted")
-	}
-}
-
-func TestPlundervoltAESSucceedsUndefended(t *testing.T) {
-	env := newEnv(t, "skylake", 81)
-	a := DefaultPlundervoltAES(81)
-	res, err := a.Run(env, "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Succeeded || !res.KeyRecovered {
-		t.Fatalf("AES Plundervolt failed undefended: %s (%s)", res, res.Notes)
-	}
-	// Attempts are the phase-1 blocks, one BlocksPerStep batch per accepted
-	// probe write, plus the encryptions the harvest ran, which the notes
-	// report and which stop at PairsWanted pairs, inside the budget.
-	var offsetMV, pairs, harvested int
-	if _, err := fmt.Sscanf(res.Notes, "AES-128 key recovered by DFA at offset %d mV from %d round-9 pairs in %d encryptions",
-		&offsetMV, &pairs, &harvested); err != nil {
-		t.Fatalf("notes %q: %v", res.Notes, err)
-	}
-	phase1 := (res.MailboxWrites - res.BlockedWrites) * a.BlocksPerStep
-	if res.Attempts != phase1+harvested || pairs != a.PairsWanted || harvested < pairs || harvested >= a.CollectBudget {
-		t.Fatalf("attempts %d, want %d phase-1 blocks + %d harvested for %d pairs (budget %d)",
-			res.Attempts, phase1, harvested, pairs, a.CollectBudget)
-	}
-}
-
-func TestPlundervoltAESDefeatedByGuard(t *testing.T) {
-	env := newEnv(t, "skylake", 82)
-	grid := characterizeEnv(t, env)
-	pol, err := defense.NewPolling(grid.UnsafeSet(), env.Platform.Spec.BusMHz, core.DefaultGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pol.Install(env); err != nil {
-		t.Fatal(err)
-	}
-	res, err := DefaultPlundervoltAES(82).Run(env, pol.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Succeeded || res.KeyRecovered {
-		t.Fatalf("AES Plundervolt beat the guard: %s (%s)", res, res.Notes)
-	}
-	if res.Crashes != 0 {
-		t.Fatalf("guarded machine crashed: %s", res)
 	}
 }

@@ -92,9 +92,6 @@ func (p *PLL) Ratio() uint8 { return p.ratioAt(p.simr.Now()) }
 // PendingRatio returns the commanded (possibly not yet locked) ratio.
 func (p *PLL) PendingRatio() uint8 { return p.pending }
 
-// Locked reports whether the last command has taken effect.
-func (p *PLL) Locked() bool { return p.Ratio() == p.pending }
-
 // FreqKHz returns the current output frequency in kHz.
 func (p *PLL) FreqKHz() int { return int(p.Ratio()) * p.cfg.BusMHz * 1000 }
 
@@ -106,20 +103,3 @@ func (p *PLL) PeriodPS() float64 { return 1e9 / float64(p.FreqKHz()) }
 
 // Range returns the programmable ratio bounds.
 func (p *PLL) Range() (min, max uint8) { return p.cfg.MinRatio, p.cfg.MaxRatio }
-
-// BusMHz returns the reference clock in MHz.
-func (p *PLL) BusMHz() int { return p.cfg.BusMHz }
-
-// RatioTable returns every programmable ratio, ascending — the paper's
-// "frequency table" that Algorithm 2 enumerates at 0.1 GHz resolution
-// (one ratio step = 100 MHz at a 100 MHz bus clock).
-func (p *PLL) RatioTable() []uint8 {
-	out := make([]uint8, 0, p.cfg.MaxRatio-p.cfg.MinRatio+1)
-	for r := p.cfg.MinRatio; ; r++ {
-		out = append(out, r)
-		if r == p.cfg.MaxRatio {
-			break
-		}
-	}
-	return out
-}

@@ -52,6 +52,9 @@ func TestInitialFrequency(t *testing.T) {
 	if !p.Locked() {
 		t.Fatal("fresh PLL not locked")
 	}
+	if mn, mx := p.Range(); mn != 8 || mx != 36 {
+		t.Fatalf("Range = %d, %d", mn, mx)
+	}
 }
 
 func TestRelockDelay(t *testing.T) {
@@ -110,41 +113,5 @@ func TestBackToBackCommands(t *testing.T) {
 	}
 	if p.Commands != 2 {
 		t.Fatalf("Commands=%d", p.Commands)
-	}
-}
-
-func TestRatioTable(t *testing.T) {
-	s := sim.New(1)
-	p := newPLL(t, s)
-	tab := p.RatioTable()
-	if len(tab) != 29 {
-		t.Fatalf("table length %d, want 29 (ratios 8..36)", len(tab))
-	}
-	if tab[0] != 8 || tab[len(tab)-1] != 36 {
-		t.Fatalf("table bounds: %d..%d", tab[0], tab[len(tab)-1])
-	}
-	for i := 1; i < len(tab); i++ {
-		if tab[i] != tab[i-1]+1 {
-			t.Fatal("table not contiguous")
-		}
-	}
-	mn, mx := p.Range()
-	if mn != 8 || mx != 36 {
-		t.Fatalf("Range = %d, %d", mn, mx)
-	}
-	if p.BusMHz() != 100 {
-		t.Fatalf("BusMHz = %d", p.BusMHz())
-	}
-}
-
-func TestRatioTableFullWidthNoOverflow(t *testing.T) {
-	s := sim.New(1)
-	p, err := New(s, Config{BusMHz: 100, MinRatio: 1, MaxRatio: 255, InitialRatio: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := p.RatioTable()
-	if len(tab) != 255 {
-		t.Fatalf("full-width table length %d", len(tab))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"plugvolt/internal/cpu"
-	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
@@ -90,10 +89,7 @@ func TestBisectProbeSavingsPaperConfig(t *testing.T) {
 // is Safe* Fault* Crash* — never a regression to a safer class at a deeper
 // offset.
 func TestRowClassificationMonotone(t *testing.T) {
-	specs, err := models.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := allSpecs(t)
 	cfg := quickSweepConfig()
 	for _, spec := range specs {
 		spec := spec
@@ -128,10 +124,7 @@ func FuzzRowMonotonicity(f *testing.F) {
 	f.Add(int64(42), uint8(0), uint8(0))
 	f.Add(int64(-7), uint8(1), uint8(3))
 	f.Add(int64(1<<40), uint8(2), uint8(7))
-	specs, err := models.All()
-	if err != nil {
-		f.Fatal(err)
-	}
+	specs := allSpecs(f)
 	cfg := quickSweepConfig()
 	offs := offsetAxis(cfg)
 	f.Fuzz(func(t *testing.T, seed int64, specIdx, freqIdx uint8) {

@@ -49,12 +49,11 @@ type CharacterizerConfig struct {
 	// and rowsDone counts completions so far. Invocations are serialized;
 	// the callback never runs concurrently.
 	Progress func(freqKHz, rowsDone, rowsTotal int)
-	// Telemetry, when set, receives row/cell/reboot counters, per-worker
-	// utilization series, and a journal event per completed row. All
-	// updates happen in the merge loop, so telemetry cannot perturb the
-	// grid or its worker-count invariance. Per-worker series reflect the
-	// Go scheduler's row assignment and therefore vary run to run;
-	// everything else is deterministic.
+	// Telemetry, when set, receives row, cell, reboot and search-probe
+	// counters, a rows-per-virtual-second gauge and a journal event per
+	// completed row. All updates happen in the merge loop, which publishes
+	// rows in frequency order, so telemetry cannot perturb the grid and
+	// every series is the same for any worker count.
 	Telemetry *telemetry.Set
 }
 

@@ -234,8 +234,8 @@ func TestSweepLeavesPlatformRestored(t *testing.T) {
 			if got, want := p.FreqKHz(cfg.VictimCore), stock.FreqKHz(cfg.VictimCore); got != want {
 				t.Errorf("%s %d kHz: row left %d kHz, stock is %d kHz", strategy, f, got, want)
 			}
-			if p.Crashed() {
-				t.Errorf("%s %d kHz: row left platform crashed", strategy, f)
+			if _, err := c.RunBatch(cpu.ClassALU, 1); err != nil {
+				t.Errorf("%s %d kHz: row left platform crashed: %v", strategy, f, err)
 			}
 		}
 	}

@@ -144,7 +144,8 @@ func FuzzRowMergeOrdering(f *testing.F) {
 	})
 }
 
-// FuzzUnsafeSetFromJSON checks the set parser the guard consumes.
+// FuzzUnsafeSetFromJSON fuzzes membership on arbitrary parsed sets:
+// Contains must be total and monotone in offset.
 func FuzzUnsafeSetFromJSON(f *testing.F) {
 	u := syntheticGrid().UnsafeSet()
 	data, _ := u.JSON()

@@ -237,7 +237,6 @@ func (g *Guard) Module() *kernel.Module {
 					}
 					g.threads = append(g.threads, t)
 				}
-				_ = k.RegisterProc(ModuleName, g.Status)
 				return nil
 			}
 			if g.cfg.PinnedCore < 0 || g.cfg.PinnedCore >= k.Machine().NumCores() {
@@ -248,9 +247,6 @@ func (g *Guard) Module() *kernel.Module {
 				return err
 			}
 			g.thread = t
-			// Expose live counters the way the real module would through
-			// /proc; failures are non-fatal (the entry is informational).
-			_ = k.RegisterProc(ModuleName, g.Status)
 			return nil
 		},
 		Exit: func(k *kernel.Kernel) {
@@ -262,7 +258,6 @@ func (g *Guard) Module() *kernel.Module {
 				t.Stop()
 			}
 			g.threads = nil
-			k.UnregisterProc(ModuleName)
 			g.cfg.Telemetry.Events().Emit("guard_unloaded", map[string]any{
 				"module": ModuleName, "checks": g.Checks, "interventions": g.Interventions,
 			})
@@ -306,22 +301,6 @@ func (g *Guard) instrument(numCores int) {
 		"poll_period_ps": int64(g.cfg.PollPeriod), "margin_mv": g.cfg.MarginMV,
 	})
 }
-
-// Status renders the module's live counters — the /proc/plug_your_volt
-// contents.
-func (g *Guard) Status() string {
-	mode := "single-thread"
-	if g.cfg.PerCoreThreads {
-		mode = "per-core"
-	}
-	return fmt.Sprintf(
-		"plug_your_volt: running=%v mode=%s poll=%v margin=%dmV safe_offset=%dmV\nchecks=%d interventions=%d last_intervention=%v hw_anomalies=%d\n",
-		g.Running(), mode, g.cfg.PollPeriod, g.cfg.MarginMV, g.cfg.SafeOffsetMV,
-		g.Checks, g.Interventions, g.LastIntervention, g.HardwareAnomalies)
-}
-
-// Running reports whether any polling kthread is live.
-func (g *Guard) Running() bool { return g.thread != nil || len(g.threads) > 0 }
 
 // poll is one Algorithm 3 iteration: inspect every core, force safe states.
 func (g *Guard) poll(t *kernel.KThread) {

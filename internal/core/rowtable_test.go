@@ -20,10 +20,7 @@ import (
 // covers entries computed on other row platforms. This bit-exact key is
 // what lets measurePoint classify from the table.
 func TestOracleMatchesSimEveryCell(t *testing.T) {
-	specs, err := models.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := allSpecs(t)
 	type axis struct {
 		spec *models.Spec
 		cfg  CharacterizerConfig

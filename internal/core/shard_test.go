@@ -30,10 +30,7 @@ func TestShardedCharacterizerValidation(t *testing.T) {
 	if _, err := NewShardedCharacterizer(nil, 1, cfg); err == nil {
 		t.Fatal("nil spec accepted")
 	}
-	specs, err := models.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := allSpecs(t)
 	// The victim core is checked against each spec's own core count.
 	for _, spec := range specs {
 		if _, err := NewShardedCharacterizer(spec, 1, cfg); err != nil {

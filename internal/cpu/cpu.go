@@ -114,12 +114,6 @@ type Core struct {
 	Faulted uint64
 }
 
-// Index returns the core number.
-func (c *Core) Index() int { return c.index }
-
-// Crashed reports whether this core has machine-checked.
-func (c *Core) Crashed() bool { return c.crashed }
-
 // OffsetMV returns the current OC-mailbox offset on the core plane,
 // rounded to the nearest millivolt.
 func (c *Core) OffsetMV() int { return c.PlaneOffsetMV(msr.PlaneCore) }
@@ -284,11 +278,6 @@ func (c *Core) CrashProbability() float64 {
 	return c.circ.FaultProbability(c.analysis(models.PathControl))
 }
 
-// Slack returns the live slack (ps) of the class's timing path.
-func (c *Core) Slack(class Class) float64 {
-	return c.analysis(string(class)).SlackPS
-}
-
 // BatchUpsetProbability lifts a per-instruction upset probability p to the
 // probability of at least one upset in an n-instruction batch,
 // 1-(1-p)^n, computed in log space exactly as RunBatch's crash draw does.
@@ -348,12 +337,6 @@ func (c *Core) faultMask() uint64 {
 // result was faulted.
 func (c *Core) IMul(a, b uint64) (uint64, bool, error) {
 	return c.execALUOp(ClassIMul, a*b)
-}
-
-// Exec executes one instruction of the given class whose exact result is
-// provided by the caller, applying the fault model.
-func (c *Core) Exec(class Class, exact uint64) (uint64, bool, error) {
-	return c.execALUOp(class, exact)
 }
 
 // execALUOp samples one control-path traversal, on whose violation the
@@ -477,13 +460,6 @@ func binomial(s *sim.Simulator, n int, p float64) int {
 		}
 		return k
 	}
-}
-
-// BatchDuration returns the virtual time a batch of n instructions of the
-// class takes at the current frequency, without executing it.
-func (c *Core) BatchDuration(class Class, n int) sim.Duration {
-	cpi := throughputCPI[class]
-	return sim.Duration(float64(n) * cpi * c.PLL.PeriodPS())
 }
 
 // Platform is the whole simulated machine.
@@ -662,18 +638,6 @@ func (p *Platform) Core(i int) *Core { return p.cores[i] }
 
 // Cores returns all cores.
 func (p *Platform) Cores() []*Core { return p.cores }
-
-// Crashed reports whether any core has machine-checked. On real hardware a
-// control-path violation takes down the whole machine; we model the crash
-// per-core but treat any crashed core as a machine-wide crash.
-func (p *Platform) Crashed() bool {
-	for _, c := range p.cores {
-		if c.crashed {
-			return true
-		}
-	}
-	return false
-}
 
 // Reboot recovers from a crash: all cores return to the base P-state with
 // zero offsets and cleared fault state, and virtual time advances by

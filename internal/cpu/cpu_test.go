@@ -42,9 +42,6 @@ func TestPlatformBootState(t *testing.T) {
 		t.Fatalf("cores = %d", p.NumCores())
 	}
 	for i, c := range p.Cores() {
-		if c.Index() != i {
-			t.Errorf("core %d index %d", i, c.Index())
-		}
 		if c.Ratio() != p.Spec.BaseRatio {
 			t.Errorf("core %d boot ratio %d", i, c.Ratio())
 		}
@@ -123,7 +120,10 @@ func TestOCMailboxAppliesOffset(t *testing.T) {
 		t.Fatalf("undervolted rail %v, want ~%v", c.VoltageV(), wantV)
 	}
 	// Stored mailbox value has busy bit cleared, offset intact.
-	raw := c.MSRs.Peek(msr.OCMailbox)
+	raw, err := c.MSRs.Read(msr.OCMailbox)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if raw&(1<<63) != 0 {
 		t.Fatal("busy bit not cleared after command")
 	}
@@ -234,7 +234,7 @@ func TestDeepUndervoltFaultsIMul(t *testing.T) {
 		t.Fatalf("unexpected crash at offset %d: %v", offset, err)
 	}
 	if res.Faults == 0 {
-		t.Fatalf("no faults at offset %d (imul slack %.1f ps)", offset, c.Slack(ClassIMul))
+		t.Fatalf("no faults at offset %d (imul fault probability %g)", offset, c.FaultProbability(ClassIMul))
 	}
 }
 
@@ -386,13 +386,18 @@ func TestBatchUnknownClass(t *testing.T) {
 	}
 }
 
+// A batch's elapsed time is its cycles (n x the class's throughput CPI) at
+// the live clock period.
 func TestBatchDuration(t *testing.T) {
 	p := newSkyLake(t, 1)
 	c := p.Core(0)
-	d := c.BatchDuration(ClassALU, 1000)
+	res, err := c.RunBatch(ClassALU, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := sim.Duration(1000 * 0.25 * c.PLL.PeriodPS())
-	if d != want {
-		t.Fatalf("BatchDuration = %v want %v", d, want)
+	if res.Elapsed != want {
+		t.Fatalf("batch elapsed %v want %v", res.Elapsed, want)
 	}
 }
 
@@ -645,7 +650,11 @@ func TestQuickMailboxFuzz(t *testing.T) {
 			// Rejected writes must not change the register.
 			return true
 		}
-		d := msr.DecodeVoltageOffset(c.MSRs.Peek(msr.OCMailbox))
+		stored, err := c.MSRs.Read(msr.OCMailbox)
+		if err != nil {
+			return false
+		}
+		d := msr.DecodeVoltageOffset(stored)
 		if d.Plane >= msr.NumPlanes && d.Write && d.Busy {
 			return false // applied an invalid plane
 		}

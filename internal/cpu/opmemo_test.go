@@ -26,7 +26,7 @@ func refExec(c *Core, class Class, exact uint64) (uint64, bool, error) {
 	return exact, false, nil
 }
 
-// TestOpMemoMatchesReference drives one platform through IMul/Exec and a
+// TestOpMemoMatchesReference drives one platform through execALUOp and a
 // twin through refExec across every change of the live operating point the
 // memo is keyed on — a mailbox undervolt while the rail slews, an
 // up-transition's rail ramp and PLL relock, a reboot, and instruction
@@ -94,7 +94,7 @@ func TestOpMemoMatchesReference(t *testing.T) {
 				n++
 				before := lc.op
 				wasCrashed := lc.Crashed()
-				got, gotF, gotErr := lc.Exec(class, a*b)
+				got, gotF, gotErr := lc.execALUOp(class, a*b)
 				want, wantF, wantErr := refExec(rc, class, a*b)
 				if got != want || gotF != wantF || gotErr != wantErr {
 					t.Fatalf("%s, instruction %d (%s): got (%#x, %v, %v), reference (%#x, %v, %v)",

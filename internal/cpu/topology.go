@@ -3,12 +3,8 @@ package cpu
 import "fmt"
 
 // Topology describes the platform's SMT layout: the Kaby Lake R and Comet
-// Lake models are 4C/8T, so logical CPUs 2k and 2k+1 share physical core k
-// (its PLL, voltage rail and timing paths). Hyperthreading matters to the
-// paper twice: SGX attestation reports already include the HT-enabled flag
-// (the precedent for attesting the guard module), and co-resident attacks
-// (V0LTpwn pins a sibling thread to keep the victim core loaded) rely on
-// the shared physical core.
+// Lake models are 4C/8T. SGX attestation reports include the HT-enabled
+// flag, the paper's precedent for attesting the guard module.
 type Topology struct {
 	physical int
 	smt      int
@@ -27,64 +23,3 @@ func (p *Platform) Topology() (*Topology, error) {
 
 // SMT returns the threads-per-core factor (1 = no hyperthreading).
 func (t *Topology) SMT() int { return t.smt }
-
-// NumLogical returns the logical CPU count.
-func (t *Topology) NumLogical() int { return t.physical * t.smt }
-
-// NumPhysical returns the physical core count.
-func (t *Topology) NumPhysical() int { return t.physical }
-
-// PhysicalOf maps a logical CPU to its physical core index. Logical CPUs
-// are numbered Linux-style: logical l sits on physical l / SMT... Intel
-// actually interleaves (l mod cores), but the paper's tooling (taskset on
-// /proc/cpuinfo core ids) treats siblings as (l, l+cores); we follow that
-// convention: logical l maps to physical l % NumPhysical.
-func (t *Topology) PhysicalOf(logical int) (int, error) {
-	if logical < 0 || logical >= t.NumLogical() {
-		return 0, fmt.Errorf("cpu: no logical CPU %d", logical)
-	}
-	return logical % t.physical, nil
-}
-
-// SiblingsOf lists all logical CPUs sharing the given logical CPU's
-// physical core (including itself), ascending.
-func (t *Topology) SiblingsOf(logical int) ([]int, error) {
-	phys, err := t.PhysicalOf(logical)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, t.smt)
-	for s := 0; s < t.smt; s++ {
-		out = append(out, phys+s*t.physical)
-	}
-	return out, nil
-}
-
-// CoResident reports whether two logical CPUs share a physical core —
-// the condition under which a sibling attacker shares the victim's
-// voltage/frequency domain.
-func (t *Topology) CoResident(a, b int) (bool, error) {
-	pa, err := t.PhysicalOf(a)
-	if err != nil {
-		return false, err
-	}
-	pb, err := t.PhysicalOf(b)
-	if err != nil {
-		return false, err
-	}
-	return pa == pb, nil
-}
-
-// LogicalCore resolves a logical CPU to its physical core's execution
-// engine: siblings execute on, fault with, and crash with the same core.
-func (p *Platform) LogicalCore(logical int) (*Core, error) {
-	t, err := p.Topology()
-	if err != nil {
-		return nil, err
-	}
-	phys, err := t.PhysicalOf(logical)
-	if err != nil {
-		return nil, err
-	}
-	return p.Core(phys), nil
-}

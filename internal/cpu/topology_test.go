@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"plugvolt/internal/models"
-	"plugvolt/internal/msr"
 )
 
-func topoFor(t *testing.T, model string) (*Platform, *Topology) {
+func topoFor(t *testing.T, model string) *Topology {
 	t.Helper()
 	spec, err := models.ByName(model)
 	if err != nil {
@@ -21,86 +20,16 @@ func topoFor(t *testing.T, model string) (*Platform, *Topology) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, topo
+	return topo
 }
 
 func TestTopologyShapes(t *testing.T) {
-	_, sky := topoFor(t, "skylake") // 4C/4T
-	if sky.SMT() != 1 || sky.NumLogical() != 4 || sky.NumPhysical() != 4 {
-		t.Fatalf("skylake topology %d/%d/%d", sky.SMT(), sky.NumLogical(), sky.NumPhysical())
+	sky := topoFor(t, "skylake") // 4C/4T
+	if sky.SMT() != 1 {
+		t.Fatalf("skylake SMT %d", sky.SMT())
 	}
-	_, kbl := topoFor(t, "kabylaker") // 4C/8T
-	if kbl.SMT() != 2 || kbl.NumLogical() != 8 {
-		t.Fatalf("kabylaker topology %d/%d", kbl.SMT(), kbl.NumLogical())
-	}
-}
-
-func TestSiblingMapping(t *testing.T) {
-	_, topo := topoFor(t, "cometlake") // 4C/8T
-	// Linux convention: logical l and l+4 share physical l.
-	for l := 0; l < 4; l++ {
-		phys, err := topo.PhysicalOf(l)
-		if err != nil || phys != l {
-			t.Fatalf("PhysicalOf(%d) = %d, %v", l, phys, err)
-		}
-		phys2, err := topo.PhysicalOf(l + 4)
-		if err != nil || phys2 != l {
-			t.Fatalf("PhysicalOf(%d) = %d, %v", l+4, phys2, err)
-		}
-		sibs, err := topo.SiblingsOf(l)
-		if err != nil || len(sibs) != 2 || sibs[0] != l || sibs[1] != l+4 {
-			t.Fatalf("SiblingsOf(%d) = %v, %v", l, sibs, err)
-		}
-	}
-	co, err := topo.CoResident(1, 5)
-	if err != nil || !co {
-		t.Fatalf("CoResident(1,5) = %v, %v", co, err)
-	}
-	co, err = topo.CoResident(1, 2)
-	if err != nil || co {
-		t.Fatalf("CoResident(1,2) = %v, %v", co, err)
-	}
-	if _, err := topo.PhysicalOf(8); err == nil {
-		t.Fatal("bogus logical accepted")
-	}
-	if _, err := topo.SiblingsOf(-1); err == nil {
-		t.Fatal("negative logical accepted")
-	}
-	if _, err := topo.CoResident(0, 99); err == nil {
-		t.Fatal("bogus pair accepted")
-	}
-}
-
-func TestLogicalCoreSharesPhysicalState(t *testing.T) {
-	p, _ := topoFor(t, "kabylaker")
-	c1, err := p.LogicalCore(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c5, err := p.LogicalCore(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c5 {
-		t.Fatal("siblings resolve to different physical cores")
-	}
-	c2, err := p.LogicalCore(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 == c2 {
-		t.Fatal("distinct physical cores aliased")
-	}
-	// An undervolt applied via one sibling's physical core is visible to
-	// the other — the shared-domain property co-resident attacks use.
-	if err := p.WriteOffsetViaMSR(c1.Index(), -60, msr.PlaneCore); err != nil {
-		t.Fatal(err)
-	}
-	p.SettleAll()
-	if c5.OffsetMV() != -60 {
-		t.Fatalf("sibling does not see shared offset: %d", c5.OffsetMV())
-	}
-	if _, err := p.LogicalCore(99); err == nil {
-		t.Fatal("bogus logical accepted")
+	kbl := topoFor(t, "kabylaker") // 4C/8T
+	if kbl.SMT() != 2 {
+		t.Fatalf("kabylaker SMT %d", kbl.SMT())
 	}
 }

@@ -33,19 +33,6 @@ type Minefield struct {
 	Density int
 }
 
-// Name implements the labelling part of Countermeasure for result tables.
-func (m *Minefield) Name() string {
-	return fmt.Sprintf("minefield (deflection, density %d)", m.Density)
-}
-
-// AllowsBenignDVFS: Minefield does not touch the DVFS interface at all —
-// benign undervolting keeps working (its cost is enclave slowdown instead).
-func (*Minefield) AllowsBenignDVFS() bool { return true }
-
-// HardwareLevel implements the Sec. 5 criterion: a compiler pass cannot
-// move below the kernel.
-func (*Minefield) HardwareLevel() bool { return false }
-
 // Instrument wraps an enclave program with trap steps. The returned program
 // is what the enclave actually runs.
 func (m *Minefield) Instrument(inner sgx.Program, core *cpu.Core) (*TrappedProgram, error) {

@@ -80,7 +80,15 @@ func TestFleetGuardProtects(t *testing.T) {
 	}
 	// The merged exposition aggregates per-machine series: total polls in
 	// the merged snapshot must equal the sum of per-machine checks.
-	if got := rep.Merged.Total("guard_polls_total"); got != float64(rep.Aggregate.GuardChecks) {
+	var got float64
+	for _, m := range rep.Merged.Metrics {
+		if m.Name == "guard_polls_total" {
+			for _, s := range m.Series {
+				got += s.Value
+			}
+		}
+	}
+	if got != float64(rep.Aggregate.GuardChecks) {
 		t.Fatalf("merged guard_polls_total %v != aggregate checks %d", got, rep.Aggregate.GuardChecks)
 	}
 }

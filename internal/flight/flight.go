@@ -200,9 +200,11 @@ type capture struct {
 // Recorder is the flight ring. Construct with NewRecorder; a nil *Recorder
 // is a valid no-op sink (every method nil-checks the receiver).
 //
-// The mutex exists for the same reason as the journal's: the simulation core
-// is single-threaded, but the obs server reads stats and bundles from its
-// own goroutines.
+// The mutex guards the ring, the counters and the open capture, so that
+// Stats and Bundles may be read while the simulation appends. Today every
+// recorder is written and read on one goroutine (its machine's in the fleet,
+// the CLI's otherwise), so the lock is never contended; it keeps the type
+// safe to share.
 type Recorder struct {
 	mu  sync.Mutex
 	now func() sim.Time

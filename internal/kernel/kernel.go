@@ -138,9 +138,6 @@ type Kernel struct {
 	MSRReads  uint64
 	MSRWrites uint64
 
-	// procs holds /proc-style status entries registered by modules.
-	procs map[string]func() string
-
 	// tel, when set, receives kthread wake events in the journal and, when
 	// it carries a span tracer, tick and MSR spans; metric gauges are
 	// published on demand via Collect. Nil and an empty Set cost the same.
@@ -230,15 +227,6 @@ func (k *Kernel) Unload(name string) error {
 func (k *Kernel) Loaded(name string) bool {
 	_, ok := k.modules[name]
 	return ok
-}
-
-// LoadedModules lists resident module names (unordered).
-func (k *Kernel) LoadedModules() []string {
-	out := make([]string, 0, len(k.modules))
-	for n := range k.modules {
-		out = append(out, n)
-	}
-	return out
 }
 
 // KThread is a periodic kernel thread pinned to a core.
@@ -350,19 +338,14 @@ func (t *KThread) ReadMSR(core int, addr msr.Addr) (uint64, error) {
 	return t.k.hw.MSRFile(core).Read(addr)
 }
 
-// WriteMSR performs a privileged wrmsr on the target core. With a span
-// tracer attached the write runs inside a "wrmsr" span, so the MSR file's
-// mailbox-write span (and thus any guard intervention above it) encloses the
-// register-level outcome in the causal trace.
-func (t *KThread) WriteMSR(core int, addr msr.Addr, val uint64) error {
-	return t.WriteMSRKind(CostWrmsr, core, addr, val)
-}
-
-// WriteMSRKind is WriteMSR with an explicit attribution category: the
-// guard's corrective rewrite books its cost (time and joules) as
+// WriteMSRKind performs a privileged wrmsr on the target core, booking its
+// cost (time and joules) under kind: the guard's corrective rewrite books
 // CostIntervention instead of generic wrmsr traffic, so the ledgers answer
 // "what does reacting to attacks cost" separately from "what does polling
-// cost". Out-of-range kinds are booked as CostWrmsr.
+// cost". Out-of-range kinds are booked as CostWrmsr. With a span tracer
+// attached the write runs inside a "wrmsr" span, so the MSR file's
+// mailbox-write span (and thus any guard intervention above it) encloses the
+// register-level outcome in the causal trace.
 func (t *KThread) WriteMSRKind(kind CostKind, core int, addr msr.Addr, val uint64) error {
 	if kind < 0 || kind >= numCostKinds {
 		kind = CostWrmsr
@@ -463,8 +446,7 @@ func (k *Kernel) ResetStolenTime() {
 // per-core stolen time split by cost category, per-thread busy time and
 // tick counts (labeled by owning module), and the global MSR operation
 // counts. Call it just before taking a snapshot; values are cumulative
-// since boot (or the last ResetStolenTime), so Table-2-style attribution
-// falls out of snapshot diffing.
+// since boot (or the last ResetStolenTime).
 func (k *Kernel) Collect(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -509,35 +491,4 @@ func (k *Kernel) Collect(reg *telemetry.Registry) {
 	}
 	reg.Gauge("kernel_msr_reads", "privileged rdmsr operations", nil).Set(float64(k.MSRReads))
 	reg.Gauge("kernel_msr_writes", "privileged wrmsr operations", nil).Set(float64(k.MSRWrites))
-}
-
-// RegisterProc exposes a read-only status file (like /proc/<name>). The
-// reader runs at ReadProc time, so contents are always live.
-func (k *Kernel) RegisterProc(name string, read func() string) error {
-	if name == "" || read == nil {
-		return errors.New("kernel: proc entry needs a name and a reader")
-	}
-	if k.procs == nil {
-		k.procs = map[string]func() string{}
-	}
-	if _, dup := k.procs[name]; dup {
-		return fmt.Errorf("kernel: proc %q already registered", name)
-	}
-	k.procs[name] = read
-	return nil
-}
-
-// ReadProc returns the live contents of a proc entry.
-func (k *Kernel) ReadProc(name string) (string, error) {
-	read, ok := k.procs[name]
-	if !ok {
-		return "", fmt.Errorf("kernel: no proc entry %q", name)
-	}
-	return read(), nil
-}
-
-// UnregisterProc removes a proc entry (module exit path); unknown names
-// are a no-op.
-func (k *Kernel) UnregisterProc(name string) {
-	delete(k.procs, name)
 }

@@ -59,14 +59,7 @@ func TestCircuitReturnsPrivateClones(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("Circuit returned the same pointer twice; clones must be private")
 	}
-	a1, err := c1.WorstSlack(3.6, 1.17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := c2.WorstSlack(3.6, 1.17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, a2 := worstSlack(c1, 3.6, 1.17), worstSlack(c2, 3.6, 1.17)
 	if math.Float64bits(a1.SlackPS) != math.Float64bits(a2.SlackPS) {
 		t.Fatalf("clones disagree: %v vs %v", a1.SlackPS, a2.SlackPS)
 	}

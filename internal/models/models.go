@@ -369,20 +369,3 @@ func ByName(name string) (*Spec, error) {
 		return nil, fmt.Errorf("models: unknown CPU model %q (want skylake, kabylaker or cometlake)", name)
 	}
 }
-
-// All returns the three evaluated models in paper order.
-func All() ([]*Spec, error) {
-	sk, err := SkyLake()
-	if err != nil {
-		return nil, err
-	}
-	kb, err := KabyLakeR()
-	if err != nil {
-		return nil, err
-	}
-	cm, err := CometLake()
-	if err != nil {
-		return nil, err
-	}
-	return []*Spec{sk, kb, cm}, nil
-}

@@ -340,9 +340,6 @@ func NewFile(core int) *File {
 	return f
 }
 
-// Core returns the logical CPU index this file belongs to.
-func (f *File) Core() int { return f.core }
-
 // index returns the register table slot for addr, or -1.
 func (f *File) index(addr Addr) int {
 	for i, a := range f.addrs {
@@ -400,14 +397,6 @@ func (f *File) RemoveWriteHook(addr Addr, id int) {
 			d.hooks = append(d.hooks[:i], d.hooks[i+1:]...)
 			return
 		}
-	}
-}
-
-// RemoveWriteHooks drops all hooks from addr, including platform wiring;
-// prefer RemoveWriteHook for uninstalling a single layer.
-func (f *File) RemoveWriteHooks(addr Addr) {
-	if d := f.Descriptor(addr); d != nil {
-		d.hooks = nil
 	}
 }
 
@@ -539,12 +528,4 @@ func (f *File) Poke(addr Addr, val uint64) {
 		panic(fmt.Sprintf("msr: Poke on undeclared MSR 0x%x", uint32(addr)))
 	}
 	f.vals[i] = val
-}
-
-// Peek reads the stored value bypassing ReadFn. Returns 0 for undeclared.
-func (f *File) Peek(addr Addr) uint64 {
-	if i := f.index(addr); i >= 0 {
-		return f.vals[i]
-	}
-	return 0
 }

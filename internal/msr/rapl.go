@@ -5,35 +5,18 @@ package msr
 // and the energy-status registers (PKG 0x611, PP0 0x639) are free-running
 // 32-bit counters of energy units that wrap silently. turbostat, powercap
 // and every throttling side-channel paper read them modulo 2^32 and
-// difference consecutive samples; the codecs here implement exactly those
-// semantics over the simulator's modeled joule totals.
-
-// MSR_RAPL_POWER_UNIT field layout (SDM Vol. 4): each field is an exponent
-// n encoding a unit of 1/2^n — power in bits 3:0 (W), energy in bits 12:8
-// (J), time in bits 19:16 (s).
-const (
-	raplPowerUnitMask  = 0xF
-	raplEnergyShift    = 8
-	raplEnergyUnitMask = 0x1F
-	raplTimeShift      = 16
-	raplTimeUnitMask   = 0xF
-)
+// difference consecutive samples. EncodeEnergyStatus produces exactly those
+// counters from the simulator's modeled joule totals.
 
 // DefaultRAPLPowerUnit is the reset value every core publishes: 0x000A0E03
 // — the stock client-part encoding (power 1/8 W, energy 2^-14 J ≈ 61 µJ,
-// time 2^-10 s ≈ 0.98 ms).
+// time 2^-10 s ≈ 0.98 ms). Each field is an exponent n encoding a unit of
+// 1/2^n: power in bits 3:0 (W), energy in bits 12:8 (J), time in bits
+// 19:16 (s), per the SDM's MSR_RAPL_POWER_UNIT layout.
 const DefaultRAPLPowerUnit uint64 = 0x000A0E03
 
 // DefaultEnergyUnitJ is the energy LSB implied by DefaultRAPLPowerUnit.
 const DefaultEnergyUnitJ = 1.0 / (1 << 14)
-
-// DecodeRAPLPowerUnit expands the unit register into the three LSB sizes.
-func DecodeRAPLPowerUnit(val uint64) (powerW, energyJ, timeS float64) {
-	powerW = 1.0 / float64(uint64(1)<<(val&raplPowerUnitMask))
-	energyJ = 1.0 / float64(uint64(1)<<((val>>raplEnergyShift)&raplEnergyUnitMask))
-	timeS = 1.0 / float64(uint64(1)<<((val>>raplTimeShift)&raplTimeUnitMask))
-	return powerW, energyJ, timeS
-}
 
 // EncodeEnergyStatus converts a cumulative joule total into the 32-bit
 // wrapping counter an energy-status MSR returns. Bits 63:32 read as zero,
@@ -46,20 +29,4 @@ func EncodeEnergyStatus(joules, unitJ float64) uint64 {
 	// totals stay far below 2^63 units, so the float→int conversion is
 	// exact enough at the unit granularity), then truncate.
 	return uint64(joules/unitJ) & 0xFFFFFFFF
-}
-
-// DecodeEnergyStatus returns the counter's joule reading at face value —
-// only meaningful modulo one wrap period (2^32 units ≈ 262 kJ at the
-// default unit, ~2.2 h at 33 W).
-func DecodeEnergyStatus(val uint64, unitJ float64) float64 {
-	return float64(uint32(val)) * unitJ
-}
-
-// EnergyCounterDeltaJ differences two energy-status samples with correct
-// wraparound semantics: uint32 subtraction is modular, so a sample pair
-// straddling one rollover still yields the true consumed energy. Samples
-// more than one wrap period apart alias, exactly as on hardware — poll
-// faster than the wrap period (SDM's guidance; ~2 h at desktop power).
-func EnergyCounterDeltaJ(before, after uint32, unitJ float64) float64 {
-	return float64(after-before) * unitJ
 }

@@ -3,18 +3,16 @@
 // power consumption... direct impact on battery life").
 //
 // Dynamic power follows the classic CV²f law; static power is a
-// leakage term super-linear in supply voltage. The Meter integrates power
-// over a core's live operating point in virtual time, so experiments can
-// put a number on the paper's availability argument: how much energy a
-// benign undervolt saves under the polling countermeasure versus the
-// access-control lockdown that forbids it.
+// leakage term super-linear in supply voltage. The Tracker integrates each
+// core's commanded power over virtual time; it is the one energy
+// integrator, and it backs the RAPL energy MSRs, the kernel's attributed
+// guard joules and `plugvolt-overhead -energy`'s safe-undervolt savings,
+// the number behind the paper's availability argument.
 package power
 
 import (
 	"errors"
 	"math"
-
-	"plugvolt/internal/sim"
 )
 
 // Model holds one core's power parameters.
@@ -100,76 +98,3 @@ func ModelFor(codename string) Model {
 		return DefaultModel()
 	}
 }
-
-// OperatingPoint is the live electrical view of one core that a Meter
-// samples; *cpu.Core implements it. Keeping it an interface here is what
-// lets the cpu package own a power.Tracker without an import cycle.
-type OperatingPoint interface {
-	FreqGHz() float64
-	VoltageV() float64
-}
-
-// Meter integrates a live core's power over virtual time.
-type Meter struct {
-	model  Model
-	core   OperatingPoint
-	period sim.Duration
-	ticker *sim.Ticker
-
-	// EnergyJ is the accumulated energy in joules.
-	EnergyJ float64
-	// PeakW and lastW track instantaneous power.
-	PeakW float64
-	lastW float64
-	// Elapsed is the metered virtual time.
-	Elapsed sim.Duration
-}
-
-// NewMeter builds a meter sampling the core every period.
-func NewMeter(model Model, c OperatingPoint, period sim.Duration) (*Meter, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return nil, errors.New("power: nil core")
-	}
-	if period <= 0 {
-		return nil, errors.New("power: period must be positive")
-	}
-	return &Meter{model: model, core: c, period: period}, nil
-}
-
-// Start begins metering.
-func (m *Meter) Start(s *sim.Simulator) error {
-	if m.ticker != nil {
-		return errors.New("power: meter already started")
-	}
-	m.ticker = s.Every(m.period, func() {
-		w := m.model.TotalW(m.core.FreqGHz(), m.core.VoltageV())
-		m.lastW = w
-		if w > m.PeakW {
-			m.PeakW = w
-		}
-		m.EnergyJ += w * m.period.Seconds()
-		m.Elapsed += m.period
-	})
-	return nil
-}
-
-// Stop halts metering.
-func (m *Meter) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
-}
-
-// AverageW returns the mean power over the metered span.
-func (m *Meter) AverageW() float64 {
-	if m.Elapsed == 0 {
-		return 0
-	}
-	return m.EnergyJ / m.Elapsed.Seconds()
-}
-
-// LastW returns the most recent instantaneous sample.
-func (m *Meter) LastW() float64 { return m.lastW }

@@ -1,6 +1,5 @@
-// External test package: cpu imports power (the platform owns an energy
-// Tracker), so these tests — which build real platforms — must live outside
-// package power to avoid an import cycle.
+// External test package, like the Tracker tests beside it: they drive the
+// integrator through its exported API only.
 package power_test
 
 import (
@@ -9,9 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"plugvolt/internal/cpu"
-	"plugvolt/internal/models"
-	"plugvolt/internal/msr"
 	"plugvolt/internal/power"
 	"plugvolt/internal/sim"
 )
@@ -104,84 +100,91 @@ func TestUndervoltSavings(t *testing.T) {
 	}
 }
 
-func TestMeterIntegratesEnergy(t *testing.T) {
-	spec, err := models.SkyLake()
+// The CV²f relations of SNIPPETS.md's Snippet 3, asserted on the Tracker,
+// the one energy integrator: a commanded point held for the time N cycles
+// take at its frequency. Each model is checked with its leakage stripped
+// (the dynamic term alone) and in full (dynamic plus static).
+
+var codenames = []string{"Sky Lake", "Kaby Lake R", "Comet Lake"}
+
+// dynamicOnly strips a model's leakage, so a Tracker over it bills CV²f alone.
+func dynamicOnly(m power.Model) power.Model {
+	m.LeakA = 0
+	return m
+}
+
+// cyclesEnergyJ integrates n cycles at one commanded point on a fresh
+// Tracker and returns the energy and the runtime: n cycles at f GHz take
+// n/f ns, rounded to the simulator's picosecond.
+func cyclesEnergyJ(t *testing.T, m power.Model, n, freqGHz, voltV float64) (float64, sim.Duration) {
+	t.Helper()
+	rig := newRig(1, freqGHz, voltV)
+	tr, err := power.NewTracker(m, 1, rig.clock, rig.point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cpu.NewPlatform(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := power.NewMeter(power.DefaultModel(), p.Core(0), 10*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(p.Sim); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(p.Sim); err == nil {
-		t.Fatal("double start accepted")
-	}
-	p.Sim.RunFor(10 * sim.Millisecond)
-	m.Stop()
-	if m.Elapsed != 10*sim.Millisecond {
-		t.Fatalf("elapsed %v", m.Elapsed)
-	}
-	// Constant operating point: E = P * t.
-	wantW := power.DefaultModel().TotalW(p.Core(0).FreqGHz(), p.Core(0).VoltageV())
-	if math.Abs(m.AverageW()-wantW) > 1e-9 {
-		t.Fatalf("average %v W want %v", m.AverageW(), wantW)
-	}
-	wantJ := wantW * 0.010
-	if math.Abs(m.EnergyJ-wantJ)/wantJ > 1e-6 {
-		t.Fatalf("energy %v J want %v", m.EnergyJ, wantJ)
-	}
-	if m.PeakW != wantW || m.LastW() != wantW {
-		t.Fatal("peak/last inconsistent at constant point")
+	rig.now = sim.Time(math.Round(n / freqGHz * float64(sim.Nanosecond)))
+	return tr.CoreEnergyJ(0), rig.now
+}
+
+// At a fixed V, the dynamic energy of N cycles does not depend on f: the
+// power rises with f and the runtime N/f falls with it, leaving C·V²·N.
+func TestDynamicEnergyOfFixedWorkIndependentOfFrequency(t *testing.T) {
+	const cycles, voltV = 1e8, 0.9
+	for _, name := range codenames {
+		m := dynamicOnly(power.ModelFor(name))
+		want := m.CeffNF * 1e-9 * m.Activity * voltV * voltV * cycles
+		for _, f := range []float64{0.8, 1.6, 2.4, 3.2, 4.0, 4.9} {
+			if got, _ := cyclesEnergyJ(t, m, cycles, f, voltV); !approx(got, want) {
+				t.Errorf("%s at %.1f GHz: dynamic energy of %g cycles %g J, want C·V²·N = %g J", name, f, cycles, got, want)
+			}
+		}
 	}
 }
 
-func TestMeterSeesUndervolt(t *testing.T) {
-	spec, _ := models.SkyLake()
-	p, _ := cpu.NewPlatform(spec, 2)
-	m, err := power.NewMeter(power.DefaultModel(), p.Core(0), 10*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(p.Sim); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(5 * sim.Millisecond)
-	baseline := m.LastW()
-	if err := p.WriteOffsetViaMSR(0, -70, msr.PlaneCore); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(5 * sim.Millisecond)
-	m.Stop()
-	if m.LastW() >= baseline {
-		t.Fatalf("undervolt did not reduce power: %v -> %v", baseline, m.LastW())
-	}
-	reduction := (baseline - m.LastW()) / baseline * 100
-	if reduction < 5 || reduction > 20 {
-		t.Fatalf("reduction %v%% implausible", reduction)
+// A 15% drop in both V and f leaves (0.85)² = 72% of the dynamic energy of
+// the same work and (0.85)³ = 61% of the dynamic power.
+func TestMatchedVoltageFrequencyDropScalesDynamicEnergyAndPower(t *testing.T) {
+	const cycles, f, v = 3e8, 3.0, 1.0
+	for _, name := range codenames {
+		m := dynamicOnly(power.ModelFor(name))
+		e1, t1 := cyclesEnergyJ(t, m, cycles, f, v)
+		e2, t2 := cyclesEnergyJ(t, m, cycles, 0.85*f, 0.85*v)
+		energyRatio := e2 / e1
+		powerRatio := (e2 / t2.Seconds()) / (e1 / t1.Seconds())
+		if !approx(energyRatio, 0.85*0.85) || math.Round(energyRatio*100) != 72 {
+			t.Errorf("%s: dynamic energy ratio %.6f, want 0.7225 (72%%)", name, energyRatio)
+		}
+		if !approx(powerRatio, 0.85*0.85*0.85) || math.Round(powerRatio*100) != 61 {
+			t.Errorf("%s: dynamic power ratio %.6f, want 0.614125 (61%%)", name, powerRatio)
+		}
 	}
 }
 
-func TestMeterValidation(t *testing.T) {
-	spec, _ := models.SkyLake()
-	p, _ := cpu.NewPlatform(spec, 1)
-	if _, err := power.NewMeter(power.Model{}, p.Core(0), sim.Microsecond); err == nil {
-		t.Fatal("invalid model accepted")
-	}
-	if _, err := power.NewMeter(power.DefaultModel(), nil, sim.Microsecond); err == nil {
-		t.Fatal("nil core accepted")
-	}
-	if _, err := power.NewMeter(power.DefaultModel(), p.Core(0), 0); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	m, _ := power.NewMeter(power.DefaultModel(), p.Core(0), sim.Microsecond)
-	if m.AverageW() != 0 {
-		t.Fatal("average on unstarted meter")
+// Static energy is the leakage power times the runtime: it grows linearly
+// with runtime, so the same cycles at half the frequency leak twice the
+// energy.
+func TestStaticEnergyLinearInRuntime(t *testing.T) {
+	const cycles, voltV = 1e8, 0.9
+	for _, name := range codenames {
+		m := power.ModelFor(name)
+		static := func(f float64) (float64, sim.Duration) {
+			full, rt := cyclesEnergyJ(t, m, cycles, f, voltV)
+			dyn, _ := cyclesEnergyJ(t, dynamicOnly(m), cycles, f, voltV)
+			return full - dyn, rt
+		}
+		e1, rt1 := static(3.2)
+		if want := m.StaticW(voltV) * rt1.Seconds(); !approx(e1, want) {
+			t.Errorf("%s: static energy %g J over %v, want P_static·T = %g J", name, e1, rt1, want)
+		}
+		for _, k := range []float64{2, 4, 8} {
+			ek, rtk := static(3.2 / k)
+			if rtk != sim.Duration(k)*rt1 {
+				t.Fatalf("%s: runtime %v at 1/%g the frequency, want %g x %v", name, rtk, k, k, rt1)
+			}
+			if !approx(ek, k*e1) {
+				t.Errorf("%s: static energy over %g x the runtime %g J, want %g J", name, k, ek, k*e1)
+			}
+		}
 	}
 }

@@ -102,12 +102,6 @@ func NewTracker(model Model, numCores int, now func() sim.Time, point PointFn) (
 	return t, nil
 }
 
-// Model returns the power model the tracker integrates.
-func (t *Tracker) Model() Model { return t.model }
-
-// NumCores returns the tracked core count.
-func (t *Tracker) NumCores() int { return len(t.cores) }
-
 // PriceW returns the live commanded-point power of a core in watts — the
 // price the kernel cost-attribution path multiplies by charged CPU time,
 // several times per guard poll at an unchanged point. It recomputes TotalW
@@ -157,9 +151,6 @@ func (t *Tracker) Blackout(core int) {
 	m.lastW = 0
 	t.flight.EnergySegment(core, 0)
 }
-
-// CoreW returns the power currently billed to a core.
-func (t *Tracker) CoreW(core int) float64 { return t.cores[core].lastW }
 
 // CoreEnergyJ returns a core's integrated energy through the current
 // virtual instant. Pure: the open segment is extrapolated, not closed.

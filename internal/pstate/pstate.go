@@ -106,13 +106,6 @@ func (m *Manager) Policy(core int) (Policy, error) {
 	return *m.pols[core], nil
 }
 
-// Table returns the supported frequencies ascending.
-func (m *Manager) Table() []int {
-	out := make([]int, len(m.table))
-	copy(out, m.table)
-	return out
-}
-
 // nearest returns the table frequency closest to khz, clamped to [min, max].
 func (m *Manager) nearest(khz, minKHz, maxKHz int) int {
 	best, bestDiff := m.table[0], -1
@@ -134,19 +127,6 @@ func (m *Manager) nearest(khz, minKHz, maxKHz int) int {
 		return m.nearest(minKHz, m.table[0], m.table[len(m.table)-1])
 	}
 	return best
-}
-
-// SetBounds updates a policy's frequency bounds and re-applies the governor.
-func (m *Manager) SetBounds(core, minKHz, maxKHz int) error {
-	if core < 0 || core >= len(m.pols) {
-		return fmt.Errorf("pstate: no core %d", core)
-	}
-	if minKHz > maxKHz {
-		return fmt.Errorf("pstate: min %d > max %d", minKHz, maxKHz)
-	}
-	p := m.pols[core]
-	p.MinKHz, p.MaxKHz = minKHz, maxKHz
-	return m.applyStatic(p)
 }
 
 // SetGovernor switches a core's scaling governor.
@@ -324,30 +304,4 @@ func (c *CPUPower) FrequencySet(core, khz int) error {
 		}
 	}
 	return c.M.SetSpeed(core, khz)
-}
-
-// FrequencyInfo mirrors `cpupower frequency-info` for one core.
-type FrequencyInfo struct {
-	Core       int
-	CurrentKHz int
-	MinKHz     int
-	MaxKHz     int
-	Governor   string
-	TableKHz   []int
-}
-
-// FrequencyInfo reports a core's cpufreq state.
-func (c *CPUPower) FrequencyInfo(core int) (FrequencyInfo, error) {
-	p, err := c.M.Policy(core)
-	if err != nil {
-		return FrequencyInfo{}, err
-	}
-	return FrequencyInfo{
-		Core:       core,
-		CurrentKHz: c.M.cpu.FreqKHz(core),
-		MinKHz:     p.MinKHz,
-		MaxKHz:     p.MaxKHz,
-		Governor:   p.Governor,
-		TableKHz:   c.M.Table(),
-	}, nil
 }

@@ -101,24 +101,12 @@ func (e *Enclave) Destroy() {
 	delete(e.reg.enclaves, e.id)
 }
 
-// ID returns the enclave id.
-func (e *Enclave) ID() uint64 { return e.id }
-
-// Name returns the enclave name.
-func (e *Enclave) Name() string { return e.name }
-
-// Core returns the core the enclave is pinned to.
-func (e *Enclave) Core() int { return e.core }
-
 // MeasurementHex returns the MRENCLAVE-equivalent as hex.
 func (e *Enclave) MeasurementHex() string { return hex.EncodeToString(e.measurement[:]) }
 
 // AnyRunning reports whether any enclave exists — the condition under which
 // SA-00289 locks the mailbox.
 func (r *Registry) AnyRunning() bool { return len(r.enclaves) > 0 }
-
-// Count returns the number of live enclaves.
-func (r *Registry) Count() int { return len(r.enclaves) }
 
 // Run executes the enclave's program to completion without adversarial
 // interruption (the benign path).
@@ -249,66 +237,4 @@ func (st *Stepper) Run(p Program, between func(next int) error) error {
 func (st *Stepper) ZeroStep(d sim.Duration) {
 	st.ZeroSteps++
 	st.simr.RunFor(d)
-}
-
-// AttestationMonitor is the client-side companion of the paper's proposed
-// report extension: the relying party re-attests the enclave's platform on
-// a fixed period and raises an alarm as soon as a required flag regresses
-// (e.g. the adversary rmmod'ed the guard module mid-session). Detection
-// latency is bounded by the re-attestation period — the operational answer
-// to "why can the adversary not simply unload the kernel module?".
-type AttestationMonitor struct {
-	enclave *Enclave
-	policy  VerifyPolicy
-	ticker  *sim.Ticker
-
-	// Checks counts re-attestations; Violations counts policy failures.
-	Checks     uint64
-	Violations uint64
-	// FirstViolation is the virtual time the first failure was detected.
-	FirstViolation sim.Time
-	// OnViolation, when set, runs once per failed check (alerting,
-	// enclave shutdown, key revocation).
-	OnViolation func(err error)
-}
-
-// NewAttestationMonitor builds a monitor; Start arms it.
-func NewAttestationMonitor(e *Enclave, policy VerifyPolicy) (*AttestationMonitor, error) {
-	if e == nil {
-		return nil, errors.New("sgx: nil enclave")
-	}
-	return &AttestationMonitor{enclave: e, policy: policy}, nil
-}
-
-// Start re-attests every period on the simulator clock.
-func (m *AttestationMonitor) Start(s *sim.Simulator, period sim.Duration) error {
-	if m.ticker != nil {
-		return errors.New("sgx: monitor already started")
-	}
-	if period <= 0 {
-		return errors.New("sgx: period must be positive")
-	}
-	nonce := uint64(0)
-	m.ticker = s.Every(period, func() {
-		m.Checks++
-		nonce++
-		rep := m.enclave.Attest(nonce)
-		if err := m.policy.Verify(rep); err != nil {
-			m.Violations++
-			if m.FirstViolation == 0 {
-				m.FirstViolation = s.Now()
-			}
-			if m.OnViolation != nil {
-				m.OnViolation(err)
-			}
-		}
-	})
-	return nil
-}
-
-// Stop halts re-attestation.
-func (m *AttestationMonitor) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
 }

@@ -238,50 +238,3 @@ func TestZeroStepDwells(t *testing.T) {
 		t.Fatalf("ZeroSteps = %d", st.ZeroSteps)
 	}
 }
-
-func TestAttestationMonitorDetectsFlagRegression(t *testing.T) {
-	s := sim.New(1)
-	r := NewRegistry(s)
-	loaded := true
-	r.Features = Features{GuardModuleLoaded: func() bool { return loaded }}
-	e, _ := r.Create("watched", 0)
-	if _, err := NewAttestationMonitor(nil, VerifyPolicy{}); err == nil {
-		t.Fatal("nil enclave accepted")
-	}
-	m, err := NewAttestationMonitor(e, VerifyPolicy{RequireGuardModule: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(s, 0); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	var alarms int
-	m.OnViolation = func(error) { alarms++ }
-	if err := m.Start(s, 10*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(s, 10*sim.Millisecond); err == nil {
-		t.Fatal("double start accepted")
-	}
-	// Healthy for 50 ms: checks accumulate, no violations.
-	s.RunFor(55 * sim.Millisecond)
-	if m.Checks != 5 || m.Violations != 0 {
-		t.Fatalf("healthy phase: checks=%d violations=%d", m.Checks, m.Violations)
-	}
-	// Adversarial rmmod at t=55ms: next re-attestation flags it.
-	loaded = false
-	s.RunFor(10 * sim.Millisecond)
-	if m.Violations == 0 || alarms == 0 {
-		t.Fatal("rmmod not detected")
-	}
-	// Detection latency bounded by one period.
-	if m.FirstViolation > 65*sim.Millisecond {
-		t.Fatalf("detection at %v, beyond one period", m.FirstViolation)
-	}
-	m.Stop()
-	checks := m.Checks
-	s.RunFor(30 * sim.Millisecond)
-	if m.Checks != checks {
-		t.Fatal("monitor kept checking after Stop")
-	}
-}

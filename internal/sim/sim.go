@@ -67,16 +67,12 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // on the simulator. The zero Event is valid and inert.
 type Event struct {
 	s    *Simulator
-	at   Time
 	slot int32
 	gen  uint32
-	// done records that Cancel was called through this handle, preserving
-	// the historical Cancelled() semantics independent of slot recycling.
+	// done records that Cancel was called through this handle, so a second
+	// Cancel is a no-op even after the slot is recycled.
 	done bool
 }
-
-// Time reports when the event fires (or was scheduled to fire).
-func (e *Event) Time() Time { return e.at }
 
 // Cancel prevents a pending event from firing, removing it from the queue
 // immediately. Cancelling an event that has already fired or been cancelled
@@ -90,9 +86,6 @@ func (e *Event) Cancel() {
 		e.s.cancel(e.slot, e.gen)
 	}
 }
-
-// Cancelled reports whether Cancel was called on this handle.
-func (e *Event) Cancelled() bool { return e.done }
 
 // eventSlot is one arena cell. Live slots hold the callback and track their
 // heap position; free slots chain through next.
@@ -131,7 +124,6 @@ type Simulator struct {
 	rng      *rand.Rand // nil until the first Rand call
 	seed     int64
 	fired    uint64
-	stopped  bool
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -151,9 +143,6 @@ func New(seed int64) *Simulator {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Seed returns the seed the simulator was constructed with.
-func (s *Simulator) Seed() int64 { return s.seed }
 
 // Rand exposes the simulator's deterministic random source. All stochastic
 // models (clock jitter, fault coin flips) must draw from this source and
@@ -199,7 +188,7 @@ func (s *Simulator) At(t Time, fn func()) Event {
 	sl.fn = fn
 	sl.at = t
 	s.heapPush(heapEnt{at: t, seq: s.seq, slot: i})
-	return Event{s: s, at: t, slot: i, gen: sl.gen}
+	return Event{s: s, slot: i, gen: sl.gen}
 }
 
 // allocSlot pops a recycled slot from the free list or grows the arena.
@@ -239,13 +228,6 @@ func (s *Simulator) cancel(i int32, gen uint32) {
 	s.freeSlot(i)
 }
 
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Pending returns the number of live queued events. Cancelled events are
-// removed eagerly and never counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
-
 // step executes the earliest pending event. It returns false when the queue
 // is empty or the next event lies beyond limit.
 func (s *Simulator) step(limit Time) bool {
@@ -265,22 +247,12 @@ func (s *Simulator) step(limit Time) bool {
 	return true
 }
 
-const maxTime = Time(1<<63 - 1)
-
-// Run executes events until the queue drains or Stop is called.
-func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.step(maxTime) {
-	}
-}
-
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled beyond t remain queued.
 func (s *Simulator) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped && s.step(t) {
+	for s.step(t) {
 	}
-	if !s.stopped && t > s.now {
+	if t > s.now {
 		s.now = t
 	}
 }
@@ -365,14 +337,13 @@ func (s *Simulator) siftDown(i int) bool {
 // Ticker invokes fn every period until cancelled. The first invocation is
 // one full period after the call. Cancel the returned Ticker to stop.
 type Ticker struct {
-	sim      *Simulator
-	period   Duration
-	fn       func()
-	tick     func() // single re-armed closure, built once in Every
-	ev       Event
-	stopped  bool
-	Fires    uint64 // number of completed invocations
-	lastFire Time
+	sim     *Simulator
+	period  Duration
+	fn      func()
+	tick    func() // single re-armed closure, built once in Every
+	ev      Event
+	stopped bool
+	Fires   uint64 // number of completed invocations
 }
 
 // Every creates and starts a Ticker. Period must be positive.
@@ -386,7 +357,6 @@ func (s *Simulator) Every(period Duration, fn func()) *Ticker {
 			return
 		}
 		t.Fires++
-		t.lastFire = t.sim.Now()
 		t.fn()
 		if !t.stopped {
 			t.ev = t.sim.Schedule(t.period, t.tick)
@@ -402,6 +372,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
 }
-
-// LastFire reports the virtual time of the most recent completed tick.
-func (t *Ticker) LastFire() Time { return t.lastFire }

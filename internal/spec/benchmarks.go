@@ -15,7 +15,6 @@ package spec
 
 import (
 	"math"
-	"sort"
 
 	"plugvolt/internal/cpu"
 )
@@ -114,26 +113,6 @@ func All() []*Benchmark {
 		{Name: "548.exchange2_r", Suite: IntRate, Mix: mix(0.00, 0.34, 0.61, 0.05), InstrPerUnit: 2000, RefBaseRate: 345.38, RefPeakRate: 248.6, Kernel: kExchange2},
 		{Name: "557.xz_r", Suite: IntRate, Mix: mix(0.01, 0.44, 0.49, 0.06), InstrPerUnit: 2800, RefBaseRate: 387.71, RefPeakRate: 373.41, Kernel: kXz},
 	}
-}
-
-// ByName finds a benchmark.
-func ByName(name string) (*Benchmark, bool) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// Names lists all benchmark names in paper order.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, b := range all {
-		out[i] = b.Name
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -715,27 +694,4 @@ func kXz(n int) uint64 {
 		acc ^= state
 	}
 	return acc
-}
-
-// Checksums runs every kernel once (one unit) and returns name->checksum;
-// used by determinism tests.
-func Checksums() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, b := range All() {
-		out[b.Name] = b.Kernel(1)
-	}
-	return out
-}
-
-// SortedBySuite returns the benchmarks grouped fprate-then-intrate, stable
-// in paper order (the paper's Table 2 lists FP first).
-func SortedBySuite() []*Benchmark {
-	all := All()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Suite != all[j].Suite {
-			return all[i].Suite == FPRate
-		}
-		return false
-	})
-	return all
 }

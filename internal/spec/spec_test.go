@@ -124,24 +124,6 @@ func TestKernelsScaleWithWork(t *testing.T) {
 	}
 }
 
-func TestNamesAndSorting(t *testing.T) {
-	names := Names()
-	if len(names) != 23 || names[0] != "503.bwaves_r" {
-		t.Fatalf("Names() = %v...", names[:1])
-	}
-	sorted := SortedBySuite()
-	for i := 0; i < 13; i++ {
-		if sorted[i].Suite != FPRate {
-			t.Fatalf("position %d not FP after sort", i)
-		}
-	}
-	for i := 13; i < 23; i++ {
-		if sorted[i].Suite != IntRate {
-			t.Fatalf("position %d not INT after sort", i)
-		}
-	}
-}
-
 // table2Rig builds platform + kernel + guard-toggling closure.
 func table2Rig(t *testing.T) (*Harness, func(bool) error, *core.Guard) {
 	t.Helper()

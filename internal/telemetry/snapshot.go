@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -28,7 +27,7 @@ type SeriesSnapshot struct {
 	Sum     float64       `json:"sum,omitempty"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
 
-	sig string // cached label signature for sorting/diffing
+	sig string // cached label signature for sorting
 }
 
 // MetricSnapshot is one metric family frozen at snapshot time, series sorted
@@ -90,45 +89,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		snap.Metrics = append(snap.Metrics, m)
 	}
 	return snap
-}
-
-// Find returns the named family's snapshot, or nil.
-func (s *Snapshot) Find(name string) *MetricSnapshot {
-	for i := range s.Metrics {
-		if s.Metrics[i].Name == name {
-			return &s.Metrics[i]
-		}
-	}
-	return nil
-}
-
-// Value returns the scalar of the series matching labels (counter or gauge),
-// or 0 if absent.
-func (s *Snapshot) Value(name string, labels Labels) float64 {
-	m := s.Find(name)
-	if m == nil {
-		return 0
-	}
-	sig := labels.signature()
-	for _, ss := range m.Series {
-		if ss.Labels.signature() == sig {
-			return ss.Value
-		}
-	}
-	return 0
-}
-
-// Total sums the scalar over every series of the named family.
-func (s *Snapshot) Total(name string) float64 {
-	m := s.Find(name)
-	if m == nil {
-		return 0
-	}
-	var t float64
-	for _, ss := range m.Series {
-		t += ss.Value
-	}
-	return t
 }
 
 // formatFloat renders floats the same way everywhere so expositions are
@@ -203,55 +163,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 				promLabels(ss.Labels, "", ""), formatFloat(ss.Value)); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// JSON renders the snapshot as deterministic indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Diff returns after minus before: counters and histograms as deltas,
-// gauges at their after value. Series present only in after are taken
-// whole; series that vanished are omitted — matching how Table-2-style
-// overhead attribution brackets a workload between two snapshots.
-func Diff(before, after *Snapshot) *Snapshot {
-	out := &Snapshot{AtPS: after.AtPS}
-	for _, am := range after.Metrics {
-		bm := before.Find(am.Name)
-		dm := MetricSnapshot{Name: am.Name, Help: am.Help, Kind: am.Kind}
-		for _, as := range am.Series {
-			ds := as
-			if bm != nil && am.Kind != KindGauge {
-				if bs := findSeries(bm, as.Labels); bs != nil {
-					ds.Value = as.Value - bs.Value
-					ds.Sum = as.Sum - bs.Sum
-					ds.Count = as.Count - bs.Count
-					ds.Buckets = nil
-					for i, b := range as.Buckets {
-						prev := uint64(0)
-						if i < len(bs.Buckets) {
-							prev = bs.Buckets[i].Cumulative
-						}
-						ds.Buckets = append(ds.Buckets, BucketCount{
-							UpperBound: b.UpperBound, Cumulative: b.Cumulative - prev})
-					}
-				}
-			}
-			dm.Series = append(dm.Series, ds)
-		}
-		out.Metrics = append(out.Metrics, dm)
-	}
-	return out
-}
-
-func findSeries(m *MetricSnapshot, labels Labels) *SeriesSnapshot {
-	sig := labels.signature()
-	for i := range m.Series {
-		if m.Series[i].Labels.signature() == sig {
-			return &m.Series[i]
 		}
 	}
 	return nil

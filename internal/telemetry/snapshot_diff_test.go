@@ -8,110 +8,12 @@ import (
 	"plugvolt/internal/sim"
 )
 
-// Edge cases of Snapshot diffing: series that appear or disappear between
-// the two snapshots, histograms whose bucket layouts disagree, and label
-// sets crafted to collide on a naive signature.
+// Edge cases of snapshot rendering and merging: label sets crafted to
+// collide on a naive signature, escaping in the exposition, and merges.
 
 func snapClock() Clock {
 	now := sim.Time(0)
 	return func() sim.Time { return now }
-}
-
-func TestDiffSeriesAppearing(t *testing.T) {
-	reg := NewRegistry(snapClock())
-	reg.Counter("reqs", "", Labels{"core": "0"}).Add(5)
-	before := reg.Snapshot()
-	// A new series materializes after the bracket opened.
-	reg.Counter("reqs", "", Labels{"core": "0"}).Add(2)
-	reg.Counter("reqs", "", Labels{"core": "1"}).Add(9)
-	after := reg.Snapshot()
-
-	d := Diff(before, after)
-	if got := d.Value("reqs", Labels{"core": "0"}); got != 2 {
-		t.Errorf("existing series delta = %v, want 2", got)
-	}
-	// Appearing series are taken whole.
-	if got := d.Value("reqs", Labels{"core": "1"}); got != 9 {
-		t.Errorf("appearing series = %v, want 9", got)
-	}
-}
-
-func TestDiffSeriesDisappearing(t *testing.T) {
-	// Hand-built snapshots: the registry never drops series, but a bracket
-	// across a registry swap (SetTelemetry) can legitimately lose some.
-	before := &Snapshot{Metrics: []MetricSnapshot{{
-		Name: "reqs", Kind: KindCounter,
-		Series: []SeriesSnapshot{
-			{Labels: Labels{"core": "0"}, Value: 5},
-			{Labels: Labels{"core": "1"}, Value: 7},
-		},
-	}}}
-	after := &Snapshot{Metrics: []MetricSnapshot{{
-		Name: "reqs", Kind: KindCounter,
-		Series: []SeriesSnapshot{
-			{Labels: Labels{"core": "0"}, Value: 6},
-		},
-	}}}
-	d := Diff(before, after)
-	m := d.Find("reqs")
-	if m == nil || len(m.Series) != 1 {
-		t.Fatalf("vanished series must be omitted, got %+v", m)
-	}
-	if m.Series[0].Value != 1 {
-		t.Errorf("surviving series delta = %v, want 1", m.Series[0].Value)
-	}
-	// A whole family vanishing is likewise omitted rather than inverted.
-	after2 := &Snapshot{}
-	if d2 := Diff(before, after2); len(d2.Metrics) != 0 {
-		t.Errorf("vanished family must be omitted, got %+v", d2.Metrics)
-	}
-}
-
-func TestDiffHistogramBucketCountMismatch(t *testing.T) {
-	mk := func(buckets []BucketCount, count uint64, sum float64) *Snapshot {
-		return &Snapshot{Metrics: []MetricSnapshot{{
-			Name: "lat", Kind: KindHistogram,
-			Series: []SeriesSnapshot{{Count: count, Sum: sum, Buckets: buckets}},
-		}}}
-	}
-	// After has MORE buckets than before (bounds were re-registered wider):
-	// the overlap diffs positionally, the extra buckets are taken whole.
-	before := mk([]BucketCount{{1, 3}, {2, 5}}, 5, 4)
-	after := mk([]BucketCount{{1, 4}, {2, 8}, {4, 9}}, 9, 11)
-	d := Diff(before, after)
-	got := d.Find("lat").Series[0]
-	want := []BucketCount{{1, 1}, {2, 3}, {4, 9}}
-	if len(got.Buckets) != len(want) {
-		t.Fatalf("buckets %+v, want %+v", got.Buckets, want)
-	}
-	for i := range want {
-		if got.Buckets[i] != want[i] {
-			t.Errorf("bucket %d = %+v, want %+v", i, got.Buckets[i], want[i])
-		}
-	}
-	if got.Count != 4 || got.Sum != 7 {
-		t.Errorf("count/sum = %d/%v, want 4/7", got.Count, got.Sum)
-	}
-
-	// After has FEWER buckets than before: the after layout wins and no
-	// phantom buckets from before leak into the delta.
-	d2 := Diff(after, mk([]BucketCount{{1, 5}}, 10, 12))
-	got2 := d2.Find("lat").Series[0]
-	if len(got2.Buckets) != 1 || got2.Buckets[0] != (BucketCount{1, 1}) {
-		t.Errorf("shrunk layout buckets = %+v, want [{1 1}]", got2.Buckets)
-	}
-}
-
-func TestDiffGaugeTakesAfterValue(t *testing.T) {
-	reg := NewRegistry(snapClock())
-	g := reg.Gauge("temp", "", nil)
-	g.Set(70)
-	before := reg.Snapshot()
-	g.Set(55)
-	d := Diff(before, reg.Snapshot())
-	if got := d.Value("temp", nil); got != 55 {
-		t.Errorf("gauge diff = %v, want after value 55", got)
-	}
 }
 
 func TestLabelSignatureCollisionResistance(t *testing.T) {
@@ -136,15 +38,6 @@ func TestLabelSignatureCollisionResistance(t *testing.T) {
 	}
 	if got := snap.Value("c", setB); got != 10 {
 		t.Errorf("setB value = %v, want 10", got)
-	}
-	// And the diff keeps them apart too.
-	reg.Counter("c", "", setB).Add(5)
-	d := Diff(snap, reg.Snapshot())
-	if got := d.Value("c", setB); got != 5 {
-		t.Errorf("setB delta = %v, want 5", got)
-	}
-	if got := d.Value("c", setA); got != 0 {
-		t.Errorf("setA delta = %v, want 0", got)
 	}
 }
 

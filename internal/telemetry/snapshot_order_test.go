@@ -7,13 +7,13 @@ import (
 )
 
 // Histogram bucket lines must appear in ascending numeric le order in every
-// rendered snapshot — including diffs and merges. The bounds {20, 100, 500}
-// are the trap case: lexicographically "100" < "20" < "500", so any code
-// path that ever sorted bucket lines (or their le labels) as strings would
-// reorder them. Bounds are validated ascending at registration and every
-// snapshot/diff/merge path preserves slice order positionally; this test
-// pins that contract.
-func TestBucketLinesNumericOrderInDiff(t *testing.T) {
+// rendered snapshot — including merges. The bounds {20, 100, 500} are the
+// trap case: lexicographically "100" < "20" < "500", so any code path that
+// ever sorted bucket lines (or their le labels) as strings would reorder
+// them. Bounds are validated ascending at registration and every
+// snapshot/merge path preserves slice order positionally; this test pins
+// that contract.
+func TestBucketLinesNumericOrder(t *testing.T) {
 	r := NewRegistry(nil)
 	h := r.Histogram("m_us", "latency", []float64{20, 100, 500}, Labels{"core": "0"})
 	h.Observe(10)
@@ -37,7 +37,7 @@ func TestBucketLinesNumericOrderInDiff(t *testing.T) {
 	}
 
 	want := []string{"20", "100", "500", "+Inf"}
-	for name, s := range map[string]*Snapshot{"before": before, "after": after, "diff": Diff(before, after)} {
+	for name, s := range map[string]*Snapshot{"before": before, "after": after} {
 		got := leSeq(s)
 		if len(got) != len(want) {
 			t.Fatalf("%s: bucket lines %v, want %v", name, got, want)
@@ -47,21 +47,6 @@ func TestBucketLinesNumericOrderInDiff(t *testing.T) {
 				t.Errorf("%s: bucket line %d has le=%q, want %q (numeric order, not lexicographic)", name, i, got[i], want[i])
 			}
 		}
-	}
-
-	// The diff's per-bucket deltas must also sit on the right bounds: one
-	// new observation <=20, two in (20,100], one in (100,500], one above
-	// every bound (only +Inf / Count sees it).
-	d := Diff(before, after)
-	ds := d.Metrics[0].Series[0]
-	wantCum := []uint64{1, 3, 4}
-	for i, b := range ds.Buckets {
-		if b.Cumulative != wantCum[i] {
-			t.Errorf("diff bucket le=%g cumulative %d, want %d", b.UpperBound, b.Cumulative, wantCum[i])
-		}
-	}
-	if ds.Count != 5 {
-		t.Errorf("diff count %d, want 5", ds.Count)
 	}
 
 	// Merging preserves the same order — the fleet path renders merged

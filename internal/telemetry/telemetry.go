@@ -16,10 +16,9 @@
 //   - instruments never advance the clock or draw randomness — observing a
 //     value cannot perturb the experiment being observed.
 //
-// One caveat is inherited from the sharded characterizer: metrics labeled by
-// worker attribute rows to whichever goroutine the Go scheduler handed them,
-// so per-worker series vary run to run even though every sim-clock-derived
-// metric (and the characterization grid itself) does not.
+// The sharded characterizer publishes its rows in frequency order, so every
+// series is a function of the seed and the flags, whatever the worker count
+// or the Go scheduler did.
 //
 // All instrument methods are nil-receiver safe: code under instrumentation
 // holds possibly-nil *Counter/*Gauge/*Histogram fields and calls them
@@ -191,16 +190,6 @@ func (c *Counter) Add(v float64) {
 	c.r.mu.Unlock()
 }
 
-// Value reads the current count (0 on a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	c.r.mu.Lock()
-	defer c.r.mu.Unlock()
-	return c.s.value
-}
-
 // Gauge is a metric that can move in both directions. Methods on a nil
 // receiver are no-ops.
 type Gauge struct {
@@ -226,26 +215,6 @@ func (g *Gauge) Set(v float64) {
 	g.r.mu.Lock()
 	g.s.value = v
 	g.r.mu.Unlock()
-}
-
-// Add moves the gauge by v (either sign).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.r.mu.Lock()
-	g.s.value += v
-	g.r.mu.Unlock()
-}
-
-// Value reads the gauge (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	return g.s.value
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are cumulative on
@@ -297,51 +266,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// Above every bound: only the implicit +Inf bucket (the total count n)
 	// sees it.
-}
-
-// Count reads the number of observations (0 on a nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.s.n
-}
-
-// Sum reads the sum of observations (0 on a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.s.sum
-}
-
-// LinearBuckets returns count ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count <= 0 || width <= 0 {
-		panic("telemetry: linear buckets need positive width and count")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count ascending bounds start, start*factor, ...
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if count <= 0 || start <= 0 || factor <= 1 {
-		panic("telemetry: exponential buckets need start>0, factor>1, count>0")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
 }
 
 // Seconds converts a virtual duration to the float seconds the exposition

@@ -109,17 +109,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("linear %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Fatalf("exp %v", exp)
-	}
-}
-
 func TestSnapshotDeterministicRendering(t *testing.T) {
 	build := func() *Snapshot {
 		now := sim.Time(42 * sim.Microsecond)
@@ -173,41 +162,6 @@ func TestSnapshotDeterministicRendering(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	now := sim.Time(0)
-	r := NewRegistry(testClock(&now))
-	c := r.Counter("c_total", "", nil)
-	g := r.Gauge("g", "", nil)
-	h := r.Histogram("h", "", []float64{1}, nil)
-	c.Add(5)
-	g.Set(10)
-	h.Observe(0.5)
-	before := r.Snapshot()
-	c.Add(3)
-	g.Set(4)
-	h.Observe(0.5)
-	h.Observe(2)
-	now = 7 * sim.Second
-	after := r.Snapshot()
-	d := Diff(before, after)
-	if d.AtPS != int64(7*sim.Second) {
-		t.Fatalf("diff at %d", d.AtPS)
-	}
-	if got := d.Value("c_total", nil); got != 3 {
-		t.Fatalf("counter delta %v", got)
-	}
-	if got := d.Value("g", nil); got != 4 {
-		t.Fatalf("gauge after-value %v", got)
-	}
-	hs := d.Find("h").Series[0]
-	if hs.Count != 2 || hs.Sum != 2.5 {
-		t.Fatalf("histogram delta count=%d sum=%v", hs.Count, hs.Sum)
-	}
-	if hs.Buckets[0].Cumulative != 1 {
-		t.Fatalf("bucket delta %d", hs.Buckets[0].Cumulative)
-	}
-}
-
 func TestJournalBoundedAndOrdered(t *testing.T) {
 	now := sim.Time(0)
 	j := NewJournal(testClock(&now), 3)
@@ -257,58 +211,6 @@ func TestJournalJSONLDeterministic(t *testing.T) {
 	want := `{"at_ps":5000000,"type":"guard_intervention","core":1,"freq_khz":3600000,"offset_mv":-135,"safe_mv":0}` + "\n"
 	if a != want {
 		t.Fatalf("jsonl %q != %q", a, want)
-	}
-}
-
-func TestFloorBin(t *testing.T) {
-	cases := []struct {
-		v     float64
-		width int
-		want  int
-	}{
-		{1005, 10, 1000},
-		{9.7, 10, 0},
-		{0, 10, 0},
-		{-0.5, 10, -10}, // truncation bug would put this in bin 0
-		{-5, 10, -10},
-		{-10, 10, -10},
-		{-10.5, 10, -20},
-		{-135, 5, -135},
-		{-137, 5, -140},
-	}
-	for _, c := range cases {
-		if got := FloorBin(c.v, c.width); got != c.want {
-			t.Errorf("FloorBin(%v,%d) = %d, want %d", c.v, c.width, got, c.want)
-		}
-	}
-}
-
-func TestBins(t *testing.T) {
-	if _, err := NewBins(0); err == nil {
-		t.Fatal("zero width accepted")
-	}
-	b, err := NewBins(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-5, -15, 5, 5.5, 25} {
-		b.Observe(v)
-	}
-	bins, counts := b.Snapshot()
-	if b.Count() != 5 {
-		t.Fatalf("count %d", b.Count())
-	}
-	wantBins := []int{-20, -10, 0, 20}
-	if len(bins) != len(wantBins) {
-		t.Fatalf("bins %v", bins)
-	}
-	for i, w := range wantBins {
-		if bins[i] != w {
-			t.Fatalf("bins %v != %v", bins, wantBins)
-		}
-	}
-	if counts[-10] != 1 || counts[0] != 2 || counts[-20] != 1 || counts[20] != 1 {
-		t.Fatalf("counts %v", counts)
 	}
 }
 

@@ -45,58 +45,6 @@ func TestAnalyzeMemoBitExact(t *testing.T) {
 	}
 }
 
-// TestWorstSlackMatchesAnalyzeScan requires WorstSlack to be bit-for-bit the
-// first minimum of the per-path Analyze results over an operating grid.
-func TestWorstSlackMatchesAnalyzeScan(t *testing.T) {
-	c := testCircuit()
-	for _, freq := range []float64{0.8, 1.6, 2.4, 3.2, 3.6} {
-		for i := 0; i <= 100; i++ {
-			v := 0.45 + float64(i)*0.008
-			got, err := c.WorstSlack(freq, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := c.Analyze(c.Paths[0], freq, v)
-			for _, p := range c.Paths[1:] {
-				a := c.Analyze(p, freq, v)
-				if a.SlackPS < want.SlackPS {
-					want = a
-				}
-			}
-			if math.Float64bits(got.SlackPS) != math.Float64bits(want.SlackPS) {
-				t.Fatalf("f=%v v=%v: WorstSlack %v != scan min %v", freq, v, got.SlackPS, want.SlackPS)
-			}
-			if got.Path.Name != want.Path.Name {
-				t.Fatalf("f=%v v=%v: limiting path %q != %q", freq, v, got.Path.Name, want.Path.Name)
-			}
-			if math.Float64bits(got.ArrivalPS) != math.Float64bits(want.ArrivalPS) ||
-				math.Float64bits(got.RequiredPS) != math.Float64bits(want.RequiredPS) ||
-				math.Float64bits(got.TclkPS) != math.Float64bits(want.TclkPS) {
-				t.Fatalf("f=%v v=%v: analysis fields diverge: %+v vs %+v", freq, v, got, want)
-			}
-		}
-	}
-}
-
-// TestWorstSlackZeroAlloc asserts the characterizer inner loop allocates
-// nothing once the depth table exists.
-func TestWorstSlackZeroAlloc(t *testing.T) {
-	c := testCircuit()
-	if _, err := c.WorstSlack(3.2, 0.9); err != nil { // builds depths
-		t.Fatal(err)
-	}
-	v := 0.6
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := c.WorstSlack(3.2, v); err != nil {
-			t.Fatal(err)
-		}
-		v += 1e-6 // defeat trivial same-input caching of the whole call
-	})
-	if allocs != 0 {
-		t.Fatalf("WorstSlack allocated %.1f per op, want 0", allocs)
-	}
-}
-
 // TestFaultProbabilityMemoBitExact checks the erfc memo against the direct
 // evaluation, including negative, zero, and positive slacks.
 func TestFaultProbabilityMemoBitExact(t *testing.T) {

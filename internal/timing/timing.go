@@ -38,10 +38,6 @@ type AlphaPower struct {
 	Alpha float64
 }
 
-// ErrBelowThreshold is returned when the supply voltage does not exceed the
-// threshold voltage: transistors no longer switch and delay is unbounded.
-var ErrBelowThreshold = errors.New("timing: supply voltage at or below threshold")
-
 // Delay returns the unit gate delay in picoseconds at supply voltage v.
 // For v <= Vth the device cannot switch; Delay returns +Inf.
 func (a AlphaPower) Delay(v float64) float64 {
@@ -116,11 +112,9 @@ type Circuit struct {
 	JitterSigmaPS float64
 	Paths         []Path
 
-	// depths caches Path.Depth() per path; byName maps path name to index
-	// (first occurrence wins, matching the historical linear scan). Both are
-	// rebuilt whenever their length disagrees with len(Paths). Clones share
-	// them read-only.
-	depths []float64
+	// byName maps path name to index (first occurrence wins, matching the
+	// historical linear scan). It is rebuilt whenever idxLen disagrees with
+	// len(Paths). Clones share it read-only.
 	byName map[string]int
 	idxLen int
 	// memo is allocated on the first unitDelay/FaultProbability call: most
@@ -164,21 +158,10 @@ func (c *Circuit) Clone() *Circuit {
 	return &cp
 }
 
-// Prepare eagerly builds the derived lookup tables so that clones handed to
-// concurrent owners share them read-only instead of each building its own.
+// Prepare eagerly builds the path index so that clones handed to
+// concurrent owners share it read-only instead of each building its own.
 func (c *Circuit) Prepare() {
-	c.ensureDepths()
 	c.ensureIndex()
-}
-
-func (c *Circuit) ensureDepths() {
-	if len(c.depths) == len(c.Paths) {
-		return
-	}
-	c.depths = make([]float64, len(c.Paths))
-	for i := range c.Paths {
-		c.depths[i] = c.Paths[i].Depth()
-	}
 }
 
 func (c *Circuit) ensureIndex() {
@@ -227,10 +210,6 @@ type Analysis struct {
 	SlackPS float64
 }
 
-// Safe reports whether the path meets Eq. 1 at this operating point,
-// i.e. the launching flip-flop is in the paper's "safe state".
-func (a Analysis) Safe() bool { return a.SlackPS >= 0 }
-
 // Analyze evaluates Eq. 1 for path p at the given core frequency (GHz) and
 // supply voltage (V).
 func (c *Circuit) Analyze(p Path, freqGHz, voltageV float64) Analysis {
@@ -247,45 +226,6 @@ func (c *Circuit) Analyze(p Path, freqGHz, voltageV float64) Analysis {
 		RequiredPS: required,
 		SlackPS:    required - arrival,
 	}
-}
-
-// WorstSlack returns the minimum slack across all paths at the operating
-// point, along with the analysis of the limiting path. It returns an error
-// if the circuit has no paths.
-//
-// This is the characterizer/guard inner loop: it evaluates the unit delay
-// once through the memo, scans precomputed depths, and allocates nothing.
-// The arithmetic mirrors Analyze operation for operation, so the result is
-// bit-for-bit the minimum of the per-path Analyze calls (strict <, first
-// minimum wins, matching the historical scan).
-func (c *Circuit) WorstSlack(freqGHz, voltageV float64) (Analysis, error) {
-	if len(c.Paths) == 0 {
-		return Analysis{}, errors.New("timing: circuit has no paths")
-	}
-	c.ensureDepths()
-	tclk := 1000.0 / freqGHz // ps
-	unit := c.unitDelay(voltageV)
-	wi := 0
-	var worst float64
-	for i := range c.Paths {
-		required := tclk - c.Paths[i].SetupPS - c.EpsPS
-		slack := required - c.depths[i]*unit
-		if i == 0 || slack < worst {
-			worst, wi = slack, i
-		}
-	}
-	p := c.Paths[wi]
-	arrival := c.depths[wi] * unit
-	required := tclk - p.SetupPS - c.EpsPS
-	return Analysis{
-		Path:       p,
-		FreqGHz:    freqGHz,
-		VoltageV:   voltageV,
-		TclkPS:     tclk,
-		ArrivalPS:  arrival,
-		RequiredPS: required,
-		SlackPS:    required - arrival,
-	}, nil
 }
 
 // FaultProbability converts a path's slack into the probability that one
@@ -321,53 +261,6 @@ func (c *Circuit) FaultProbability(a Analysis) float64 {
 // normalCDF is the standard normal cumulative distribution function.
 func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// MinVoltage numerically finds the minimum supply voltage (V) at which path
-// p still meets timing at freqGHz, to within tolV volts. It returns an error
-// if the path cannot meet timing even at vMax.
-func (c *Circuit) MinVoltage(p Path, freqGHz, vMax, tolV float64) (float64, error) {
-	if tolV <= 0 {
-		tolV = 1e-4
-	}
-	if !c.Analyze(p, freqGHz, vMax).Safe() {
-		return 0, fmt.Errorf("timing: path %q fails at %0.3f GHz even at %0.3f V", p.Name, freqGHz, vMax)
-	}
-	lo, hi := c.Tech.Vth, vMax // fails at lo (infinite delay), passes at hi
-	for hi-lo > tolV {
-		mid := (lo + hi) / 2
-		if c.Analyze(p, freqGHz, mid).Safe() {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
-// MaxFrequency numerically finds the highest frequency (GHz) at which path p
-// meets timing at voltage v, to within tolGHz.
-func (c *Circuit) MaxFrequency(p Path, voltageV, fMax, tolGHz float64) (float64, error) {
-	if tolGHz <= 0 {
-		tolGHz = 1e-3
-	}
-	lo := 0.01 // trivially passes (huge period)... verify anyway
-	if !c.Analyze(p, lo, voltageV).Safe() {
-		return 0, fmt.Errorf("timing: path %q fails even at %0.2f GHz, V=%0.3f", p.Name, lo, voltageV)
-	}
-	if c.Analyze(p, fMax, voltageV).Safe() {
-		return fMax, nil
-	}
-	hi := fMax // fails at hi
-	for hi-lo > tolGHz {
-		mid := (lo + hi) / 2
-		if c.Analyze(p, mid, voltageV).Safe() {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }
 
 // Validate checks the circuit's physical consistency.

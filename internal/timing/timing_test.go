@@ -85,9 +85,6 @@ func TestAnalyzeEquationOne(t *testing.T) {
 	if math.Abs(a.SlackPS-(wantRequired-wantArrival)) > 1e-9 {
 		t.Fatalf("slack=%v", a.SlackPS)
 	}
-	if a.Safe() != (a.SlackPS >= 0) {
-		t.Fatal("Safe() inconsistent with slack sign")
-	}
 }
 
 func TestSlackMonotonicity(t *testing.T) {
@@ -110,21 +107,6 @@ func TestSlackMonotonicity(t *testing.T) {
 			t.Fatalf("slack not decreasing in f at f=%.1f", f)
 		}
 		prev = s
-	}
-}
-
-func TestWorstSlackPicksDeepestPath(t *testing.T) {
-	c := testCircuit()
-	a, err := c.WorstSlack(3.0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Path.Name != "control" {
-		t.Fatalf("worst path = %q, want control (deepest)", a.Path.Name)
-	}
-	_, err = (&Circuit{Tech: testTech()}).WorstSlack(3.0, 1.0)
-	if err == nil {
-		t.Fatal("WorstSlack on empty circuit: no error")
 	}
 }
 
@@ -158,59 +140,6 @@ func TestFaultProbabilityHardThreshold(t *testing.T) {
 	a.SlackPS = -0.001
 	if c.FaultProbability(a) != 1 {
 		t.Fatal("negative slack did not fault under hard threshold")
-	}
-}
-
-func TestMinVoltageBisection(t *testing.T) {
-	c := testCircuit()
-	p := c.Paths[0]
-	vmin, err := c.MinVoltage(p, 3.2, 1.3, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Analyze(p, 3.2, vmin).Safe() {
-		t.Fatal("MinVoltage result is unsafe")
-	}
-	if c.Analyze(p, 3.2, vmin-0.002).Safe() {
-		t.Fatal("MinVoltage not tight: 2mV below still safe")
-	}
-	// Lower frequency needs lower minimum voltage.
-	vminLow, err := c.MinVoltage(p, 1.0, 1.3, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vminLow >= vmin {
-		t.Fatalf("min voltage at 1GHz (%v) not below 3.2GHz (%v)", vminLow, vmin)
-	}
-}
-
-func TestMinVoltageInfeasible(t *testing.T) {
-	c := testCircuit()
-	if _, err := c.MinVoltage(c.Paths[0], 50.0, 1.3, 0); err == nil {
-		t.Fatal("expected infeasibility error at 50 GHz")
-	}
-}
-
-func TestMaxFrequencyBisection(t *testing.T) {
-	c := testCircuit()
-	p := c.Paths[0]
-	fmax, err := c.MaxFrequency(p, 1.12, 10, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Analyze(p, fmax, 1.12).Safe() {
-		t.Fatal("MaxFrequency result is unsafe")
-	}
-	if c.Analyze(p, fmax+0.01, 1.12).Safe() {
-		t.Fatal("MaxFrequency not tight")
-	}
-	// A voltage safe up to fMax cap returns the cap.
-	fcap, err := c.MaxFrequency(p, 1.3, 0.5, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fcap != 0.5 {
-		t.Fatalf("capped MaxFrequency=%v want 0.5", fcap)
 	}
 }
 
@@ -298,35 +227,5 @@ func BenchmarkAnalyze(b *testing.B) {
 	p := c.Paths[0]
 	for i := 0; i < b.N; i++ {
 		_ = c.Analyze(p, 3.2, 1.0)
-	}
-}
-
-func BenchmarkMinVoltage(b *testing.B) {
-	c := testCircuit()
-	p := c.Paths[0]
-	for i := 0; i < b.N; i++ {
-		_, _ = c.MinVoltage(p, 3.2, 1.3, 1e-4)
-	}
-}
-
-// Property: MinVoltage and MaxFrequency are dual — the minimum voltage for
-// a frequency supports (almost exactly) that frequency as its maximum.
-func TestQuickMinVoltageMaxFrequencyDuality(t *testing.T) {
-	c := testCircuit()
-	p := c.Paths[0]
-	f := func(raw uint8) bool {
-		freq := 1.0 + float64(raw%25)*0.1 // 1.0..3.4 GHz
-		vmin, err := c.MinVoltage(p, freq, 1.3, 1e-6)
-		if err != nil {
-			return false
-		}
-		fmax, err := c.MaxFrequency(p, vmin, 10, 1e-5)
-		if err != nil {
-			return false
-		}
-		return fmax >= freq-1e-3 && fmax <= freq+0.05
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(12))}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"plugvolt/internal/core"
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/sim"
-	"plugvolt/internal/telemetry"
 )
 
 // Sample is one observation of a core's operating point.
@@ -79,9 +78,6 @@ func (r *Recorder) Stop() {
 		r.ticker.Stop()
 	}
 }
-
-// Samples returns the recorded timeline (live slice; do not mutate).
-func (r *Recorder) Samples() []Sample { return r.samples }
 
 // Len returns the sample count.
 func (r *Recorder) Len() int { return len(r.samples) }
@@ -176,22 +172,4 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Histogram buckets rail voltages into binMV-wide bins (floor of mV) and
-// returns sorted bin lower-bounds with counts — a quick distribution view.
-// Binning is true floor division (telemetry.FloorBin), so negative rail
-// values land in the bin whose lower bound is below them; the earlier
-// integer-division version truncated toward zero and put e.g. -0.5 mV into
-// the [0, binMV) bin.
-func (r *Recorder) Histogram(binMV int) ([]int, map[int]int, error) {
-	b, err := telemetry.NewBins(binMV)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: %w", err)
-	}
-	for _, s := range r.samples {
-		b.Observe(s.RailMV)
-	}
-	bins, counts := b.Snapshot()
-	return bins, counts, nil
 }

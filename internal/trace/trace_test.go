@@ -64,7 +64,7 @@ func TestRecorderSamplesTimeline(t *testing.T) {
 	if r.Len() < 80 {
 		t.Fatalf("samples %d", r.Len())
 	}
-	first, last := r.Samples()[0], r.Samples()[r.Len()-1]
+	first, last := r.samples[0], r.samples[r.Len()-1]
 	if first.RailMV <= last.RailMV {
 		t.Fatalf("rail did not descend: %v -> %v", first.RailMV, last.RailMV)
 	}
@@ -73,7 +73,7 @@ func TestRecorderSamplesTimeline(t *testing.T) {
 	}
 	// Mid-slew samples exist: some rail value strictly between endpoints.
 	sawMid := false
-	for _, s := range r.Samples() {
+	for _, s := range r.samples {
 		if s.RailMV < first.RailMV-20 && s.RailMV > last.RailMV+20 {
 			sawMid = true
 			break
@@ -226,7 +226,7 @@ func TestUnguardedAttackHasNonzeroUnsafeRailDwell(t *testing.T) {
 	}
 }
 
-func TestWriteCSVAndHistogram(t *testing.T) {
+func TestWriteCSV(t *testing.T) {
 	p := newPlatform(t, 6)
 	r, _ := NewRecorder(p.Core(0), 10*sim.Microsecond)
 	if err := r.Start(p.Sim); err != nil {
@@ -246,23 +246,6 @@ func TestWriteCSVAndHistogram(t *testing.T) {
 	if len(lines) != r.Len()+1 {
 		t.Fatalf("csv rows %d for %d samples", len(lines)-1, r.Len())
 	}
-	bins, counts, err := r.Histogram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) < 2 {
-		t.Fatalf("histogram bins %d — slew invisible", len(bins))
-	}
-	total := 0
-	for _, b := range bins {
-		total += counts[b]
-	}
-	if total != r.Len() {
-		t.Fatalf("histogram total %d != samples %d", total, r.Len())
-	}
-	if _, _, err := r.Histogram(0); err == nil {
-		t.Fatal("zero bin width accepted")
-	}
 }
 
 func TestRecorderCapStaysStopped(t *testing.T) {
@@ -279,12 +262,12 @@ func TestRecorderCapStaysStopped(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("cap not enforced: %d samples", r.Len())
 	}
-	firstAt := r.Samples()[0].At
+	firstAt := r.samples[0].At
 	p.Sim.RunFor(10 * sim.Millisecond)
 	if r.Len() != 3 {
 		t.Fatalf("sampling resumed after cap: %d samples", r.Len())
 	}
-	if r.Samples()[0].At != firstAt {
+	if r.samples[0].At != firstAt {
 		t.Fatal("cap evicted the oldest sample; expected drop-newest")
 	}
 	r.Stop() // must not panic on an already-stopped ticker
@@ -328,39 +311,6 @@ func TestDwellAllTrue(t *testing.T) {
 	}
 	if st.Fraction() != 1 {
 		t.Fatalf("fraction %v, want 1", st.Fraction())
-	}
-}
-
-func TestHistogramFloorsNegativeBins(t *testing.T) {
-	// Rail values below zero must land in the bin whose lower bound is
-	// below them. The old integer-division binning truncated toward zero:
-	// -0.5 and -10.1 both mis-binned one bin too high.
-	p := newPlatform(t, 11)
-	r, _ := NewRecorder(p.Core(0), sim.Microsecond)
-	r.samples = []Sample{
-		{RailMV: -0.5},  // → bin -10
-		{RailMV: -10},   // exactly on a boundary → bin -10
-		{RailMV: -10.1}, // → bin -20
-		{RailMV: 0.5},   // → bin 0
-		{RailMV: 9.9},   // → bin 0
-	}
-	bins, counts, err := r.Histogram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBins := []int{-20, -10, 0}
-	if len(bins) != len(wantBins) {
-		t.Fatalf("bins %v, want %v", bins, wantBins)
-	}
-	for i, b := range wantBins {
-		if bins[i] != b {
-			t.Fatalf("bins %v, want %v", bins, wantBins)
-		}
-	}
-	for bin, want := range map[int]int{-20: 1, -10: 2, 0: 2} {
-		if counts[bin] != want {
-			t.Fatalf("bin %d count %d, want %d", bin, counts[bin], want)
-		}
 	}
 }
 

@@ -7,9 +7,7 @@
 //   - CRTSigner (rsa.go) — an RSA-CRT signer whose modular multiplications
 //     execute on a simulated core, so undervolting yields genuinely faulty
 //     signatures that the Boneh–DeMillo–Lipton attack factors N from
-//     (the Plundervolt end-to-end exploit);
-//   - AES128 (aes.go) — an AES encryptor whose round function executes on
-//     the core, yielding faulty ciphertexts under undervolting.
+//     (the Plundervolt end-to-end exploit).
 package victim
 
 import (
@@ -67,35 +65,9 @@ func (l *IMulLoop) Step() (bool, error) {
 	return l.i >= l.n, nil
 }
 
-// Pos returns the next iteration index.
-func (l *IMulLoop) Pos() int { return l.i }
-
-// Len returns the configured iteration count.
-func (l *IMulLoop) Len() int { return l.n }
-
-// Reset rewinds the loop for reuse, clearing the fault counter.
-func (l *IMulLoop) Reset() {
-	l.i = 0
-	l.Faults = 0
-}
-
-// Run executes the remaining iterations step by step (per-instruction fault
-// sampling). Prefer RunBatch for characterization sweeps.
-func (l *IMulLoop) Run() (faults int, err error) {
-	for {
-		done, err := l.Step()
-		if err != nil {
-			return l.Faults, err
-		}
-		if done {
-			return l.Faults, nil
-		}
-	}
-}
-
 // RunBatch executes the remaining iterations through the core's batched
-// binomial fault sampler — equivalent statistics at sweep-compatible speed.
-// The loop is marked complete afterwards.
+// binomial fault sampler, the statistics of stepping through them at
+// sweep-compatible speed. The loop is marked complete afterwards.
 func (l *IMulLoop) RunBatch() (cpu.BatchResult, error) {
 	remaining := l.n - l.i
 	res, err := l.core.RunBatch(cpu.ClassIMul, remaining)

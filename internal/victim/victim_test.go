@@ -95,18 +95,6 @@ func TestIMulLoopBatchMatchesStatistics(t *testing.T) {
 	}
 }
 
-func TestIMulLoopReset(t *testing.T) {
-	p := newPlatform(t, 1)
-	l, _ := NewIMulLoop(p.Core(0), 100)
-	if _, err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
-	l.Reset()
-	if l.Pos() != 0 || l.Faults != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestIMulLoopValidation(t *testing.T) {
 	p := newPlatform(t, 1)
 	if _, err := NewIMulLoop(nil, 10); err == nil {
@@ -284,125 +272,6 @@ func TestStepHookObservesEveryMultiplication(t *testing.T) {
 	}
 }
 
-// AES-128 FIPS-197 appendix C.1 vector.
-func TestAESKnownAnswer(t *testing.T) {
-	key := []byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f}
-	pt := []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
-	want := []byte{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a}
-	a, err := NewAES128(key, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := a.EncryptPure(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if ct[i] != want[i] {
-			t.Fatalf("FIPS-197 KAT mismatch at byte %d: got %02x want %02x", i, ct[i], want[i])
-		}
-	}
-}
-
-func TestAESOnCoreMatchesPureAtNominal(t *testing.T) {
-	p := newPlatform(t, 5)
-	key := make([]byte, 16)
-	for i := range key {
-		key[i] = byte(i * 7)
-	}
-	a, err := NewAES128(key, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := []byte("sixteen byte msg")
-	ref, err := a.EncryptPure(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, round, err := a.EncryptOn(p.Core(0), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round != -1 {
-		t.Fatalf("fault at stock voltage (round %d)", round)
-	}
-	for i := range ref {
-		if ct[i] != ref[i] {
-			t.Fatal("core encryption differs from reference at stock voltage")
-		}
-	}
-}
-
-// undervoltIntoAESWindow targets the shallower AES path specifically.
-func undervoltIntoAESWindow(t *testing.T, p *cpu.Platform, core int) {
-	t.Helper()
-	c := p.Core(core)
-	for off := -1; off >= -450; off-- {
-		if err := p.WriteOffsetViaMSR(core, off, msr.PlaneCore); err != nil {
-			t.Fatal(err)
-		}
-		p.SettleAll()
-		if c.FaultProbability(cpu.ClassAES) > 1e-4 && c.CrashProbability() < 1e-9 {
-			return
-		}
-	}
-	t.Fatal("no AES fault window")
-}
-
-func TestAESFaultsUnderUndervolt(t *testing.T) {
-	p := newPlatform(t, 9)
-	undervoltIntoAESWindow(t, p, 0)
-	key := make([]byte, 16)
-	a, _ := NewAES128(key, 3)
-	pt := make([]byte, 16)
-	ref, _ := a.EncryptPure(pt)
-	sawFault := false
-	for i := 0; i < 100_000 && !sawFault; i++ {
-		pt[0], pt[1] = byte(i), byte(i>>8)
-		ref, _ = a.EncryptPure(pt)
-		ct, round, err := a.EncryptOn(p.Core(0), pt)
-		if err != nil {
-			t.Fatalf("crash: %v", err)
-		}
-		if round >= 0 {
-			sawFault = true
-			same := true
-			for j := range ref {
-				if ct[j] != ref[j] {
-					same = false
-					break
-				}
-			}
-			if same {
-				t.Fatal("faulted round produced correct ciphertext")
-			}
-			if round < 1 || round > 10 {
-				t.Fatalf("fault round %d out of range", round)
-			}
-		}
-	}
-	if !sawFault {
-		t.Fatal("no AES fault in window")
-	}
-}
-
-func TestAESValidation(t *testing.T) {
-	if _, err := NewAES128(make([]byte, 15), 1); err == nil {
-		t.Fatal("short key accepted")
-	}
-	a, _ := NewAES128(make([]byte, 16), 1)
-	if _, err := a.EncryptPure(make([]byte, 5)); err == nil {
-		t.Fatal("short block accepted")
-	}
-	p := newPlatform(t, 1)
-	if _, _, err := a.EncryptOn(nil, make([]byte, 16)); err == nil {
-		t.Fatal("nil core accepted")
-	}
-	if _, _, err := a.EncryptOn(p.Core(0), make([]byte, 3)); err == nil {
-		t.Fatal("short block accepted on core")
-	}
-}
-
 func TestCrashPropagatesFromLoop(t *testing.T) {
 	p := newPlatform(t, 4)
 	if err := p.WriteOffsetViaMSR(0, -500, msr.PlaneCore); err != nil {
@@ -425,17 +294,6 @@ func BenchmarkCRTSign512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, _ = s.Sign(m)
-	}
-}
-
-func BenchmarkAESEncryptOnCore(b *testing.B) {
-	spec, _ := models.SkyLake()
-	p, _ := cpu.NewPlatform(spec, 1)
-	a, _ := NewAES128(make([]byte, 16), 1)
-	pt := make([]byte, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = a.EncryptOn(p.Core(0), pt)
 	}
 }
 

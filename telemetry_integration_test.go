@@ -51,25 +51,25 @@ func TestTelemetryDeterminism(t *testing.T) {
 func TestTelemetryOverheadAttribution(t *testing.T) {
 	_, _, snap := runInstrumentedScenario(t, 7)
 
-	if snap.Total("guard_polls_total") == 0 {
+	if seriesSum(snap, "guard_polls_total") == 0 {
 		t.Fatal("no guard polls recorded")
 	}
-	if snap.Total("guard_interventions_total") == 0 {
+	if seriesSum(snap, "guard_interventions_total") == 0 {
 		t.Fatal("no guard interventions recorded (attack never tripped the guard)")
 	}
-	hist := snap.Find("guard_poll_latency_seconds")
+	hist := family(snap, "guard_poll_latency_seconds")
 	if hist == nil || len(hist.Series) == 0 || hist.Series[0].Count == 0 {
 		t.Fatal("poll-latency histogram empty")
 	}
-	busy := snap.Find("kernel_kthread_busy_seconds")
+	busy := family(snap, "kernel_kthread_busy_seconds")
 	if busy == nil || len(busy.Series) == 0 {
 		t.Fatal("no per-core kthread CPU time")
 	}
 
 	// Attribution closure: for every core, the wake/rdmsr/wrmsr split sums
 	// to the unattributed stolen-time gauge.
-	stolen := snap.Find("kernel_stolen_seconds")
-	attributed := snap.Find("kernel_stolen_attributed_seconds")
+	stolen := family(snap, "kernel_stolen_seconds")
+	attributed := family(snap, "kernel_stolen_attributed_seconds")
 	if stolen == nil || attributed == nil {
 		t.Fatal("kernel accounting metrics missing")
 	}
@@ -94,7 +94,7 @@ func TestTelemetryOverheadAttribution(t *testing.T) {
 	}
 
 	// Same closure per kthread: BusyBy kinds sum to Busy.
-	attrBusy := snap.Find("kernel_kthread_attributed_seconds")
+	attrBusy := family(snap, "kernel_kthread_attributed_seconds")
 	if attrBusy == nil {
 		t.Fatal("per-kthread attribution missing")
 	}
@@ -132,15 +132,39 @@ func TestDropCountsInExposition(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("an 8-span tracer dropped nothing in 5 ms of polling")
 	}
-	if set.Registry().Snapshot().Find("telemetry_spans_dropped_total") != nil {
+	if family(set.Registry().Snapshot(), "telemetry_spans_dropped_total") != nil {
 		t.Fatal("span drops published before collect")
 	}
 	sys.CollectTelemetry()
 	snap := set.Registry().Snapshot()
-	if got := snap.Value("telemetry_spans_dropped_total", nil); got != float64(dropped) {
+	if got := seriesSum(snap, "telemetry_spans_dropped_total"); got != float64(dropped) {
 		t.Fatalf("telemetry_spans_dropped_total = %v, tracer dropped %d", got, dropped)
 	}
-	if got := snap.Value("telemetry_journal_dropped_total", nil); got == 0 {
+	if got := seriesSum(snap, "telemetry_journal_dropped_total"); got == 0 {
 		t.Fatal("a 4-event journal reported no drops")
 	}
+}
+
+// family returns a snapshot's named metric family, or nil.
+func family(snap *telemetry.Snapshot, name string) *telemetry.MetricSnapshot {
+	for i := range snap.Metrics {
+		if snap.Metrics[i].Name == name {
+			return &snap.Metrics[i]
+		}
+	}
+	return nil
+}
+
+// seriesSum sums the values of a snapshot family's series (0 when the
+// family is absent); for an unlabeled counter or gauge it is the value.
+func seriesSum(snap *telemetry.Snapshot, name string) float64 {
+	m := family(snap, name)
+	if m == nil {
+		return 0
+	}
+	var sum float64
+	for _, s := range m.Series {
+		sum += s.Value
+	}
+	return sum
 }

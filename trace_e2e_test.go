@@ -213,13 +213,17 @@ func TestCampaignSpansClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Telemetry.Spans().Keep()
-	// A short AES campaign: it stops without faults, and its span must
-	// close on that path too.
-	aes := attack.DefaultPlundervoltAES(81)
-	aes.FloorMV, aes.BlocksPerStep = aes.StartMV+2*aes.StepMV, 200
-	for _, atk := range []attack.Attack{attack.DefaultPlundervolt(81), aes} {
-		if _, err := atk.Run(sys.Env(), "none"); err != nil {
+	// A short V0LTpwn campaign: three shallow steps stop without faults,
+	// and its span must close on that path too.
+	pwn := attack.DefaultV0LTpwn()
+	pwn.FloorMV = pwn.StartMV + 2*pwn.StepMV
+	for _, atk := range []attack.Attack{attack.DefaultPlundervolt(81), pwn} {
+		res, err := atk.Run(sys.Env(), "none")
+		if err != nil {
 			t.Fatal(err)
+		}
+		if atk == pwn && (res.FaultsObserved != 0 || res.Succeeded) {
+			t.Fatalf("the short v0ltpwn campaign faulted: %s", res)
 		}
 		if err := sys.Platform.WriteOffsetViaMSR(0, 0, msr.PlaneCore); err != nil {
 			t.Fatal(err)
