@@ -43,7 +43,6 @@ var exportAllowlist = map[string]string{
 	"sgx.VerifyPolicy":                  "E2 polling row, the paper's guard-module-loaded report flag: TestPollingDefenseInstallAndAttestation's client policy",
 	"sgx.VerifyPolicy.Verify":           "E2 polling row, the paper's guard-module-loaded report flag: TestPollingDefenseInstallAndAttestation rejects the machine after rmmod",
 	"pstate.Manager.Start":              "E2 polling row, benign DVFS OK = yes under a governor: TestOndemandDrivesGuardedCometLake starts the ondemand loop",
-	"pstate.Manager.Stop":               "E2 polling row, benign DVFS OK = yes under a governor: TestOndemandDrivesGuardedCometLake stops the ondemand loop",
 }
 
 // TestInternalExportsHaveNonTestUsers keeps dead API out of internal/: every

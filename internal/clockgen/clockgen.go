@@ -58,12 +58,17 @@ func New(s *sim.Simulator, cfg Config) (*PLL, error) {
 	if cfg.RelockTime < 0 {
 		return nil, fmt.Errorf("clockgen: negative relock time")
 	}
-	return &PLL{
-		simr:    s,
-		cfg:     cfg,
-		current: cfg.InitialRatio,
-		pending: cfg.InitialRatio,
-	}, nil
+	p := &PLL{simr: s, cfg: cfg}
+	p.Reset()
+	return p, nil
+}
+
+// Reset returns the PLL to New's state in place: locked at the initial
+// ratio with no relock in flight and a zero command count.
+func (p *PLL) Reset() {
+	p.current, p.pending = p.cfg.InitialRatio, p.cfg.InitialRatio
+	p.switchAt = 0
+	p.Commands = 0
 }
 
 // SetRatio commands a new multiplier. Returns an error if out of range.

@@ -115,3 +115,22 @@ func TestBackToBackCommands(t *testing.T) {
 		t.Fatalf("Commands=%d", p.Commands)
 	}
 }
+
+// TestResetMatchesNew resets a PLL mid-relock, after several commands, and
+// requires New's state: locked at the initial ratio, no relock in flight,
+// no commands counted.
+func TestResetMatchesNew(t *testing.T) {
+	s := sim.New(1)
+	p := newPLL(t, s)
+	for _, r := range []uint8{20, 36, 12} {
+		if err := p.SetRatio(r); err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(DefaultRelock / 3)
+	}
+	p.Reset()
+	fresh := newPLL(t, s)
+	if *p != *fresh {
+		t.Fatalf("reset PLL %+v, new one %+v", *p, *fresh)
+	}
+}

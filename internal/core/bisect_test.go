@@ -131,7 +131,7 @@ func FuzzRowMonotonicity(f *testing.F) {
 		spec := specs[int(specIdx)%len(specs)]
 		freqs := spec.FreqTableKHz()
 		freqKHz := freqs[int(freqIdx)%len(freqs)]
-		p, err := cpu.FactoryFor(spec)(RowSeed(seed, freqKHz))
+		p, err := cpu.NewPlatform(spec, RowSeed(seed, freqKHz))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,12 +197,13 @@ func TestSearchTelemetryCounters(t *testing.T) {
 	}
 }
 
-// hookedFactory wraps a platform factory so every built platform gets an
+// hookedFactory wraps a platform factory so every row's platform gets an
 // OC-mailbox write hook on the victim core that rewrites voltage-offset
-// commands per rewrite: interference the bisect strategy must detect.
+// commands per rewrite: interference the bisect strategy must detect. A
+// reset drops the hook, so each row installs it again.
 func hookedFactory(base cpu.PlatformFactory, victim int, rewrite func(offsetMV int) (int, bool)) cpu.PlatformFactory {
-	return func(seed int64) (*cpu.Platform, error) {
-		p, err := base(seed)
+	return func(prev *cpu.Platform, seed int64) (*cpu.Platform, error) {
+		p, err := base(prev, seed)
 		if err != nil {
 			return nil, err
 		}

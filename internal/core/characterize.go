@@ -114,30 +114,38 @@ func offsetAxis(cfg CharacterizerConfig) []int {
 // rowProber runs the two-thread characterization framework of Sec. 4.2
 // against one row platform: the DVFS thread pins the row frequency through
 // cpupower and programs offsets through MSR 0x150, and the EXECUTE
-// thread's imul loop detects faults.
+// thread's imul loop detects faults. A shard worker keeps one prober, and
+// with it one platform and one cpufreq manager, for all of its rows.
 type rowProber struct {
 	p   *cpu.Platform
 	cfg CharacterizerConfig
 	cp  *pstate.CPUPower
-	// probes counts measurePoint calls — the sweep-vs-bisect economics
-	// reported through SearchStats.
+	// probes counts the current row's measurePoint calls — the
+	// sweep-vs-bisect economics reported through SearchStats.
 	probes int
 }
 
-// newRowProber builds the cpufreq stack on a freshly constructed platform.
-func newRowProber(p *cpu.Platform, cfg CharacterizerConfig) (*rowProber, error) {
-	c := &rowProber{p: p, cfg: cfg}
-	if err := c.resetCPUPower(); err != nil {
-		return nil, err
+// start readies the prober for a row: it asks factory for the row's
+// platform, handing back the one the previous row ran on, and returns the
+// cpufreq stack to its module-load state on it.
+func (c *rowProber) start(factory cpu.PlatformFactory, seed int64) error {
+	p, err := factory(c.p, seed)
+	if err != nil {
+		c.p, c.cp = nil, nil
+		return err
 	}
-	return c, nil
+	if p != c.p {
+		c.p, c.cp = p, nil
+	}
+	c.probes = 0
+	return c.resetCPUPower()
 }
 
 // sweepRowInto runs Algorithm 2's inner loop for one frequency into a
 // caller-provided buffer of len(offs) cells: pin the row frequency through
 // cpupower, walk the offset axis until the first crash, and label
 // everything deeper Crash (Eq. 1 is monotone in V, so deeper offsets are
-// at least as bad). A crash reboots the platform and rebuilds the cpufreq
+// at least as bad). A crash reboots the platform and resets the cpufreq
 // stack, as the paper's harness must.
 func (c *rowProber) sweepRowInto(row []Classification, freqKHz int, offs []int) error {
 	// Line 9: set core frequency through cpupower.
@@ -159,7 +167,7 @@ func (c *rowProber) sweepRowInto(row []Classification, freqKHz int, offs []int) 
 		if cls == Crash {
 			crashed = true
 			// Reboot restores stock settings; re-pinning the row frequency
-			// is unnecessary (row is done), but rebuild cpupower for the
+			// is unnecessary (row is done), but reset cpupower for the
 			// row's restore.
 			c.p.Reboot()
 			if err := c.resetCPUPower(); err != nil {
@@ -170,9 +178,15 @@ func (c *rowProber) sweepRowInto(row []Classification, freqKHz int, offs []int) 
 	return nil
 }
 
-// resetCPUPower (re)builds the cpufreq manager: once per row platform, and
-// again after every reboot, since module state does not survive a crash.
+// resetCPUPower returns the cpufreq manager to its module-load state: at
+// the start of every row, and again after every reboot, since module state
+// does not survive a crash. It builds the manager only for a platform the
+// prober has not driven before, and resets it in place otherwise.
 func (c *rowProber) resetCPUPower() error {
+	if c.cp != nil {
+		c.cp.M.Reset()
+		return nil
+	}
 	mgr, err := pstate.NewManager(c.p.Sim, c.p, nil)
 	if err != nil {
 		return err

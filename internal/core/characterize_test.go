@@ -138,9 +138,9 @@ func TestCharacterizationSweepSkyLake(t *testing.T) {
 	}
 }
 
-// TestCharacterizationDeterministicReplay runs one engine twice: the second
-// Run must rebuild every row platform rather than reuse state from the
-// first, so grid and probe economics replay exactly.
+// TestCharacterizationDeterministicReplay runs one engine twice: every row
+// of the second Run must start from a platform in its power-on state, not
+// from state the first left, so grid and probe economics replay exactly.
 func TestCharacterizationDeterministicReplay(t *testing.T) {
 	cfg := quickSweepConfig()
 	cfg.OffsetEndMV = -200 // shorter for speed
@@ -194,23 +194,56 @@ func TestCharacterizationAllThreeModels(t *testing.T) {
 }
 
 // TestSweepLeavesPlatformRestored checks Algorithm 2 lines 13-14 on every
-// row platform: after its row, each one is back at its stock frequency
-// with a zero offset and running, crash rows included.
+// row: after its row, the platform is back at its stock frequency with a
+// zero offset and running, crash rows included. A worker's platform is
+// checked when the worker hands it back to the factory for its next row,
+// and once more after Run for the worker's last row, so every row is
+// checked exactly once; and no worker builds more than one platform.
 func TestSweepLeavesPlatformRestored(t *testing.T) {
+	const seed = 5
 	for _, strategy := range []string{StrategySweep, StrategyBisect} {
 		cfg := quickSweepConfig()
 		cfg.OffsetEndMV = -150
 		cfg.Strategy = strategy
 		cfg.Workers = 2
-		sc := newShardedCharacterizer(t, "skylake", 5, cfg)
+		sc := newShardedCharacterizer(t, "skylake", seed, cfg)
+		stockKHz := map[int64]int{}
+		for _, f := range sc.spec.FreqTableKHz() {
+			stockKHz[RowSeed(seed, f)] = newPlatform(t, "skylake", RowSeed(seed, f)).FreqKHz(cfg.VictimCore)
+		}
 		var mu sync.Mutex
-		built := map[int64]*cpu.Platform{}
+		lastRow := map[*cpu.Platform]int64{} // each platform's latest row seed
+		checked := map[int64]int{}           // row seed -> times checked
+		check := func(p *cpu.Platform, rowSeed int64) {
+			f := rowSeed ^ seed
+			p.Sim.RunFor(1 * sim.Millisecond)
+			p.SettleAll()
+			c := p.Core(cfg.VictimCore)
+			if c.OffsetMV() != 0 {
+				t.Errorf("%s %d kHz: row left offset %d", strategy, f, c.OffsetMV())
+			}
+			if got, want := p.FreqKHz(cfg.VictimCore), stockKHz[rowSeed]; got != want {
+				t.Errorf("%s %d kHz: row left %d kHz, stock is %d kHz", strategy, f, got, want)
+			}
+			if _, err := c.RunBatch(cpu.ClassALU, 1); err != nil {
+				t.Errorf("%s %d kHz: row left platform crashed: %v", strategy, f, err)
+			}
+			mu.Lock()
+			checked[rowSeed]++
+			mu.Unlock()
+		}
 		inner := sc.Factory
-		sc.Factory = func(seed int64) (*cpu.Platform, error) {
-			p, err := inner(seed)
+		sc.Factory = func(prev *cpu.Platform, rowSeed int64) (*cpu.Platform, error) {
+			if prev != nil {
+				mu.Lock()
+				prevSeed := lastRow[prev]
+				mu.Unlock()
+				check(prev, prevSeed)
+			}
+			p, err := inner(prev, rowSeed)
 			if err == nil {
 				mu.Lock()
-				built[seed] = p
+				lastRow[p] = rowSeed
 				mu.Unlock()
 			}
 			return p, err
@@ -219,23 +252,15 @@ func TestSweepLeavesPlatformRestored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(built) != len(g.FreqsKHz) {
-			t.Fatalf("%s: %d row platforms for %d rows", strategy, len(built), len(g.FreqsKHz))
+		if len(lastRow) > cfg.Workers {
+			t.Fatalf("%s: %d row platforms for %d workers", strategy, len(lastRow), cfg.Workers)
+		}
+		for p, rowSeed := range lastRow {
+			check(p, rowSeed)
 		}
 		for _, f := range g.FreqsKHz {
-			p := built[RowSeed(5, f)]
-			stock := newPlatform(t, "skylake", RowSeed(5, f))
-			p.Sim.RunFor(1 * sim.Millisecond)
-			p.SettleAll()
-			c := p.Core(cfg.VictimCore)
-			if c.OffsetMV() != 0 {
-				t.Errorf("%s %d kHz: row left offset %d", strategy, f, c.OffsetMV())
-			}
-			if got, want := p.FreqKHz(cfg.VictimCore), stock.FreqKHz(cfg.VictimCore); got != want {
-				t.Errorf("%s %d kHz: row left %d kHz, stock is %d kHz", strategy, f, got, want)
-			}
-			if _, err := c.RunBatch(cpu.ClassALU, 1); err != nil {
-				t.Errorf("%s %d kHz: row left platform crashed: %v", strategy, f, err)
+			if n := checked[RowSeed(seed, f)]; n != 1 {
+				t.Errorf("%s %d kHz: row checked %d times, want once", strategy, f, n)
 			}
 		}
 	}

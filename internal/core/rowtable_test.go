@@ -38,7 +38,7 @@ func TestOracleMatchesSimEveryCell(t *testing.T) {
 		offs := offsetAxis(cfg)
 		cells := 0
 		for _, freqKHz := range spec.FreqTableKHz() {
-			p, err := cpu.FactoryFor(spec)(RowSeed(42, freqKHz))
+			p, err := cpu.NewPlatform(spec, RowSeed(42, freqKHz))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,8 +198,8 @@ func TestSharedRowTablesIsolateInterference(t *testing.T) {
 		})
 	}
 	dropRatio := func(base cpu.PlatformFactory, victim int) cpu.PlatformFactory {
-		return func(seed int64) (*cpu.Platform, error) {
-			p, err := base(seed)
+		return func(prev *cpu.Platform, seed int64) (*cpu.Platform, error) {
+			p, err := base(prev, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -25,16 +25,23 @@ func RowSeed(seed int64, freqKHz int) int64 { return seed ^ int64(freqKHz) }
 // ShardedCharacterizer runs Algorithm 2 with the frequency axis partitioned
 // across N workers. Frequency rows are independent by construction (each
 // row starts from offset 0 and stops at its own crash onset), so the sweep
-// is embarrassingly parallel; the engine preserves determinism by giving
-// every row a private platform stack (simulator, cores, MSR files, PLLs,
-// regulators, cpufreq) built from RowSeed and by merging finished rows —
-// grid cells, counters, journal events and spans alike — by frequency
-// index, not completion order.
+// is embarrassingly parallel; the engine preserves determinism by running
+// every row on a platform stack (simulator, cores, MSR files, PLLs,
+// regulators, cpufreq) in its power-on state for RowSeed — each worker
+// resets one private platform to the seed of every row it takes — and by
+// merging finished rows — grid cells, counters, journal events and spans
+// alike — by frequency index, not completion order. A reset platform is a
+// new one in everything observable, so the schedule-dependent sequence of
+// rows a worker's platform carries never reaches a grid.
 type ShardedCharacterizer struct {
-	// Factory builds the per-row platform stack. It is called concurrently
-	// from every worker and must be safe for concurrent use (pure
-	// constructors like the default cpu.FactoryFor(spec) are). Tests
-	// substitute failing factories.
+	// Factory supplies each row's platform. A worker calls it at the start
+	// of every row, bisect fallbacks included, with the platform its
+	// previous row ran on (nil for its first row); the default
+	// cpu.FactoryFor(spec) resets that platform to the row seed and builds
+	// one only for a worker's first row. It is called concurrently from
+	// every worker and must be safe for concurrent use. Tests wrap it to
+	// hook, inspect or fail every row. A failed call leaves the worker
+	// without a platform, so its next row starts from nil.
 	Factory cpu.PlatformFactory
 
 	spec *models.Spec
@@ -117,8 +124,11 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's prober carries its platform and cpufreq stack
+			// from row to row.
+			c := &rowProber{cfg: sc.cfg}
 			for fi := range jobs {
-				r := sc.classifyRow(cells[fi*len(offs):(fi+1)*len(offs):(fi+1)*len(offs)], freqs[fi], offs)
+				r := sc.classifyRow(c, cells[fi*len(offs):(fi+1)*len(offs):(fi+1)*len(offs)], freqs[fi], offs)
 				r.fi = fi
 				results <- r
 			}
@@ -294,40 +304,38 @@ func mergeRow(g *Grid, r rowResult) {
 	g.Reboots += r.reboots
 }
 
-// classifyRow characterizes one frequency row with the configured strategy.
-// A bisect row whose measured probes contradict its prediction is rerun
-// from a fresh platform as a sweep (the half-probed one may hold partial
-// mailbox state or a crash), so its cells are the sweep strategy's by
-// construction; its probe count includes the abandoned bisect probes.
-func (sc *ShardedCharacterizer) classifyRow(row []Classification, freqKHz int, offs []int) rowResult {
+// classifyRow characterizes one frequency row with the configured strategy
+// on the worker's prober. A bisect row whose measured probes contradict its
+// prediction is rerun as a sweep on the platform reset to the row seed (the
+// half-probed one may hold partial mailbox state or a crash), so its cells
+// are the sweep strategy's by construction; its probe count includes the
+// abandoned bisect probes.
+func (sc *ShardedCharacterizer) classifyRow(c *rowProber, row []Classification, freqKHz int, offs []int) rowResult {
 	if sc.cfg.Strategy != StrategyBisect {
-		return sc.runRow(row, freqKHz, offs, (*rowProber).sweepRowInto)
+		return sc.runRow(c, row, freqKHz, offs, (*rowProber).sweepRowInto)
 	}
-	r := sc.runRow(row, freqKHz, offs, (*rowProber).bisectRowInto)
+	r := sc.runRow(c, row, freqKHz, offs, (*rowProber).bisectRowInto)
 	if !errors.Is(r.err, search.ErrNonMonotone) {
 		return r
 	}
-	fb := sc.runRow(row, freqKHz, offs, (*rowProber).sweepRowInto)
+	fb := sc.runRow(c, row, freqKHz, offs, (*rowProber).sweepRowInto)
 	fb.stats = rowStats{probes: r.stats.probes + fb.stats.probes, fallback: true}
 	return fb
 }
 
-// runRow runs Algorithm 2's per-row protocol on a private platform stack:
-// build the machine from the row seed, record the stock operating point
-// (lines 6-7), classify the row into the caller's buffer, and restore the
-// stock frequency and zero offset (lines 13-14). The platform is discarded
-// afterwards, but the restore is part of the row's virtual time, which the
-// characterize_row span and metrics report.
-func (sc *ShardedCharacterizer) runRow(row []Classification, freqKHz int, offs []int,
+// runRow runs Algorithm 2's per-row protocol on the worker's platform,
+// reset to the row seed: record the stock operating point (lines 6-7),
+// classify the row into the caller's buffer, and restore the stock
+// frequency and zero offset (lines 13-14). The restore is part of the row's
+// virtual time, which the characterize_row span and metrics report, and
+// the platform is left restored until Factory resets it for the worker's
+// next row.
+func (sc *ShardedCharacterizer) runRow(c *rowProber, row []Classification, freqKHz int, offs []int,
 	classify func(*rowProber, []Classification, int, []int) error) rowResult {
-	p, err := sc.Factory(RowSeed(sc.seed, freqKHz))
-	if err != nil {
+	if err := c.start(sc.Factory, RowSeed(sc.seed, freqKHz)); err != nil {
 		return rowResult{err: err}
 	}
-	c, err := newRowProber(p, sc.cfg)
-	if err != nil {
-		return rowResult{err: err}
-	}
+	p := c.p
 	origStatus, err := p.MSRFile(sc.cfg.VictimCore).Read(msr.IA32PerfStatus)
 	if err != nil {
 		return rowResult{err: err}

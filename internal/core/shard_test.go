@@ -156,13 +156,13 @@ func TestShardedFactoryFailure(t *testing.T) {
 	cfg.Workers = 3
 	sc := newShardedCharacterizer(t, "skylake", 9, cfg)
 	boom := errors.New("no more platforms")
-	var built atomic.Int64 // factories are called from all workers at once
+	var rows atomic.Int64 // factories are called from all workers at once
 	inner := sc.Factory
-	sc.Factory = func(seed int64) (*cpu.Platform, error) {
-		if built.Add(1) > 5 {
+	sc.Factory = func(prev *cpu.Platform, seed int64) (*cpu.Platform, error) {
+		if rows.Add(1) > 5 {
 			return nil, boom
 		}
-		return inner(seed)
+		return inner(prev, seed)
 	}
 	if _, err := sc.Run(); !errors.Is(err, boom) {
 		t.Fatalf("factory failure not surfaced: %v", err)
@@ -183,7 +183,7 @@ func TestShardedErrorIsLowestFailingRow(t *testing.T) {
 		cfg.Workers = workers
 		sc := newShardedCharacterizer(t, "skylake", seed, cfg)
 		inner := sc.Factory
-		sc.Factory = func(rowSeed int64) (*cpu.Platform, error) {
+		sc.Factory = func(prev *cpu.Platform, rowSeed int64) (*cpu.Platform, error) {
 			switch rowSeed ^ seed {
 			case 800_000:
 				time.Sleep(50 * time.Millisecond)
@@ -191,7 +191,7 @@ func TestShardedErrorIsLowestFailingRow(t *testing.T) {
 			case 1_300_000:
 				return nil, fast
 			}
-			return inner(rowSeed)
+			return inner(prev, rowSeed)
 		}
 		_, err := sc.Run()
 		if !errors.Is(err, slow) || !strings.Contains(err.Error(), "800000 kHz") {

@@ -5,8 +5,19 @@ import (
 	"sort"
 	"testing"
 
+	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
 )
+
+// newRowProber readies a prober on p outside a shard worker, with the
+// cpufreq stack a worker's first row gets.
+func newRowProber(p *cpu.Platform, cfg CharacterizerConfig) (*rowProber, error) {
+	c := &rowProber{p: p, cfg: cfg}
+	if err := c.resetCPUPower(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
 // allSpecs returns the three evaluated models in paper order.
 func allSpecs(tb testing.TB) []*models.Spec {

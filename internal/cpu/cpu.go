@@ -112,6 +112,12 @@ type Core struct {
 	// instructions whose result was corrupted.
 	Retired uint64
 	Faulted uint64
+
+	// wiring connects the MSR file to this core's hardware. newCore builds
+	// it once, and every power-on reattaches it to the reset file. It sits
+	// last so the fields the instruction and poll paths touch keep their
+	// offsets.
+	wiring coreWiring
 }
 
 // OffsetMV returns the current OC-mailbox offset on the core plane,
@@ -476,11 +482,11 @@ type Platform struct {
 	seed int64
 
 	// spans is the causal tracer attached to every core's MSR file; kept
-	// here so Reboot can re-attach it after rebuilding the files.
+	// here so a power-on can re-attach it to the reset files.
 	spans *span.Tracer
 
 	// flight is the flight recorder attached to every observation point;
-	// kept here so Reboot can re-attach it like the span tracer.
+	// kept here so a power-on can re-attach it like the span tracer.
 	flight *flight.Recorder
 
 	// Energy is the platform's deterministic joule integrator. It bills
@@ -494,7 +500,9 @@ type Platform struct {
 const DefaultRebootTime = 30 * sim.Second
 
 // NewPlatform builds a machine of the given model. The seed drives all
-// stochastic behaviour (jitter realizations, fault coin flips).
+// stochastic behaviour (jitter realizations, fault coin flips). It
+// validates the spec, allocates the hardware and then powers it on through
+// Reset, so a reset platform is a new one by construction.
 func NewPlatform(spec *models.Spec, seed int64) (*Platform, error) {
 	if spec == nil {
 		return nil, errors.New("cpu: nil spec")
@@ -502,22 +510,82 @@ func NewPlatform(spec *models.Spec, seed int64) (*Platform, error) {
 	if spec.Tech.K == 0 {
 		return nil, fmt.Errorf("cpu: spec %q not calibrated", spec.Codename)
 	}
-	p := &Platform{
-		Sim:        sim.New(seed),
-		Spec:       spec,
-		RebootTime: DefaultRebootTime,
-		seed:       seed,
+	p := &Platform{Sim: sim.New(seed), Spec: spec, cores: make([]*Core, spec.Cores)}
+	for i := range p.cores {
+		c, err := p.newCore(i)
+		if err != nil {
+			return nil, err
+		}
+		p.cores[i] = c
 	}
-	if err := p.buildCores(); err != nil {
-		return nil, err
-	}
+	// Reset opens each core's first energy segment once the cores are
+	// powered on.
 	tr, err := power.NewTracker(power.ModelFor(spec.Codename), spec.Cores, p.Sim.Now, p.commandedPoint)
 	if err != nil {
 		return nil, err
 	}
 	p.Energy = tr
-	p.wireEnergy()
+	p.Reset(seed)
 	return p, nil
+}
+
+// newCore allocates core i's hardware and builds its MSR wiring. powerOn
+// puts it in its power-on state.
+func (p *Platform) newCore(i int) (*Core, error) {
+	circ, err := p.Spec.Circuit()
+	if err != nil {
+		return nil, err
+	}
+	pll, err := clockgen.New(p.Sim, clockgen.Config{
+		BusMHz:       p.Spec.BusMHz,
+		RelockTime:   clockgen.DefaultRelock,
+		MinRatio:     p.Spec.MinRatio,
+		MaxRatio:     p.Spec.MaxTurboRatio,
+		InitialRatio: p.Spec.BaseRatio,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rail, err := vr.New(p.Sim, vr.DefaultConfig(p.Spec.NominalMV(p.Spec.BaseRatio)))
+	if err != nil {
+		return nil, err
+	}
+	c := &Core{
+		index: i,
+		simr:  p.Sim,
+		spec:  p.Spec,
+		circ:  circ,
+		MSRs:  msr.NewFile(i),
+		PLL:   pll,
+		VR:    rail,
+	}
+	c.wiring = c.newWiring()
+	return c, nil
+}
+
+// Reset returns the platform to NewPlatform(p.Spec, seed)'s state in place:
+// the simulator reset to seed, every core powered on with zero Retired and
+// Faulted counts, no reboots, the default reboot time, a fresh energy
+// integral and no span tracer or flight recorder attached. The circuits'
+// timing memos survive, since they are pure functions of the spec. Once
+// the platform has run, Reset allocates nothing.
+func (p *Platform) Reset(seed int64) {
+	// Cancel the relocks in flight while their handles still name live
+	// events: the simulator reset recycles every slot.
+	for _, c := range p.cores {
+		c.pendingUp.Cancel()
+		c.pendingUp = sim.Event{}
+	}
+	p.Sim.Reset(seed)
+	p.seed = seed
+	p.RebootTime = DefaultRebootTime
+	p.Reboots = 0
+	p.spans, p.flight = nil, nil
+	p.powerOn()
+	for _, c := range p.cores {
+		c.Retired, c.Faulted = 0, 0
+	}
+	p.Energy.Reset()
 }
 
 // commandedPoint adapts the cores to power.PointFn.
@@ -526,107 +594,100 @@ func (p *Platform) commandedPoint(core int) (freqGHz, voltV float64) {
 	return c.CommandedGHz(), c.CommandedVoltV()
 }
 
-// wireEnergy attaches the joule integrator to every core: transition
-// touches via retarget, and RAPL energy-status reads on the core's MSR
-// file. Re-run after Reboot rebuilds the register files.
-func (p *Platform) wireEnergy() {
-	if p.Energy == nil {
-		return
-	}
+// powerOn puts every core in its power-on state, the one routine behind
+// NewPlatform, Reset and Reboot: base ratio, zero offsets, not crashed, no
+// relock in flight, and its MSR file, PLL and regulator reset in place with
+// the wiring, the energy integrator, the span tracer and the flight
+// recorder reattached. Retired and Faulted survive; they model host-side
+// experiment bookkeeping, not machine state.
+func (p *Platform) powerOn() {
 	for _, c := range p.cores {
+		c.pendingUp.Cancel()
+		c.pendingUp = sim.Event{}
+		c.crashed = false
+		c.planeOffsets = [msr.NumPlanes]int{}
+		c.targetRatio = p.Spec.BaseRatio
+		c.op = opMemo{}
+		c.PLL.Reset()
+		c.VR.Reset()
+		c.MSRs.Reset()
+		c.wiring.attach(c.MSRs)
 		c.energy = p.Energy
-		c.wireRAPL(p.Energy)
+		c.flight = p.flight
+		// The reset register file must keep observing mailbox writes: a
+		// crash-reboot cycle mid-experiment would otherwise silently detach
+		// the causal trace — and the flight recorder, whose whole job is
+		// explaining the crash that caused this very reboot.
+		c.MSRs.SetSpanTracer(p.spans)
+		c.MSRs.SetFlightRecorder(p.flight)
 	}
 }
 
-// wireRAPL backs the energy-status MSRs with the integrator. The read
-// functions are pure — the tracker extrapolates without mutating — so
-// polling RAPL never perturbs the deterministic energy totals.
-func (c *Core) wireRAPL(tr *power.Tracker) {
-	c.MSRs.Descriptor(msr.PkgEnergyStatus).ReadFn = func(*msr.File) (uint64, error) {
-		return msr.EncodeEnergyStatus(tr.PackageEnergyJ(), msr.DefaultEnergyUnitJ), nil
-	}
-	c.MSRs.Descriptor(msr.PP0EnergyStatus).ReadFn = func(*msr.File) (uint64, error) {
-		return msr.EncodeEnergyStatus(tr.CoresEnergyJ(), msr.DefaultEnergyUnitJ), nil
-	}
+// coreWiring is the hardware side of a core's software-visible registers:
+// the dynamic reads and the commit stages that drive the PLL and the rail.
+type coreWiring struct {
+	perfStatus, pkgEnergy, pp0Energy msr.ReadFn
+	perfCtl, mailbox                 msr.WriteHook
 }
 
-func (p *Platform) buildCores() error {
-	p.cores = p.cores[:0]
-	for i := 0; i < p.Spec.Cores; i++ {
-		circ, err := p.Spec.Circuit()
-		if err != nil {
-			return err
-		}
-		pll, err := clockgen.New(p.Sim, clockgen.Config{
-			BusMHz:       p.Spec.BusMHz,
-			RelockTime:   clockgen.DefaultRelock,
-			MinRatio:     p.Spec.MinRatio,
-			MaxRatio:     p.Spec.MaxTurboRatio,
-			InitialRatio: p.Spec.BaseRatio,
-		})
-		if err != nil {
-			return err
-		}
-		rail, err := vr.New(p.Sim, vr.DefaultConfig(p.Spec.NominalMV(p.Spec.BaseRatio)))
-		if err != nil {
-			return err
-		}
-		core := &Core{
-			index:       i,
-			simr:        p.Sim,
-			spec:        p.Spec,
-			circ:        circ,
-			MSRs:        msr.NewFile(i),
-			PLL:         pll,
-			VR:          rail,
-			targetRatio: p.Spec.BaseRatio,
-		}
-		core.wireMSRs()
-		p.cores = append(p.cores, core)
-	}
-	return nil
+// attach installs the wiring on a freshly reset register file.
+func (w *coreWiring) attach(f *msr.File) {
+	f.Descriptor(msr.IA32PerfStatus).ReadFn = w.perfStatus
+	f.Descriptor(msr.IA32PerfCtl).Apply = w.perfCtl
+	f.Descriptor(msr.OCMailbox).Apply = w.mailbox
+	f.Descriptor(msr.PkgEnergyStatus).ReadFn = w.pkgEnergy
+	f.Descriptor(msr.PP0EnergyStatus).ReadFn = w.pp0Energy
 }
 
-// wireMSRs connects the MSR file's software-visible registers to the
-// hardware blocks.
-func (c *Core) wireMSRs() {
-	// IA32_PERF_STATUS reflects the live PLL ratio and rail voltage.
-	c.MSRs.Descriptor(msr.IA32PerfStatus).ReadFn = func(*msr.File) (uint64, error) {
-		return msr.EncodePerfStatus(c.PLL.Ratio(), c.VR.OutputMV()/1000.0), nil
-	}
-	// IA32_PERF_CTL bits 15:8 select the target ratio. Apply is the
-	// hardware commit stage, so software defenses hooked on the register
-	// run first.
-	c.MSRs.Descriptor(msr.IA32PerfCtl).Apply = func(_ *msr.File, _, v uint64) (uint64, error) {
-		ratio := uint8((v >> 8) & 0xFF)
-		if err := c.SetRatio(ratio); err != nil {
-			return 0, &msr.GPFault{Addr: msr.IA32PerfCtl, Op: "wrmsr", Why: err.Error()}
-		}
-		return v, nil
-	}
-	// OC mailbox: decode Algorithm 1 commands. The stored value has the
-	// busy bit cleared (hardware consumes the command), so a subsequent
-	// rdmsr returns the applied offset — what Algorithm 3 polls.
-	c.MSRs.Descriptor(msr.OCMailbox).Apply = func(_ *msr.File, old, v uint64) (uint64, error) {
-		d := msr.DecodeVoltageOffset(v)
-		if !d.Busy {
-			// Command without the run bit is ignored by hardware.
-			return old, nil
-		}
-		if !d.Plane.Valid() {
-			return 0, &msr.GPFault{Addr: msr.OCMailbox, Op: "wrmsr", Why: fmt.Sprintf("invalid plane %d", d.Plane)}
-		}
-		if !d.Write {
-			// Read command: respond with the current offset for the plane.
-			resp := msr.EncodeVoltageOffsetUnits(c.planeOffsets[d.Plane], d.Plane) &^ (1 << 63)
-			return resp, nil
-		}
-		c.planeOffsets[d.Plane] = d.OffsetUnits
-		if d.Plane == msr.PlaneCore {
-			c.retarget()
-		}
-		return v &^ (1 << 63), nil
+// newWiring builds the core's register wiring.
+func (c *Core) newWiring() coreWiring {
+	return coreWiring{
+		// IA32_PERF_STATUS reflects the live PLL ratio and rail voltage.
+		perfStatus: func(*msr.File) (uint64, error) {
+			return msr.EncodePerfStatus(c.PLL.Ratio(), c.VR.OutputMV()/1000.0), nil
+		},
+		// The energy-status MSRs read the joule integrator. The reads are
+		// pure — the tracker extrapolates without mutating — so polling RAPL
+		// never perturbs the deterministic energy totals.
+		pkgEnergy: func(*msr.File) (uint64, error) {
+			return msr.EncodeEnergyStatus(c.energy.PackageEnergyJ(), msr.DefaultEnergyUnitJ), nil
+		},
+		pp0Energy: func(*msr.File) (uint64, error) {
+			return msr.EncodeEnergyStatus(c.energy.CoresEnergyJ(), msr.DefaultEnergyUnitJ), nil
+		},
+		// IA32_PERF_CTL bits 15:8 select the target ratio. Apply is the
+		// hardware commit stage, so software defenses hooked on the register
+		// run first.
+		perfCtl: func(_ *msr.File, _, v uint64) (uint64, error) {
+			ratio := uint8((v >> 8) & 0xFF)
+			if err := c.SetRatio(ratio); err != nil {
+				return 0, &msr.GPFault{Addr: msr.IA32PerfCtl, Op: "wrmsr", Why: err.Error()}
+			}
+			return v, nil
+		},
+		// OC mailbox: decode Algorithm 1 commands. The stored value has the
+		// busy bit cleared (hardware consumes the command), so a subsequent
+		// rdmsr returns the applied offset — what Algorithm 3 polls.
+		mailbox: func(_ *msr.File, old, v uint64) (uint64, error) {
+			d := msr.DecodeVoltageOffset(v)
+			if !d.Busy {
+				// Command without the run bit is ignored by hardware.
+				return old, nil
+			}
+			if !d.Plane.Valid() {
+				return 0, &msr.GPFault{Addr: msr.OCMailbox, Op: "wrmsr", Why: fmt.Sprintf("invalid plane %d", d.Plane)}
+			}
+			if !d.Write {
+				// Read command: respond with the current offset for the plane.
+				resp := msr.EncodeVoltageOffsetUnits(c.planeOffsets[d.Plane], d.Plane) &^ (1 << 63)
+				return resp, nil
+			}
+			c.planeOffsets[d.Plane] = d.OffsetUnits
+			if d.Plane == msr.PlaneCore {
+				c.retarget()
+			}
+			return v &^ (1 << 63), nil
+		},
 	}
 }
 
@@ -639,57 +700,25 @@ func (p *Platform) Core(i int) *Core { return p.cores[i] }
 // Cores returns all cores.
 func (p *Platform) Cores() []*Core { return p.cores }
 
-// Reboot recovers from a crash: all cores return to the base P-state with
-// zero offsets and cleared fault state, and virtual time advances by
-// RebootTime. Retired/Faulted counters survive (they model host-side
-// experiment bookkeeping, not machine state).
+// Reboot recovers from a crash: every core powers on again at the base
+// P-state with zero offsets and cleared fault state, its MSR file, PLL and
+// regulator reset in place, and virtual time advances by RebootTime.
+// Retired/Faulted counters survive (they model host-side experiment
+// bookkeeping, not machine state), and so do the clock, the energy totals,
+// the span tracer and the flight recorder. On a platform with neither
+// attached it allocates nothing.
 func (p *Platform) Reboot() {
+	// Close every core's energy segment at the crash instant; the downtime
+	// below is billed at zero watts until the power-on touch.
 	for _, c := range p.cores {
-		// Close the core's energy segment at the crash instant; the
-		// downtime below is billed at zero watts until the post-boot touch.
-		if p.Energy != nil {
-			p.Energy.Blackout(c.index)
-		}
-		c.crashed = false
-		c.planeOffsets = [msr.NumPlanes]int{}
-		c.MSRs = msr.NewFile(c.index)
-		pll, err := clockgen.New(p.Sim, clockgen.Config{
-			BusMHz:       p.Spec.BusMHz,
-			RelockTime:   clockgen.DefaultRelock,
-			MinRatio:     p.Spec.MinRatio,
-			MaxRatio:     p.Spec.MaxTurboRatio,
-			InitialRatio: p.Spec.BaseRatio,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("cpu: reboot rebuild: %v", err)) // spec already validated
-		}
-		c.PLL = pll
-		rail, err := vr.New(p.Sim, vr.DefaultConfig(p.Spec.NominalMV(p.Spec.BaseRatio)))
-		if err != nil {
-			panic(fmt.Sprintf("cpu: reboot rebuild: %v", err))
-		}
-		c.VR = rail
-		c.targetRatio = p.Spec.BaseRatio
-		c.pendingUp.Cancel()
-		c.pendingUp = sim.Event{}
-		c.wireMSRs()
-		// The rebuilt register file must keep observing mailbox writes: a
-		// crash-reboot cycle mid-experiment would otherwise silently detach
-		// the causal trace — and the flight recorder, whose whole job is
-		// explaining the crash that caused this very reboot.
-		c.MSRs.SetSpanTracer(p.spans)
-		c.MSRs.SetFlightRecorder(p.flight)
+		p.Energy.Blackout(c.index)
 	}
-	// The rebuilt register files need the RAPL read functions back, exactly
-	// like the span tracer above.
-	p.wireEnergy()
+	p.powerOn()
 	p.Reboots++
 	p.Sim.RunFor(p.RebootTime)
-	if p.Energy != nil {
-		// Power-on: bill the downtime at zero and reopen each core's
-		// segment at the rebuilt base operating point.
-		p.Energy.TouchAll()
-	}
+	// Power-on: bill the downtime at zero and reopen each core's segment at
+	// the base operating point.
+	p.Energy.TouchAll()
 }
 
 // SetSpanTracer attaches the causal span tracer to every core's MSR file
@@ -711,9 +740,7 @@ func (p *Platform) SetFlightRecorder(rec *flight.Recorder) {
 		c.flight = rec
 		c.MSRs.SetFlightRecorder(rec)
 	}
-	if p.Energy != nil {
-		p.Energy.SetFlightRecorder(rec)
-	}
+	p.Energy.SetFlightRecorder(rec)
 }
 
 // MSRFile returns core's MSR file (kernel.Machine interface).
@@ -789,15 +816,24 @@ var ErrUnsettled = errors.New("cpu: commanded operating point never realized")
 // Seed returns the platform's RNG seed.
 func (p *Platform) Seed() int64 { return p.seed }
 
-// PlatformFactory constructs independent Platform instances on demand. The
-// sharded characterization engine hands every worker its own platform stack
-// (simulator, cores, MSR files, PLLs, regulators) built from a private seed,
-// so no simulated hardware is ever shared between goroutines.
-type PlatformFactory func(seed int64) (*Platform, error)
+// PlatformFactory hands the sharded characterizer the platform for its next
+// frequency row. prev is the platform the same worker used for its previous
+// row, or nil for a worker's first row; the factory returns a platform in
+// NewPlatform(spec, seed)'s state, typically prev reset in place. Each worker
+// keeps its platform private, so no simulated hardware is ever shared
+// between goroutines.
+type PlatformFactory func(prev *Platform, seed int64) (*Platform, error)
 
-// FactoryFor returns the canonical PlatformFactory for a spec: a fresh
-// NewPlatform per call. Spec is treated as read-only by the platform, so one
-// spec can safely back many concurrent factories.
+// FactoryFor returns the canonical PlatformFactory for a spec: it resets
+// prev to the seed, and builds a platform only when prev is nil. prev must
+// be a platform of the same spec. Spec is treated as read-only by the
+// platform, so one spec can safely back many concurrent factories.
 func FactoryFor(spec *models.Spec) PlatformFactory {
-	return func(seed int64) (*Platform, error) { return NewPlatform(spec, seed) }
+	return func(prev *Platform, seed int64) (*Platform, error) {
+		if prev == nil {
+			return NewPlatform(spec, seed)
+		}
+		prev.Reset(seed)
+		return prev, nil
+	}
 }

@@ -520,9 +520,9 @@ func TestSettleCommandedReportsUnrealizedPoint(t *testing.T) {
 
 // TestNewPlatformConstructionCost pins what a platform that never draws
 // and never evaluates timing pays to exist: the RNG stays unseeded and only
-// the victim's timing memo would ever be allocated. Row platforms of the
-// sharded characterizer are built once per (seed, frequency), so each
-// build here uses a distinct seed.
+// the victim's timing memo would ever be allocated. Fleet machines and each
+// characterizer worker's first row build one per seed, so each build here
+// uses a distinct seed.
 func TestNewPlatformConstructionCost(t *testing.T) {
 	spec, err := models.SkyLake()
 	if err != nil {

@@ -293,9 +293,9 @@ const fileSlots = 16
 // The register table is a set of parallel arrays scanned linearly by
 // address: a core exposes only a handful of MSRs, so the scan beats map
 // hashing on every rdmsr/wrmsr, and the inline backing arrays make NewFile
-// a single allocation — the characterizer rebuilds four files per crash
-// reboot, which previously made MSR maps the sweep's largest allocator.
-// File holds slices into its own arrays and must not be copied by value.
+// a single allocation and Reset none — a crash reboot resets every core's
+// file in place. File holds slices into its own arrays and must not be
+// copied by value.
 type File struct {
 	core  int
 	addrs []Addr
@@ -324,12 +324,27 @@ type File struct {
 	// pre-trigger evidence stream behind incident bundles. The flight path
 	// stays allocation-free even with spans detached.
 	flight *flight.Recorder
+
+	// track is the span track of this file's mailbox writes, formatted on
+	// the first one a tracer observes; Reset keeps it. It sits last so the
+	// fields rdmsr and wrmsr touch keep their offsets.
+	track string
 }
 
 // NewFile builds an MSR file for the given core with the standard registers
 // declared (values at reset defaults).
 func NewFile(core int) *File {
 	f := &File{core: core}
+	f.Reset()
+	return f
+}
+
+// Reset returns the file to NewFile's state in place: only the standard
+// registers declared, each at its reset value with no ReadFn, Apply or
+// write hooks, zero hook stats and Reads/Writes counts, and no span tracer
+// or flight recorder attached. Registers declared beyond the standard set
+// are dropped. It allocates nothing.
+func (f *File) Reset() {
 	f.addrs = f.addrsBuf[:0]
 	f.vals = f.valsBuf[:0]
 	f.descs = f.descsBuf[:0]
@@ -337,7 +352,8 @@ func NewFile(core int) *File {
 	for i := range f.stdBuf {
 		f.Declare(&f.stdBuf[i])
 	}
-	return f
+	f.Reads, f.Writes = 0, 0
+	f.spans, f.flight = nil, nil
 }
 
 // index returns the register table slot for addr, or -1.
@@ -425,7 +441,7 @@ func (f *File) Read(addr Addr) (uint64, error) {
 
 // SetSpanTracer attaches (or, with nil, detaches) the causal span tracer
 // that observes OC-mailbox voltage write commands on this file. The platform
-// re-applies it when a reboot rebuilds the register file.
+// re-applies it when a reboot resets the register file.
 func (f *File) SetSpanTracer(tr *span.Tracer) { f.spans = tr }
 
 // SetFlightRecorder attaches (or, with nil, detaches) the flight recorder
@@ -442,7 +458,10 @@ func (f *File) SetFlightRecorder(rec *flight.Recorder) { f.flight = rec }
 func (f *File) observeMailboxWrite(dec DecodedMailbox, outcome string, flag uint8) {
 	var id span.ID
 	if f.spans != nil {
-		id = f.spans.Instant(fmt.Sprintf("msr/core%d", f.core), "mailbox_write", map[string]any{
+		if f.track == "" {
+			f.track = fmt.Sprintf("msr/core%d", f.core)
+		}
+		id = f.spans.Instant(f.track, "mailbox_write", map[string]any{
 			"core":      f.core,
 			"offset_mv": dec.OffsetMV,
 			"plane":     dec.Plane.String(),

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"plugvolt/internal/flight"
+	"plugvolt/internal/telemetry/span"
 )
 
 // TestTable1Layout verifies the exact Table-1 bit layout of MSR 0x150:
@@ -334,5 +337,67 @@ func TestNewFileSingleAllocation(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("NewFile allocated %.1f objects, want <= 1", allocs)
+	}
+}
+
+// TestResetMatchesNewFile dirties a file every way software and the
+// platform can — wiring, write hooks with stats, extra registers past the
+// inline capacity, stored values, counters, a span tracer and a flight
+// recorder — resets it, and requires NewFile's state: the standard
+// registers alone, in order, at their reset values, with no wiring, hooks
+// or stats, zero counters, nothing observing its writes, the table back in
+// its inline buffers, and hook IDs counting from one again. Reset itself
+// allocates nothing.
+func TestResetMatchesNewFile(t *testing.T) {
+	f := NewFile(2)
+	f.Descriptor(IA32PerfStatus).ReadFn = func(*File) (uint64, error) { return 7, nil }
+	f.Descriptor(OCMailbox).Apply = func(_ *File, _, v uint64) (uint64, error) { return v, nil }
+	f.AddWriteHook(OCMailbox, func(_ *File, _, v uint64) (uint64, error) { return v + 1, nil })
+	for i := 0; i < fileSlots; i++ {
+		f.Declare(&Descriptor{Addr: Addr(0x1000 + i), Name: "extra", Reset: uint64(i)})
+	}
+	tr := span.NewTracer(nil, 1, 0)
+	tr.Keep()
+	rec := flight.NewRecorder(nil, 64, 0, "test", 1)
+	f.SetSpanTracer(tr)
+	f.SetFlightRecorder(rec)
+	if err := f.Write(OCMailbox, EncodeVoltageOffset(-50, PlaneCore)); err != nil {
+		t.Fatal(err)
+	}
+	f.Poke(TurboRatioLimit, 0x24)
+	if _, err := f.Read(IA32PerfStatus); err != nil {
+		t.Fatal(err)
+	}
+	f.Reset()
+	want := NewFile(2)
+	if len(f.addrs) != len(want.addrs) || &f.addrs[0] != &f.addrsBuf[0] || &f.vals[0] != &f.valsBuf[0] || &f.descs[0] != &f.descsBuf[0] {
+		t.Fatalf("reset table: %d registers, inline %v; want %d inline", len(f.addrs), &f.addrs[0] == &f.addrsBuf[0], len(want.addrs))
+	}
+	for i, a := range want.addrs {
+		d, w := f.descs[i], want.descs[i]
+		if f.addrs[i] != a || f.vals[i] != want.vals[i] || d != &f.stdBuf[i] ||
+			d.Addr != w.Addr || d.Name != w.Name || d.ReadOnly != w.ReadOnly || d.Locked != w.Locked || d.Reset != w.Reset ||
+			d.ReadFn != nil || d.Apply != nil || len(d.hooks) != 0 || d.nextID != 0 || d.HookStats != (HookStats{}) {
+			t.Errorf("register %d (0x%x) differs from a new file's after reset", i, uint32(a))
+		}
+	}
+	if f.Reads != 0 || f.Writes != 0 || f.spans != nil || f.flight != nil {
+		t.Errorf("reset left reads %d writes %d, tracer %v, recorder %v", f.Reads, f.Writes, f.spans != nil, f.flight != nil)
+	}
+	if _, err := f.Read(0x1000); err == nil {
+		t.Error("an extra register survived the reset")
+	}
+	if id := f.AddWriteHook(OCMailbox, func(_ *File, _, v uint64) (uint64, error) { return v, nil }); id != 1 {
+		t.Errorf("first hook after reset got id %d, want 1", id)
+	}
+	spans, records := tr.Len(), rec.Stats().Records
+	if err := f.Write(OCMailbox, EncodeVoltageOffset(-60, PlaneCore)); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != spans || rec.Stats().Records != records {
+		t.Error("the reset file still feeds the tracer or the recorder")
+	}
+	if a := testing.AllocsPerRun(100, f.Reset); a != 0 {
+		t.Fatalf("Reset allocated %.1f objects, want 0", a)
 	}
 }

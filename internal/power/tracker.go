@@ -32,7 +32,7 @@ type coreMeter struct {
 
 // priceMemo is TotalW at one commanded point, keyed on the exact bits of
 // (GHz, V). It is deliberately not lastW: between a Blackout and the
-// power-on Touch, lastW is 0 while the kernel keeps charging at the rebuilt
+// power-on Touch, lastW is 0 while the kernel keeps charging at the reset
 // base point. The zero memo is exact, since TotalW(+0, +0) is +0 for every
 // valid model.
 type priceMemo struct {
@@ -89,17 +89,25 @@ func NewTracker(model Model, numCores int, now func() sim.Time, point PointFn) (
 		return nil, errors.New("power: tracker needs clock and point functions")
 	}
 	t := &Tracker{
-		model:   model,
-		now:     now,
-		point:   point,
-		cores:   make([]coreMeter, numCores),
-		UncoreW: DefaultUncoreW,
+		model: model,
+		now:   now,
+		point: point,
+		cores: make([]coreMeter, numCores),
 	}
+	t.Reset()
+	return t, nil
+}
+
+// Reset returns the tracker to NewTracker's state in place: no energy
+// accrued, each core's first segment opened at now() at its commanded
+// point, the default uncore draw and no flight recorder attached.
+func (t *Tracker) Reset() {
 	for i := range t.cores {
-		t.cores[i].lastT = now()
+		t.cores[i] = coreMeter{lastT: t.now()}
 		t.cores[i].lastW = t.PriceW(i)
 	}
-	return t, nil
+	t.UncoreW = DefaultUncoreW
+	t.flight = nil
 }
 
 // PriceW returns the live commanded-point power of a core in watts — the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"plugvolt/internal/flight"
 	"plugvolt/internal/power"
 	"plugvolt/internal/sim"
 )
@@ -224,4 +225,52 @@ func TestPriceWMatchesTotalWBits(t *testing.T) {
 	check("zero point")
 	set(0, 3.2, 1.10)
 	check("back to base")
+}
+
+// TestTrackerResetMatchesNew resets a tracker that has billed segments, a
+// blackout, a changed uncore draw and a flight recorder, and requires what
+// NewTracker built at the same instant reads: zero energy, each core's
+// segment opened now at its commanded point, the default uncore draw,
+// bit-identical totals as time runs on, and no recorder attached.
+func TestTrackerResetMatchesNew(t *testing.T) {
+	rig := newRig(2, 3.2, 1.10)
+	tr, err := power.NewTracker(power.DefaultModel(), 2, rig.clock, rig.point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.NewRecorder(rig.clock, 64, 0, "test", 1)
+	tr.SetFlightRecorder(rec)
+	rig.now = 3 * sim.Millisecond
+	rig.freq[1], rig.volt[1] = 0.8, 0.7
+	tr.Touch(1)
+	rig.now = 5 * sim.Millisecond
+	tr.Blackout(0)
+	tr.UncoreW = 9
+	rig.now = 8 * sim.Millisecond
+	tr.Reset()
+	fresh, err := power.NewTracker(power.DefaultModel(), 2, rig.clock, rig.point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := rec.Stats().Records
+	for step := 0; step < 3; step++ {
+		for c := 0; c < 2; c++ {
+			if a, b := tr.CoreEnergyJ(c), fresh.CoreEnergyJ(c); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("step %d core %d: reset tracker %g J, new one %g J", step, c, a, b)
+			}
+			if a, b := tr.CoreW(c), fresh.CoreW(c); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("step %d core %d: reset tracker bills %g W, new one %g W", step, c, a, b)
+			}
+		}
+		if a, b := tr.PackageEnergyJ(), fresh.PackageEnergyJ(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("step %d: reset package %g J, new one %g J", step, a, b)
+		}
+		rig.now += 2 * sim.Millisecond
+		rig.volt[0] -= 0.05
+		tr.Touch(0)
+		fresh.Touch(0)
+	}
+	if rec.Stats().Records != records {
+		t.Error("the reset tracker still feeds the flight recorder")
+	}
 }

@@ -81,21 +81,37 @@ func NewManager(s *sim.Simulator, hw CPU, load LoadFn) (*Manager, error) {
 		load = func(int) float64 { return 0 }
 	}
 	m := &Manager{
-		simr:         s,
-		cpu:          hw,
-		table:        table,
-		load:         load,
-		SamplePeriod: 10 * sim.Millisecond,
+		simr:  s,
+		cpu:   hw,
+		table: table,
+		load:  load,
+		pols:  make([]*Policy, hw.NumCores()),
 	}
-	for i := 0; i < hw.NumCores(); i++ {
-		m.pols = append(m.pols, &Policy{
-			Core:     i,
-			MinKHz:   table[0],
-			MaxKHz:   table[len(table)-1],
-			Governor: GovPerformance,
-		})
+	for i := range m.pols {
+		m.pols[i] = new(Policy)
 	}
+	m.Reset()
 	return m, nil
+}
+
+// Reset returns the manager to NewManager's state in place: every core on
+// the performance governor with bounds spanning the full table, the default
+// sample period, a zero transition count and the sampling loop stopped. It
+// issues no P-state request, as NewManager does not. The characterizer
+// calls it before every row and after every crash reboot, since module
+// state does not survive one.
+func (m *Manager) Reset() {
+	m.Stop()
+	for i, p := range m.pols {
+		*p = Policy{
+			Core:     i,
+			MinKHz:   m.table[0],
+			MaxKHz:   m.table[len(m.table)-1],
+			Governor: GovPerformance,
+		}
+	}
+	m.SamplePeriod = 10 * sim.Millisecond
+	m.Transitions = 0
 }
 
 // Policy returns core's policy (read-only view; mutate via setters).

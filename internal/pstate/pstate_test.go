@@ -221,3 +221,51 @@ func TestSchedutilGovernorTracksUtilization(t *testing.T) {
 		t.Fatalf("schedutil idle: %d", got)
 	}
 }
+
+// TestManagerResetMatchesNew resets a manager whose policies, sample period
+// and transition count have all moved and whose ondemand loop is running,
+// and requires NewManager's state: every policy back to performance over
+// the full table, the default period, zero transitions, no P-state request
+// issued, and the loop stopped.
+func TestManagerResetMatchesNew(t *testing.T) {
+	p, m := testRig(t, func(int) float64 { return 1 })
+	if err := m.SetGovernor(0, GovUserspace); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetSpeed(0, 1_200_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetGovernor(2, GovOndemand); err != nil {
+		t.Fatal(err)
+	}
+	m.SamplePeriod = sim.Millisecond
+	m.Start()
+	p.Sim.RunFor(5 * sim.Millisecond)
+	if m.Transitions == 0 {
+		t.Fatal("precondition: no transitions")
+	}
+	writes := p.MSRFile(0).Writes
+	m.Reset()
+	fresh, err := NewManager(p.Sim, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.NumCores(); i++ {
+		got, _ := m.Policy(i)
+		want, _ := fresh.Policy(i)
+		if got != want {
+			t.Errorf("core %d: reset policy %+v, new one %+v", i, got, want)
+		}
+	}
+	if m.SamplePeriod != fresh.SamplePeriod || m.Transitions != 0 || p.MSRFile(0).Writes != writes {
+		t.Errorf("reset: period %v transitions %d, %d P-state writes", m.SamplePeriod, m.Transitions, p.MSRFile(0).Writes-writes)
+	}
+	// Core 0 still runs at 1.2 GHz: a live loop would move it to the top.
+	if err := m.SetGovernor(0, GovOndemand); err != nil {
+		t.Fatal(err)
+	}
+	p.Sim.RunFor(50 * sim.Millisecond)
+	if m.Transitions != 0 {
+		t.Errorf("the sampling loop survived the reset: %d transitions", m.Transitions)
+	}
+}

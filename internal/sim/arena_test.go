@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -237,5 +238,56 @@ func TestArenaMatchesReferenceScheduler(t *testing.T) {
 		if gotOrder[i] != wantOrder[i] {
 			t.Fatalf("firing order diverges at %d: got id %d, want id %d", i, gotOrder[i], wantOrder[i])
 		}
+	}
+}
+
+// TestResetMatchesNew drives a simulator through fired, pending and
+// cancelled events and RNG draws, resets it, and requires New(seed)'s
+// behaviour from it: clock, counters and queue at zero, the RNG unseeded
+// until its first draw and then New(seed)'s stream, the same event order,
+// and every handle from before the reset inert, even where the reset
+// simulator hands its slot to a new event.
+func TestResetMatchesNew(t *testing.T) {
+	s := New(1)
+	var stale []Event
+	for i := 0; i < 8; i++ {
+		stale = append(stale, s.Schedule(Duration(i+1)*Microsecond, func() {}))
+	}
+	s.RunFor(3 * Microsecond)
+	stale[5].Cancel()
+	_ = s.Rand().Int63()
+	s.Reset(42)
+	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 || s.seq != 0 {
+		t.Fatalf("reset left now %v fired %d pending %d seq %d", s.Now(), s.Fired(), s.Pending(), s.seq)
+	}
+	if s.rng != nil {
+		t.Fatal("reset left the RNG seeded")
+	}
+	fresh := New(42)
+	var logs [2][]int
+	for side, sim := range []*Simulator{s, fresh} {
+		for k := 0; k < 8; k++ {
+			sim.Schedule(Duration(3-k%3)*Microsecond, func() { logs[side] = append(logs[side], k) })
+		}
+	}
+	for _, e := range stale {
+		e.Cancel()
+	}
+	s.Run()
+	fresh.Run()
+	if fmt.Sprint(logs[0]) != fmt.Sprint(logs[1]) {
+		t.Fatalf("reset simulator fired %v, a new one %v", logs[0], logs[1])
+	}
+	if s.Now() != fresh.Now() || s.Fired() != fresh.Fired() || s.seq != fresh.seq {
+		t.Fatalf("reset: now %v fired %d seq %d; new: now %v fired %d seq %d",
+			s.Now(), s.Fired(), s.seq, fresh.Now(), fresh.Fired(), fresh.seq)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := s.Rand().Int63(), fresh.Rand().Int63(); a != b {
+			t.Fatalf("draw %d: reset simulator %d, new one %d", i, a, b)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { s.Reset(7) }); a != 0 {
+		t.Fatalf("Reset allocated %.1f objects, want 0", a)
 	}
 }

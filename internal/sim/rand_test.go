@@ -7,7 +7,7 @@ import (
 )
 
 // randTestSeeds exercises boundary seeds plus RowSeed-style derivatives
-// (experiment seed ^ frequency kHz), the seeds row platforms are built with.
+// (experiment seed ^ frequency kHz), the seeds row platforms are reset to.
 var randTestSeeds = []int64{
 	0, 1, -1, 42, 12345, -987654321,
 	math.MaxInt64, math.MinInt64,

@@ -135,9 +135,25 @@ type Simulator struct {
 // source is only seeded on the first Rand call. Event processing never
 // touches it, so the stream is the same whenever that first call happens.
 func New(seed int64) *Simulator {
-	return &Simulator{
-		seed:     seed,
-		freeHead: -1,
+	s := &Simulator{}
+	s.Reset(seed)
+	return s
+}
+
+// Reset returns the simulator to New(seed)'s state in place: the clock at
+// zero, no pending events, the schedule and fired counters at zero and the
+// random source dropped, to be seeded with seed on its first draw. The
+// event arena keeps its capacity, so a warm simulator resets without
+// allocating. Every slot's generation advances, so each handle issued before
+// the reset is stale and cancelling it is a no-op; slots are handed out
+// again in New's order, lowest index first.
+func (s *Simulator) Reset(seed int64) {
+	s.now, s.seq, s.fired = 0, 0, 0
+	s.seed, s.rng = seed, nil
+	s.heap = s.heap[:0]
+	s.freeHead = -1
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		s.freeSlot(int32(i))
 	}
 }
 

@@ -206,7 +206,12 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 					m.Name, f.m.Kind, m.Kind)
 			}
 			for _, ss := range m.Series {
-				sig := ss.Labels.signature()
+				// Registry.Snapshot and earlier merges cache the signature;
+				// a snapshot decoded from JSON carries none.
+				sig := ss.sig
+				if sig == "" {
+					sig = ss.Labels.signature()
+				}
 				i, ok := f.idx[sig]
 				if !ok {
 					cp := ss

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -143,5 +146,103 @@ func TestMergeSnapshotsConflicts(t *testing.T) {
 	h3.Histogram("h", "", []float64{9}, nil).Observe(0.5)
 	if _, err := MergeSnapshots(h1.Snapshot(), h3.Snapshot()); err == nil {
 		t.Error("bucket bound mismatch not rejected")
+	}
+}
+
+// fmtSignature is the fmt rendering of a label signature that signature's
+// strconv rendering must reproduce byte for byte.
+func fmtSignature(l Labels) string {
+	if len(l) == 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(l))
+	for k := range l {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "%q=%q", k, l[k])
+	}
+	return sb.String()
+}
+
+// FuzzLabelSignature holds signature to the fmt rendering on label sets of
+// up to three pairs (equal keys collapse). The seeds carry quotes, commas,
+// equals signs, backslashes, non-ASCII and invalid UTF-8 in keys and
+// values, so the quoting that keeps one set from forging another's
+// signature stays pinned.
+func FuzzLabelSignature(f *testing.F) {
+	f.Add("core", "0", "", "", "", "")
+	f.Add(`a="1",b`, "2", "a", "1", "b", "2")
+	f.Add(`k\`, `v\"`, "=", ",", `"`, `\\`)
+	f.Add("modèle", "Kaby Lake R", "核", "ßé ", "\x00\x7f", "\xff\xfe")
+	f.Add("", "", `"=","`, `"`, "a,b=c", "tab\there")
+	f.Fuzz(func(t *testing.T, k1, v1, k2, v2, k3, v3 string) {
+		l := Labels{k1: v1, k2: v2, k3: v3}
+		if got, want := l.signature(), fmtSignature(l); got != want {
+			t.Fatalf("signature %q, fmt renders %q", got, want)
+		}
+	})
+}
+
+// TestLabelSignatureMatchesFmt covers what the fuzz target's three pairs
+// cannot: no labels at all, and a set with more keys and more bytes than
+// signature's stack buffers hold.
+func TestLabelSignatureMatchesFmt(t *testing.T) {
+	many := Labels{}
+	for i := 0; i < 12; i++ {
+		many[fmt.Sprintf("k%02d\"", 11-i)] = fmt.Sprintf("v=%d,", i)
+	}
+	for _, l := range []Labels{nil, {}, many} {
+		if got, want := l.signature(), fmtSignature(l); got != want {
+			t.Errorf("signature %q, fmt renders %q", got, want)
+		}
+	}
+}
+
+// TestMergeDecodedSnapshotsMatchesLive merges snapshots decoded from JSON,
+// as a fleet checkpoint restores them, with live ones. Decoded series carry
+// no cached signature, so the merge must compute the one Registry.Snapshot
+// caches: every mix, and a fold over merged results, renders the bytes of
+// merging the live snapshots alone.
+func TestMergeDecodedSnapshotsMatchesLive(t *testing.T) {
+	live := func(k float64) *Snapshot {
+		reg := NewRegistry(snapClock())
+		reg.Counter("c", "help", Labels{"core": "0"}).Add(k)
+		reg.Counter("c", "help", Labels{`a="1",b`: "2"}).Add(2 * k)
+		reg.Counter("c", "help", Labels{"a": "1", "b": "2"}).Add(3 * k)
+		reg.Counter("plain", "", nil).Add(k)
+		reg.Gauge("g", "", Labels{"model": "Kaby Lake R", "core": "1"}).Set(k)
+		reg.Histogram("h", "", []float64{1, 10}, Labels{"path": `x\y`}).Observe(k)
+		return reg.Snapshot()
+	}
+	decode := func(s *Snapshot) *Snapshot {
+		data, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d Snapshot
+		if err := json.Unmarshal(data, &d); err != nil {
+			t.Fatal(err)
+		}
+		return &d
+	}
+	a, b, c := live(1), live(2), live(5)
+	want := render(t, mustMerge(t, a, b, c))
+	for name, got := range map[string]*Snapshot{
+		"decoded first":   mustMerge(t, decode(a), b, c),
+		"decoded last":    mustMerge(t, a, b, decode(c)),
+		"all decoded":     mustMerge(t, decode(a), decode(b), decode(c)),
+		"decoded fold":    mustMerge(t, decode(mustMerge(t, a, b)), c),
+		"live fold":       mustMerge(t, mustMerge(t, decode(a), b), decode(c)),
+		"decoded reorder": mustMerge(t, decode(c), a, decode(b)),
+	} {
+		if !bytes.Equal(render(t, got), want) {
+			t.Errorf("%s: merged bytes differ from the live merge", name)
+		}
 	}
 }

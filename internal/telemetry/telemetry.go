@@ -28,7 +28,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"plugvolt/internal/sim"
@@ -41,26 +41,33 @@ type Clock func() sim.Time
 // Labels name one series within a metric family, e.g. {"core": "1"}.
 type Labels map[string]string
 
-// signature renders labels in sorted key order — the canonical series key.
+// signature renders labels in sorted key order — the canonical series key:
+// `"k1"="v1","k2"="v2"`, each side quoted as strconv.Quote (and so %q) does.
 func (l Labels) signature() string {
 	if len(l) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(l))
+	// Both buffers live on the stack unless the set outgrows them; the
+	// returned string is the one allocation.
+	var keyBuf [8]string
+	keys := keyBuf[:0]
 	for k := range l {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
+	var bytesBuf [128]byte
+	buf := bytesBuf[:0]
 	for i, k := range keys {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
 		// Both sides quoted: an unquoted key would let a crafted key like
 		// `a="1",b` forge another set's signature.
-		fmt.Fprintf(&sb, "%q=%q", k, l[k])
+		buf = strconv.AppendQuote(buf, k)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, l[k])
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // clone copies the label set so callers can reuse their map.

@@ -65,13 +65,17 @@ func New(s *sim.Simulator, cfg Config) (*Regulator, error) {
 	if cfg.CommandLatency < 0 {
 		return nil, fmt.Errorf("vr: negative command latency %v", cfg.CommandLatency)
 	}
-	return &Regulator{
-		simr:     s,
-		cfg:      cfg,
-		fromMV:   cfg.InitialMV,
-		targetMV: cfg.InitialMV,
-		startAt:  0,
-	}, nil
+	r := &Regulator{simr: s, cfg: cfg}
+	r.Reset()
+	return r, nil
+}
+
+// Reset returns the regulator to New's state in place: settled at the
+// initial voltage with a zero command count.
+func (r *Regulator) Reset() {
+	r.fromMV, r.targetMV = r.cfg.InitialMV, r.cfg.InitialMV
+	r.startAt = 0
+	r.Commands = 0
 }
 
 // SetTarget commands the rail to targetMV. The output starts moving after

@@ -146,3 +146,23 @@ func BenchmarkOutputMV(b *testing.B) {
 		_ = r.OutputMV()
 	}
 }
+
+// TestResetMatchesNew resets a regulator mid-slew, after several commands,
+// and requires New's state: settled at the initial voltage with no
+// commands counted.
+func TestResetMatchesNew(t *testing.T) {
+	s := sim.New(1)
+	r := newRail(t, s, 1000)
+	for _, mv := range []float64{900, 1100, 800} {
+		r.SetTarget(mv)
+		s.RunFor(15 * sim.Microsecond)
+	}
+	r.Reset()
+	fresh := newRail(t, s, 1000)
+	if *r != *fresh {
+		t.Fatalf("reset regulator %+v, new one %+v", *r, *fresh)
+	}
+	if !r.Settled() || r.OutputMV() != 1000 {
+		t.Fatalf("reset regulator at %v mV, settled %v", r.OutputMV(), r.Settled())
+	}
+}

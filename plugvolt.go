@@ -251,9 +251,10 @@ func QuickSweep() CharacterizerConfig {
 
 // Characterize runs the Algorithm 2 sweep on this system using the sharded
 // parallel engine: the frequency axis is partitioned across cfg.Workers
-// goroutines (default GOMAXPROCS), each row swept on a private platform
-// seeded with seed^freqKHz. Results are bit-for-bit identical for any
-// worker count and leave s.Platform untouched.
+// goroutines (default GOMAXPROCS), each with one private platform that it
+// resets to seed^freqKHz before every row it sweeps. Results are
+// bit-for-bit identical for any worker count and leave s.Platform
+// untouched.
 func (s *System) Characterize(cfg CharacterizerConfig) (*Grid, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = s.Telemetry

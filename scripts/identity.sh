@@ -6,7 +6,10 @@
 # Extracts BASE with git archive into a temporary directory, builds
 # ./cmd/... there and from the working tree, runs the same invocations with
 # each build in its own scratch directory, and diffs each invocation's
-# stdout, exit code and every file it wrote. Only the plugvolt_build_info
+# stdout, exit code and every file it wrote. The invocations cover the
+# fleet under every campaign and idle, the characterizer's two strategies
+# at one and two workers and at paper resolution, the attack matrix, the
+# overhead tables and the guard with every output. Only the plugvolt_build_info
 # sample line is ignored. Exits 1 on any difference. Everything it writes
 # goes under the temporary directory, which it removes.
 set -eu
@@ -40,10 +43,19 @@ invoke() {
 	echo "ran $name: $cli $* (exit$codes)"
 }
 
-for attack in plundervolt redteam voltjockey; do
+for attack in none plundervolt redteam voltjockey v0ltpwn; do
 	invoke "fleet-$attack" plugvolt-fleet -machines 24 -seed 42 -attack "$attack" \
 		-out fleet.json -metrics-out fleet.prom
 done
+for strategy in sweep bisect; do
+	for workers in 1 2; do
+		invoke "characterize-$strategy-w$workers" plugvolt-characterize -cpu cometlake -seed 42 \
+			-strategy "$strategy" -workers "$workers" \
+			-json grid.json -metrics-out m.prom -events-out e.jsonl
+	done
+done
+invoke characterize-paper plugvolt-characterize -paper -cpu kabylaker -seed 7 \
+	-json grid.json -metrics-out m.prom -events-out e.jsonl
 for cpu in skylake kabylaker cometlake; do
 	invoke "attack-$cpu" plugvolt-attack -matrix -cpu "$cpu" -seed 7 \
 		-metrics-out m.prom -events-out e.jsonl -incidents-out incidents.bin
