@@ -33,6 +33,17 @@ period        pinned cost   worst turnaround rail-race margin
 1ms                0.070%             1.72ms -890us (RACE LOST)
 10ms               0.007%            10.72ms -9.89ms (RACE LOST)
 `
+	// At seed 42 Kaby Lake R's default 100us row loses the race (exit 3).
+	sweepKabyLakeR42 = `poll-period sweep on Kaby Lake R (per-core=false); shallowest onset -35 mV -> rail travel 90us
+
+period        pinned cost   worst turnaround rail-race margin
+20us               3.500%              740us            +70us
+50us               1.400%              770us            +40us
+100us              0.700%              820us -10us (RACE LOST)
+250us              0.280%              970us -160us (RACE LOST)
+1ms                0.070%             1.72ms -910us (RACE LOST)
+10ms               0.007%            10.72ms -9.91ms (RACE LOST)
+`
 	energyReport = `== guard overhead over 500ms (poll 100us, Comet Lake)
    package energy:            7.9851 J
    guard energy (attrib):   0.012224 J
@@ -86,6 +97,10 @@ func TestRunSweep(t *testing.T) {
 	if r := clitest.Exec(t, run, "-sweep", "-cpu", "kabylaker"); r.Code != 0 || r.Stdout != sweepKabyLakeR {
 		t.Fatalf("-cpu kabylaker: exit %d, stdout:\n%s", r.Code, r.Stdout)
 	}
+	// A lost race still prints the whole report.
+	if r := clitest.Exec(t, run, "-sweep", "-cpu", "kabylaker", "-seed", "42"); r.Code != 3 || r.Stdout != sweepKabyLakeR42 {
+		t.Fatalf("-cpu kabylaker -seed 42: exit %d, stdout:\n%s", r.Code, r.Stdout)
+	}
 }
 
 // TestRunEnergy pins the energy report: the guard's energy overhead next
@@ -108,6 +123,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"energy_with_metrics", []string{"-energy", "-metrics-out", "m.prom"}, 2, "-energy does not read -metrics-out"},
 		{"energy_with_events", []string{"-energy", "-events-out", "e.jsonl"}, 2, "-energy does not read -events-out"},
 		{"unknown_cpu", []string{"-cpu", "pentium4"}, 1, "pentium4"},
+		// Kaby Lake R at seed 42: the shallowest onset is -35 mV, 90us of
+		// rail travel, so the default 100us period loses by 10us.
+		{"sweep_race_lost", []string{"-sweep", "-cpu", "kabylaker", "-seed", "42"}, 3,
+			"the default poll period loses the rail race: 100us polls lose by 10us"},
 	})
 	r := clitest.Exec(t, run, "-version")
 	if r.Code != 0 || !strings.Contains(r.Stdout, "plugvolt-overhead") {

@@ -97,8 +97,8 @@ type Core struct {
 	// pathCache holds the timing paths this core has resolved by name (at
 	// most one per path in the circuit; linear-scanned).
 	pathCache []resolvedPath
-	// op memoizes execALUOp's probabilities at the last live operating
-	// point it executed at.
+	// op memoizes run's probabilities at the last live operating point it
+	// executed at.
 	op opMemo
 	// energy, when set, is touched at every commanded operating-point
 	// transition so the platform's joule integrator closes the previous
@@ -224,28 +224,24 @@ func (c *Core) SetRatio(ratio uint8) error {
 }
 
 // opMemo is the control-path and class fault probabilities of one class
-// at one live (PLL GHz, rail V) point. Both are pure functions of that
+// at one live (PLL ratio, rail mV) point. Both are pure functions of that
 // key, so an instruction at an unchanged point reads them back bit for bit
-// without resolving paths or touching the timing memos. The zero memo
-// matches no instruction: no class is empty.
+// without converting the point, resolving paths or touching the timing
+// memos. The zero memo matches no instruction: no class is empty.
 type opMemo struct {
-	freqGHz, voltV float64
 	class          Class
+	ratio          uint8
+	railMV         float64
 	pCrash, pFault float64
 }
 
-// probabilities returns CrashProbability() and FaultProbability(class) at
-// the live operating point through the core's memo.
-func (c *Core) probabilities(class Class) (pCrash, pFault float64) {
+// memoize sets the memo to CrashProbability() and FaultProbability(class)
+// at the live point, whose PLL ratio and rail output are ratio and railMV.
+func (c *Core) memoize(class Class, ratio uint8, railMV float64) {
 	f, v := c.PLL.FreqGHz(), c.VoltageV()
-	m := &c.op
-	if m.class == class && m.freqGHz == f && m.voltV == v {
-		return m.pCrash, m.pFault
-	}
-	pCrash = c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
-	pFault = c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
-	*m = opMemo{freqGHz: f, voltV: v, class: class, pCrash: pCrash, pFault: pFault}
-	return pCrash, pFault
+	pCrash := c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
+	pFault := c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
+	c.op = opMemo{class: class, ratio: ratio, railMV: railMV, pCrash: pCrash, pFault: pFault}
 }
 
 // resolve returns the circuit path for name, caching the lookup per core
@@ -339,29 +335,70 @@ func (c *Core) faultMask() uint64 {
 }
 
 // IMul executes a 64x64->64 integer multiply on the core, subject to the
-// fault model. It returns the (possibly corrupted) product and whether the
-// result was faulted.
+// fault model: a one-instruction run (see IMuls). It returns the (possibly
+// corrupted) product and whether the result was faulted.
 func (c *Core) IMul(a, b uint64) (uint64, bool, error) {
 	return c.execALUOp(ClassIMul, a*b)
 }
 
-// execALUOp samples one control-path traversal, on whose violation the
-// core machine-checks, then the class's fault model.
+// IMuls executes up to n imuls back to back at the live operating point and
+// stops after the first faulted one or at a crash. done counts the imuls
+// that retired, the faulted one included. It draws exactly what n
+// sequential IMul calls that stop there would draw, for a caller that needs
+// only whether and where the core faulted, not the products.
+func (c *Core) IMuls(n int) (done int, faulted bool, err error) {
+	done, mask, err := c.run(ClassIMul, n)
+	return done, mask != 0, err
+}
+
+// execALUOp executes one instruction of the class, whose exact result is
+// exact, as a one-instruction run.
 func (c *Core) execALUOp(class Class, exact uint64) (uint64, bool, error) {
+	_, mask, err := c.run(class, 1)
+	if err != nil {
+		exact = 0
+	}
+	return exact ^ mask, mask != 0, err
+}
+
+// run executes up to n instructions of the class at the live operating
+// point, which nothing here advances, so it reads the point's probabilities
+// once. Each instruction samples one control-path traversal, on whose
+// violation the core machine-checks, then the class's fault model. The run
+// stops at a crash or after the first faulted instruction, whose XOR mask
+// it returns (a mask is never zero). done counts the retired instructions.
+func (c *Core) run(class Class, n int) (done int, mask uint64, err error) {
+	if n <= 0 {
+		return 0, 0, nil
+	}
 	if c.crashed {
-		return 0, false, ErrCrashed
+		return 0, 0, ErrCrashed
 	}
-	pCrash, pFault := c.probabilities(class)
-	if pCrash > 0 && c.simr.Rand().Float64() < pCrash {
-		c.crashed = true
-		return 0, false, ErrCrashed
+	ratio, railMV := c.PLL.Ratio(), c.VR.OutputMV()
+	if m := &c.op; m.class != class || m.ratio != ratio || m.railMV != railMV {
+		c.memoize(class, ratio, railMV)
 	}
-	c.Retired++
-	if pFault > 0 && c.simr.Rand().Float64() < pFault {
-		c.Faulted++
-		return exact ^ c.faultMask(), true, nil
+	pCrash, pFault := c.op.pCrash, c.op.pFault
+	if pCrash == 0 && pFault == 0 {
+		c.Retired += uint64(n) // no instruction draws a coin
+		return n, 0, nil
 	}
-	return exact, false, nil
+	r := c.simr.Rand()
+	for ; done < n; done++ {
+		if pCrash > 0 && r.Float64() < pCrash {
+			c.crashed = true
+			err = ErrCrashed
+			break
+		}
+		if pFault > 0 && r.Float64() < pFault {
+			c.Faulted++
+			mask = c.faultMask()
+			done++
+			break
+		}
+	}
+	c.Retired += uint64(done)
+	return done, mask, err
 }
 
 // BatchResult summarizes a RunBatch execution.

@@ -78,7 +78,7 @@ func TestOpMemoMatchesReference(t *testing.T) {
 		}, 200, []Class{ClassIMul, ClassAES, ClassALU, ClassFMA, ClassLoad}},
 	}
 	var faults, crashes, misses int
-	freqs := map[float64]bool{}
+	ratios := map[uint8]bool{}
 	for _, ph := range phases {
 		if err := ph.act(live); err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestOpMemoMatchesReference(t *testing.T) {
 				if lc.op != before {
 					misses++
 				}
-				freqs[lc.op.freqGHz] = true
+				ratios[lc.op.ratio] = true
 				if pc, pf := lc.CrashProbability(), lc.FaultProbability(class); lc.op.pCrash != pc || lc.op.pFault != pf {
 					t.Fatalf("%s, instruction %d (%s) at %.2f GHz, %.4f V: memo (crash %g, fault %g), live (crash %g, fault %g)",
 						ph.name, n, class, lc.FreqGHz(), lc.VoltageV(), lc.op.pCrash, lc.op.pFault, pc, pf)
@@ -131,8 +131,8 @@ func TestOpMemoMatchesReference(t *testing.T) {
 	}
 	// The walk must have exercised what it claims to: faults, a crash, a
 	// relock, and a memo that moved with the operating point.
-	if faults == 0 || crashes == 0 || len(freqs) < 2 || misses < 100 {
+	if faults == 0 || crashes == 0 || len(ratios) < 2 || misses < 100 {
 		t.Fatalf("walk too weak: %d faults, %d crashes, %d frequencies, %d memo changes in %d retired",
-			faults, crashes, len(freqs), misses, lc.Retired)
+			faults, crashes, len(ratios), misses, lc.Retired)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
 	mrand "math/rand"
 )
 
@@ -95,11 +94,13 @@ func (k *RSAKey) Verify(m, sig *big.Int) bool {
 	return new(big.Int).Exp(sig, k.E, k.N).Cmp(m) == 0
 }
 
-// FaultyCore is the execution surface the CRT signer multiplies on. It is
-// the subset of *cpu.Core the signer needs; faults in IMul corrupt the
-// corresponding big-integer product.
+// FaultyCore is the execution surface the CRT signer multiplies on: the
+// subset of *cpu.Core the signer needs. IMuls(n) runs up to n of the
+// signer's multiplications back to back and stops after the first faulted
+// one or at a crash; done counts the ones that retired. A fault corrupts
+// the corresponding big-integer product.
 type FaultyCore interface {
-	IMul(a, b uint64) (uint64, bool, error)
+	IMuls(n int) (done int, faulted bool, err error)
 }
 
 // CRTSigner signs with the CRT optimization, executing every modular
@@ -112,11 +113,6 @@ type CRTSigner struct {
 	// rather than mutate the one it points to.
 	Key  *RSAKey
 	Core FaultyCore
-
-	// StepHook, when set, is called before every core multiplication with
-	// a running step index. Single-stepping attackers and the Minefield
-	// trap instrumentation both hang off this.
-	StepHook func(step int)
 
 	// VerifyBeforeRelease enables the classic application-level fault
 	// countermeasure (Boneh-DeMillo-Lipton's own recommendation): verify
@@ -141,10 +137,8 @@ type CRTSigner struct {
 	// Key (see signOnce).
 	traj *trajectory
 	// at indexes the next step of the arithmetic in progress, and live is
-	// the first step it runs on the core (see step). rec, when set,
-	// records the run into a trajectory.
+	// the first step it runs on the core (see step).
 	at, live int
-	rec      *trajectory
 	// prod, sp, sq, h and base are the arithmetic's scratch.
 	prod, sp, sq, h, base big.Int
 
@@ -154,13 +148,13 @@ type CRTSigner struct {
 	FaultedSteps int
 }
 
-// trajectory is the fault-free run of one signature: the operand words
-// each core multiplication is fed, in step order, and the signature.
+// trajectory is the fault-free run of one signature: its count of core
+// multiplications and the signature.
 type trajectory struct {
-	key *RSAKey
-	m   big.Int
-	ops [][2]uint64
-	sig *big.Int
+	key   *RSAKey
+	m     big.Int
+	steps int
+	sig   *big.Int
 }
 
 // NewCRTSigner builds a signer bound to a key and an execution core.
@@ -174,21 +168,11 @@ func NewCRTSigner(key *RSAKey, core FaultyCore, seed int64) (*CRTSigner, error) 
 	return &CRTSigner{Key: key, Core: core, rng: mrand.New(mrand.NewSource(seed))}, nil
 }
 
-// mulOnCore executes one step's multiply on the core, fed the operand
-// words a and b, and reports whether the core faulted it.
-func (s *CRTSigner) mulOnCore(a, b uint64) (faulted bool, err error) {
-	if s.StepHook != nil {
-		s.StepHook(s.Steps)
-	}
-	s.Steps++
-	_, faulted, err = s.Core.IMul(a, b)
-	return faulted, err
-}
-
-// coreMul sets z = x*y mod mod, executing the multiply on the core; z may
-// alias x or y.
+// coreMul sets z = x*y mod mod, executing the multiply on the core as a
+// one-step run; z may alias x or y.
 func (s *CRTSigner) coreMul(z, x, y, mod *big.Int) error {
-	faulted, err := s.mulOnCore(low64(x)|1, low64(y)|1)
+	s.Steps++
+	_, faulted, err := s.Core.IMuls(1)
 	if err != nil {
 		return err
 	}
@@ -218,9 +202,6 @@ func (s *CRTSigner) step(z, x, y, mod *big.Int) error {
 	s.at++
 	if i >= s.live {
 		return s.coreMul(z, x, y, mod)
-	}
-	if s.rec != nil {
-		s.rec.ops = append(s.rec.ops, [2]uint64{low64(x) | 1, low64(y) | 1})
 	}
 	s.reduce(z, x, y, mod, i == s.live-1)
 	return nil
@@ -277,22 +258,22 @@ func (s *CRTSigner) Sign(m *big.Int) (sig *big.Int, faulted bool, err error) {
 
 // signOnce is one unprotected CRT signature. The core's fault and crash
 // draws never read the operands, so until a step faults the signature
-// follows the digest's fault-free trajectory: signOnce feeds the core the
-// recorded operand words and computes nothing. At the first faulted step
-// it reruns the arithmetic with that step corrupted and the later steps
-// live on the core.
+// follows the digest's fault-free trajectory: signOnce runs the
+// trajectory's steps on the core as one IMuls call, which stops at the
+// first faulted step or a crash, and computes nothing. After a faulted
+// step it reruns the arithmetic with that step corrupted and the later
+// steps live on the core. Steps counts the step a crash hit.
 func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error) {
-	s.Steps = 0
 	s.FaultedSteps = 0
 	t := s.trajectory(m)
-	for i, op := range t.ops {
-		faulted, err := s.mulOnCore(op[0], op[1])
-		if err != nil {
-			return nil, false, err
-		}
-		if faulted {
-			return s.compute(m, i+1)
-		}
+	done, faulted, err := s.Core.IMuls(t.steps)
+	s.Steps = done
+	switch {
+	case err != nil:
+		s.Steps++
+		return nil, false, err
+	case faulted:
+		return s.compute(m, done)
 	}
 	return new(big.Int).Set(t.sig), false, nil
 }
@@ -305,9 +286,8 @@ func (s *CRTSigner) trajectory(m *big.Int) *trajectory {
 	}
 	t := &trajectory{key: s.Key}
 	t.m.Set(m)
-	s.rec = t
 	t.sig, _, _ = s.compute(m, math.MaxInt) // no step reaches the core
-	s.rec = nil
+	t.steps = s.at
 	s.traj = t
 	return t
 }
@@ -333,23 +313,6 @@ func (s *CRTSigner) compute(m *big.Int, live int) (sig *big.Int, faulted bool, e
 	sig.Add(sig, &s.sq)
 	sig.Mod(sig, k.N)
 	return sig, s.FaultedSteps > 0, nil
-}
-
-// low64 returns the low 64 bits of x (the word fed to the core's
-// multiplier for fault sampling) in two's complement, as x & (2⁶⁴−1)
-// does, on 32- and 64-bit words alike.
-func low64(x *big.Int) uint64 {
-	var v uint64
-	for i, w := range x.Bits() {
-		if i*bits.UintSize >= 64 {
-			break
-		}
-		v |= uint64(w) << (i * bits.UintSize)
-	}
-	if x.Sign() < 0 {
-		v = -v
-	}
-	return v
 }
 
 // RecoverFactor runs the Boneh–DeMillo–Lipton / Lenstra attack: given the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"plugvolt/internal/cpu"
+	"plugvolt/internal/msr"
 )
 
 // refSigner is the CRT signer computed directly, with no memo: every
@@ -17,8 +18,7 @@ import (
 // observable.
 type refSigner struct {
 	key        *RSAKey
-	core       FaultyCore
-	hook       func(step int)
+	core       imulCore
 	verify     bool
 	maxRetries int
 	rng        *mrand.Rand
@@ -26,7 +26,13 @@ type refSigner struct {
 	steps, faultedSteps, retries int
 }
 
-func newRefSigner(key *RSAKey, core FaultyCore, seed int64) *refSigner {
+// imulCore is the one instruction refSigner runs per step: *cpu.Core and
+// scriptCore.
+type imulCore interface {
+	IMul(a, b uint64) (uint64, bool, error)
+}
+
+func newRefSigner(key *RSAKey, core imulCore, seed int64) *refSigner {
 	return &refSigner{key: key, core: core, rng: mrand.New(mrand.NewSource(seed))}
 }
 
@@ -93,9 +99,6 @@ func (r *refSigner) exp(base, e, mod *big.Int) (*big.Int, error) {
 // operand (forced odd) and one rng-drawn bit of the product flipped when
 // the core faults it.
 func (r *refSigner) mul(x, y, mod *big.Int) (*big.Int, error) {
-	if r.hook != nil {
-		r.hook(r.steps)
-	}
 	r.steps++
 	mask := new(big.Int).SetUint64(^uint64(0))
 	a := new(big.Int).And(x, mask).Uint64() | 1
@@ -113,22 +116,33 @@ func (r *refSigner) mul(x, y, mod *big.Int) (*big.Int, error) {
 	return prod.Mod(prod, mod), nil
 }
 
-// scriptCore is a FaultyCore on a script: it logs every call's operands,
-// faults the calls whose indices are in faults, and fails every call from
-// index crashAt on with cpu.ErrCrashed (never when crashAt < 0).
+// scriptCore is a FaultyCore on a script: it numbers the multiplications
+// it executes, faults the ones whose indices are in faults, and fails
+// every one from index crashAt on with cpu.ErrCrashed (never when
+// crashAt < 0). Its IMul is a one-multiplication run, for refSigner.
 type scriptCore struct {
 	faults  map[int]bool
 	crashAt int
-	log     [][2]uint64
+	ran     int // multiplications executed, crashed ones included
+}
+
+func (c *scriptCore) IMuls(n int) (done int, faulted bool, err error) {
+	for ; done < n; done++ {
+		i := c.ran
+		c.ran++
+		if c.crashAt >= 0 && i >= c.crashAt {
+			return done, false, cpu.ErrCrashed
+		}
+		if c.faults[i] {
+			return done + 1, true, nil
+		}
+	}
+	return done, false, nil
 }
 
 func (c *scriptCore) IMul(a, b uint64) (uint64, bool, error) {
-	i := len(c.log)
-	c.log = append(c.log, [2]uint64{a, b})
-	if c.crashAt >= 0 && i >= c.crashAt {
-		return 0, false, cpu.ErrCrashed
-	}
-	return a * b, c.faults[i], nil
+	_, faulted, err := c.IMuls(1)
+	return a * b, faulted, err
 }
 
 // signCall is one Sign call of a differential run: the key both signers
@@ -144,12 +158,11 @@ type signObs struct {
 	faulted                      bool
 	err                          error
 	steps, faultedSteps, retries int
-	hooks                        []int
 }
 
 func (o signObs) String() string {
-	return fmt.Sprintf("sig %v faulted %v err %v steps %d faulted steps %d retries %d hooks %d",
-		o.sig, o.faulted, o.err, o.steps, o.faultedSteps, o.retries, len(o.hooks))
+	return fmt.Sprintf("sig %v faulted %v err %v steps %d faulted steps %d retries %d",
+		o.sig, o.faulted, o.err, o.steps, o.faultedSteps, o.retries)
 }
 
 // outcome names what the call released: a signature with its count of
@@ -173,14 +186,14 @@ func (o signObs) outcome() string {
 func sameObs(a, b signObs) bool {
 	sameSig := (a.sig == nil) == (b.sig == nil) && (a.sig == nil || a.sig.Cmp(b.sig) == 0)
 	return sameSig && a.faulted == b.faulted && a.err == b.err && a.steps == b.steps &&
-		a.faultedSteps == b.faultedSteps && a.retries == b.retries && slices.Equal(a.hooks, b.hooks)
+		a.faultedSteps == b.faultedSteps && a.retries == b.retries
 }
 
 // diffSigners runs calls in order on a CRTSigner and a refSigner, each on
 // its own scriptCore with the same script, and fails at the first
 // observable that differs: signature, faulted flag, error, Steps,
-// FaultedSteps, Retries and StepHook indices after each call, then the
-// IMul operand logs and the next draw of each signer's rng. It returns
+// FaultedSteps and Retries after each call, then the multiplications each
+// core executed in all and the next draw of each signer's rng. It returns
 // the CRTSigner's observations.
 func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int, verify bool, maxRetries int) []signObs {
 	t.Helper()
@@ -199,8 +212,6 @@ func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int, veri
 	var obs []signObs
 	for n, c := range calls {
 		var got, want signObs
-		s.StepHook = func(step int) { got.hooks = append(got.hooks, step) }
-		ref.hook = func(step int) { want.hooks = append(want.hooks, step) }
 		s.Key, ref.key = c.key, c.key
 		got.sig, got.faulted, got.err = s.Sign(c.m)
 		want.sig, want.faulted, want.err = ref.sign(c.m)
@@ -217,8 +228,8 @@ func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int, veri
 			got.sig.SetInt64(-1)
 		}
 	}
-	if !slices.Equal(core.log, refCore.log) {
-		t.Fatalf("IMul operand logs differ: replay made %d calls, reference %d", len(core.log), len(refCore.log))
+	if core.ran != refCore.ran {
+		t.Fatalf("the replay's core executed %d multiplications, the reference's %d", core.ran, refCore.ran)
 	}
 	if got, want := s.rng.Int63(), ref.rng.Int63(); got != want {
 		t.Fatalf("next rng draw %d, reference %d", got, want)
@@ -301,6 +312,37 @@ func TestSignReplayMatchesReference(t *testing.T) {
 	}
 }
 
+// signTwins signs m on s and on ref, whose cores are core 0 of p and of
+// its twin refP, and fails at the first observable that differs, the
+// cores' Retired and Faulted counts included. It returns what s showed.
+func signTwins(t *testing.T, what string, s *CRTSigner, ref *refSigner, p, refP *cpu.Platform, m *big.Int) signObs {
+	t.Helper()
+	var got, want signObs
+	got.sig, got.faulted, got.err = s.Sign(m)
+	want.sig, want.faulted, want.err = ref.sign(m)
+	got.steps, got.faultedSteps = s.Steps, s.FaultedSteps
+	want.steps, want.faultedSteps = ref.steps, ref.faultedSteps
+	if !sameObs(got, want) {
+		t.Fatalf("%s:\n  replay    %v\n  reference %v", what, got, want)
+	}
+	if c, rc := p.Core(0), refP.Core(0); c.Retired != rc.Retired || c.Faulted != rc.Faulted {
+		t.Fatalf("%s: core retired %d faulted %d, reference %d and %d", what, c.Retired, c.Faulted, rc.Retired, rc.Faulted)
+	}
+	return got
+}
+
+// sameNextDraws fails unless the twin simulators' next draws agree, and the
+// two signers' next rng draws do.
+func sameNextDraws(t *testing.T, s *CRTSigner, ref *refSigner, p, refP *cpu.Platform) {
+	t.Helper()
+	if got, want := p.Sim.Rand().Int63(), refP.Sim.Rand().Int63(); got != want {
+		t.Fatalf("next Sim.Rand() draw %d, reference %d", got, want)
+	}
+	if got, want := s.rng.Int63(), ref.rng.Int63(); got != want {
+		t.Fatalf("next signer rng draw %d, reference %d", got, want)
+	}
+}
+
 // The replay on an undervolted cpu.Core: two twin platforms sit in the
 // same fault window, one signs through CRTSigner and the other through
 // refSigner, and every observable, the cores' retired and faulted counts
@@ -318,31 +360,82 @@ func TestSignReplayMatchesReferenceOnCore(t *testing.T) {
 	ref := newRefSigner(k, refP.Core(0), 17)
 	faulted := 0
 	for i := 0; i < 150; i++ {
-		var got, want signObs
-		got.sig, got.faulted, got.err = s.Sign(m)
-		want.sig, want.faulted, want.err = ref.sign(m)
-		got.steps, got.faultedSteps = s.Steps, s.FaultedSteps
-		want.steps, want.faultedSteps = ref.steps, ref.faultedSteps
-		if !sameObs(got, want) {
-			t.Fatalf("signature %d:\n  replay    %v\n  reference %v", i, got, want)
-		}
-		c, rc := p.Core(0), refP.Core(0)
-		if c.Retired != rc.Retired || c.Faulted != rc.Faulted {
-			t.Fatalf("signature %d: core retired %d faulted %d, reference %d and %d", i, c.Retired, c.Faulted, rc.Retired, rc.Faulted)
-		}
-		if got.faulted {
+		if signTwins(t, fmt.Sprintf("signature %d", i), s, ref, p, refP, m).faulted {
 			faulted++
 		}
 	}
-	if got, want := p.Sim.Rand().Int63(), refP.Sim.Rand().Int63(); got != want {
-		t.Fatalf("next Sim.Rand() draw %d, reference %d", got, want)
-	}
-	if got, want := s.rng.Int63(), ref.rng.Int63(); got != want {
-		t.Fatalf("next signer rng draw %d, reference %d", got, want)
-	}
+	sameNextDraws(t, s, ref, p, refP)
 	if faulted == 0 || faulted == 150 {
 		t.Fatalf("%d of 150 signatures faulted: the window should mix clean and faulty ones", faulted)
 	}
+}
+
+// The replay across a crash on a cpu.Core: twin platforms step the
+// undervolt deeper from the fault onset, one millivolt at a time with a few
+// signatures at each offset, until the core machine-checks mid-signature;
+// both then reboot and sign at the power-on point. Every observable agrees
+// with refSigner's after each signature, and Steps counts the step the
+// crash hit.
+func TestSignReplayMatchesReferenceAcrossCrash(t *testing.T) {
+	p, refP := newPlatform(t, 8), newPlatform(t, 8)
+	c := p.Core(0)
+	k := mustKey(t, 512, 13)
+	m := k.HashToInt([]byte("plundervolt"))
+	s, err := NewCRTSigner(k, c, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefSigner(k, refP.Core(0), 17)
+	onset := 0
+	for off := -1; onset == 0 && off >= -400; off-- {
+		if pf, _ := c.PredictProbabilities(cpu.ClassIMul, off); pf >= 1e-6 {
+			onset = off
+		}
+	}
+	if onset == 0 {
+		t.Fatal("no fault onset")
+	}
+	var crashed signObs
+	clean, faulty := 0, 0
+	for off := onset; crashed.err == nil; off-- {
+		if off < onset-300 {
+			t.Fatalf("no crash from %d to %d mV", onset, off)
+		}
+		for _, q := range []*cpu.Platform{p, refP} {
+			if err := q.WriteOffsetViaMSR(0, off, msr.PlaneCore); err != nil {
+				t.Fatal(err)
+			}
+			q.SettleAll()
+		}
+		for i := 0; i < 4 && crashed.err == nil; i++ {
+			retired := c.Retired
+			o := signTwins(t, fmt.Sprintf("%d mV, signature %d", off, i), s, ref, p, refP, m)
+			switch {
+			case o.err != nil:
+				crashed = o
+				// The crashed step is counted, and it did not retire.
+				if !errors.Is(o.err, cpu.ErrCrashed) || o.steps != int(c.Retired-retired)+1 || o.steps < 2 {
+					t.Fatalf("%d mV: %v after %d steps, %d retired", off, o.err, o.steps, c.Retired-retired)
+				}
+			case o.faulted:
+				faulty++
+			default:
+				clean++
+			}
+		}
+	}
+	if clean == 0 || faulty == 0 {
+		t.Fatalf("%d clean and %d faulty signatures before the crash: the walk should see both", clean, faulty)
+	}
+	p.Reboot()
+	refP.Reboot()
+	for i := 0; i < 3; i++ {
+		o := signTwins(t, fmt.Sprintf("rebooted, signature %d", i), s, ref, p, refP, m)
+		if o.err != nil || o.faulted || !k.Verify(m, o.sig) {
+			t.Fatalf("rebooted, signature %d: %v", i, o)
+		}
+	}
+	sameNextDraws(t, s, ref, p, refP)
 }
 
 // FuzzSignReplay holds the replaying signer to refSigner on four Sign
@@ -371,22 +464,6 @@ func FuzzSignReplay(f *testing.F) {
 		}
 		diffSigners(t, calls, faults, crashAt, verify, 3)
 	})
-}
-
-func TestLow64MatchesMask(t *testing.T) {
-	mask := new(big.Int).SetUint64(^uint64(0))
-	r := mrand.New(mrand.NewSource(3))
-	xs := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), new(big.Int).Set(mask),
-		new(big.Int).Lsh(big.NewInt(1), 64), new(big.Int).Lsh(big.NewInt(1), 32)}
-	for _, bits := range []int{31, 33, 63, 65, 96, 130, 512} {
-		x := new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-		xs = append(xs, x, new(big.Int).Neg(x))
-	}
-	for _, x := range xs {
-		if got, want := low64(x), new(big.Int).And(x, mask).Uint64(); got != want {
-			t.Fatalf("low64(%v) = %#x, want %#x", x, got, want)
-		}
-	}
 }
 
 func TestSignAllocsDoNotGrowWithSteps(t *testing.T) {

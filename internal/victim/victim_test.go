@@ -252,26 +252,6 @@ func TestRecoverFactorRejectsCleanSignature(t *testing.T) {
 	}
 }
 
-func TestStepHookObservesEveryMultiplication(t *testing.T) {
-	p := newPlatform(t, 5)
-	k, _ := GenerateRSAKey(512, 11)
-	s, _ := NewCRTSigner(k, p.Core(0), 99)
-	var seen []int
-	s.StepHook = func(step int) { seen = append(seen, step) }
-	m := k.HashToInt([]byte("hooked"))
-	if _, _, err := s.Sign(m); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != s.Steps {
-		t.Fatalf("hook saw %d steps, signer reports %d", len(seen), s.Steps)
-	}
-	for i, v := range seen {
-		if v != i {
-			t.Fatalf("hook indices not sequential at %d", i)
-		}
-	}
-}
-
 func TestCrashPropagatesFromLoop(t *testing.T) {
 	p := newPlatform(t, 4)
 	if err := p.WriteOffsetViaMSR(0, -500, msr.PlaneCore); err != nil {

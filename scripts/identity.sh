@@ -9,7 +9,8 @@
 # stdout, exit code and every file it wrote. The invocations cover the
 # fleet under every campaign and idle, the characterizer's two strategies
 # at one and two workers and at paper resolution, the attack matrix, the
-# overhead tables and the guard with every output. Only the plugvolt_build_info
+# overhead tables, the guard with every output, and the report bundle, plain
+# and -full, at a seed artifacts/ does not pin. Only the plugvolt_build_info
 # sample line is ignored. Exits 1 on any difference. Everything it writes
 # goes under the temporary directory, which it removes.
 set -eu
@@ -64,6 +65,8 @@ invoke overhead plugvolt-overhead -metrics-out m.prom -events-out e.jsonl
 invoke guard plugvolt-guard -window 10ms -slo \
 	-metrics-out m.prom -events-out e.jsonl -trace rail.csv \
 	-trace-out spans.json -folded-out spans.folded -incidents-out incidents.bin
+invoke report plugvolt-report -seed 7 -out bundle
+invoke report-full plugvolt-report -full -seed 7 -out full
 
 # The build-info sample names each binary's own revision; drop it on both
 # sides before comparing.
