@@ -150,9 +150,9 @@ func (r *Result) String() string {
 		r.FaultsObserved, r.Crashes)
 }
 
-// Attack is a runnable DVFS fault-attack campaign.
+// Attack is a runnable DVFS fault-attack campaign. Each campaign names its
+// own results (Result.Attack).
 type Attack interface {
-	Name() string
 	Run(env *defense.Env, defName string) (*Result, error)
 }
 
@@ -236,7 +236,7 @@ func DefaultPlundervolt(seed int64) *Plundervolt {
 	}
 }
 
-// Name implements Attack.
+// Name identifies the campaign in its results.
 func (*Plundervolt) Name() string { return "plundervolt" }
 
 // Run implements Attack.
@@ -344,7 +344,7 @@ func DefaultVoltJockey() *VoltJockey {
 	}
 }
 
-// Name implements Attack.
+// Name identifies the campaign in its results.
 func (*VoltJockey) Name() string { return "voltjockey" }
 
 // Run implements Attack.
@@ -520,7 +520,7 @@ func DefaultV0LTpwn() *V0LTpwn {
 	}
 }
 
-// Name implements Attack.
+// Name identifies the campaign in its results.
 func (*V0LTpwn) Name() string { return "v0ltpwn" }
 
 // Run implements Attack.

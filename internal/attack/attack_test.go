@@ -249,7 +249,7 @@ func TestAttackMatrixAllThreeCPUs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !res.Succeeded {
-					t.Errorf("%s undefended on %s: %s (%s)", a.Name(), model, res, res.Notes)
+					t.Errorf("%s undefended on %s: %s (%s)", res.Attack, model, res, res.Notes)
 				}
 			}
 			// Guarded: every attack fails with zero faults.
@@ -268,7 +268,7 @@ func TestAttackMatrixAllThreeCPUs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if res.Succeeded || res.FaultsObserved != 0 {
-					t.Errorf("%s beat the guard on %s: %s", a.Name(), model, res)
+					t.Errorf("%s beat the guard on %s: %s", res.Attack, model, res)
 				}
 			}
 		})

@@ -63,7 +63,7 @@ func DefaultRedTeam(seed int64) *RedTeam {
 	}
 }
 
-// Name implements Attack.
+// Name identifies the campaign in its results.
 func (*RedTeam) Name() string { return "redteam" }
 
 // offsetMV maps an offset-axis index to millivolts.

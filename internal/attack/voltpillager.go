@@ -45,7 +45,7 @@ func DefaultVoltPillager() *VoltPillager {
 	}
 }
 
-// Name implements Attack.
+// Name identifies the campaign in its results.
 func (*VoltPillager) Name() string { return "voltpillager" }
 
 // inject issues a raw SVID command to the victim core's regulator — the

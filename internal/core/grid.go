@@ -163,7 +163,6 @@ func (g *Grid) UnsafeSet() *UnsafeSet {
 			u.OnsetMV[f] = onset
 		}
 	}
-	u.precomputeFallback()
 	return u
 }
 
@@ -188,34 +187,15 @@ func GridFromJSON(data []byte) (*Grid, error) {
 // "offset at or below the boundary". Frequencies between characterized
 // points resolve to the more conservative (shallower) neighbouring
 // boundary, so interpolation can only over-protect, never under-protect.
+// The guard polls the RatioLUT that Compile builds from the set, so its
+// lookups, off-grid scan included, run once per ratio at deployment and
+// never on the poll path.
 type UnsafeSet struct {
 	Model    string      `json:"model"`
 	FreqsKHz []int       `json:"freqs_khz"`
 	OnsetMV  map[int]int `json:"onset_mv"`
 	// FloorMV is the deepest swept offset (context for consumers).
 	FloorMV int `json:"floor_mv"`
-
-	// fallbackMV/fallbackOK cache the global shallowest onset, the
-	// conservative answer for off-grid frequencies whose neighbours are
-	// entirely safe. The constructors (Grid.UnsafeSet, UnsafeSetFromJSON)
-	// precompute it so that case never iterates OnsetMV on the guard's poll
-	// path; hand-built literals (fallbackReady false) fall back to a live
-	// scan with identical results.
-	fallbackMV    int
-	fallbackOK    bool
-	fallbackReady bool
-}
-
-// precomputeFallback caches the global shallowest onset boundary.
-func (u *UnsafeSet) precomputeFallback() {
-	u.fallbackMV, u.fallbackOK = 0, false
-	for _, onset := range u.OnsetMV {
-		if !u.fallbackOK || onset > u.fallbackMV {
-			u.fallbackMV = onset
-			u.fallbackOK = true
-		}
-	}
-	u.fallbackReady = true
 }
 
 // boundaryFor resolves the onset boundary for an arbitrary frequency.
@@ -248,9 +228,6 @@ func (u *UnsafeSet) boundaryFor(freqKHz int) (int, bool) {
 	if !found {
 		// Neighbours entirely safe; fall back to the global shallowest
 		// boundary for conservatism.
-		if u.fallbackReady {
-			return u.fallbackMV, u.fallbackOK
-		}
 		for _, onset := range u.OnsetMV {
 			if !found || onset > best {
 				best = onset

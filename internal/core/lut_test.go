@@ -114,34 +114,6 @@ func TestLUTCompileValidation(t *testing.T) {
 	}
 }
 
-// TestFallbackPrecomputeMatchesScan checks the satellite optimization: the
-// constructor-precomputed global-shallowest fallback answers exactly like
-// the live OnsetMV scan a hand-built literal still uses.
-func TestFallbackPrecomputeMatchesScan(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		literal := buildUnsafeSet(seed, 100) // fallbackReady = false
-		data, err := literal.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		precomputed, err := UnsafeSetFromJSON(data) // fallbackReady = true
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !precomputed.fallbackReady || literal.fallbackReady {
-			t.Fatal("fallback readiness wiring broken")
-		}
-		for f := 0; f <= 5_200_000; f += 17_000 {
-			b1, ok1 := literal.boundaryFor(f)
-			b2, ok2 := precomputed.boundaryFor(f)
-			if b1 != b2 || ok1 != ok2 {
-				t.Fatalf("seed %d freq %d: literal (%d,%v) vs precomputed (%d,%v)",
-					seed, f, b1, ok1, b2, ok2)
-			}
-		}
-	}
-}
-
 // FuzzLUTContainsEquivalence is the randomized half of the tentpole's
 // equivalence proof: arbitrary (set shape, margin, offset, ratio) tuples,
 // including off-grid frequencies and the empty set, must agree between the

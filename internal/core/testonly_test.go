@@ -103,7 +103,6 @@ func UnsafeSetFromJSON(data []byte) (*UnsafeSet, error) {
 	if err := json.Unmarshal(data, &u); err != nil {
 		return nil, err
 	}
-	u.precomputeFallback()
 	return &u, nil
 }
 

@@ -58,12 +58,6 @@ var throughputCPI = map[Class]float64{
 	ClassALU:  0.25,
 }
 
-// resolvedPath is one cached PathByName result (see Core.analysis).
-type resolvedPath struct {
-	name string
-	path timing.Path
-}
-
 // Core is one simulated CPU core.
 type Core struct {
 	index int
@@ -94,11 +88,8 @@ type Core struct {
 	// a newer P-state command pre-empts it. The zero Event is inert, so no
 	// nil checks are needed around Cancel.
 	pendingUp sim.Event
-	// pathCache holds the timing paths this core has resolved by name (at
-	// most one per path in the circuit; linear-scanned).
-	pathCache []resolvedPath
-	// op memoizes run's probabilities at the last live operating point it
-	// executed at.
+	// op memoizes run's and RunBatch's probabilities at the last live
+	// operating point either executed at.
 	op opMemo
 	// energy, when set, is touched at every commanded operating-point
 	// transition so the platform's joule integrator closes the previous
@@ -225,9 +216,9 @@ func (c *Core) SetRatio(ratio uint8) error {
 
 // opMemo is the control-path and class fault probabilities of one class
 // at one live (PLL ratio, rail mV) point. Both are pure functions of that
-// key, so an instruction at an unchanged point reads them back bit for bit
-// without converting the point, resolving paths or touching the timing
-// memos. The zero memo matches no instruction: no class is empty.
+// key, so an instruction or batch at an unchanged point reads them back
+// bit for bit without converting the point or evaluating Eq. 1. The zero
+// memo matches no instruction: no class is empty.
 type opMemo struct {
 	class          Class
 	ratio          uint8
@@ -236,48 +227,40 @@ type opMemo struct {
 }
 
 // memoize sets the memo to CrashProbability() and FaultProbability(class)
-// at the live point, whose PLL ratio and rail output are ratio and railMV.
+// at the live point, whose PLL ratio and rail output are ratio and railMV,
+// from one pair evaluation of Eq. 1.
 func (c *Core) memoize(class Class, ratio uint8, railMV float64) {
-	f, v := c.PLL.FreqGHz(), c.VoltageV()
-	pCrash := c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
-	pFault := c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
+	pCrash, pFault := c.probabilities(class, c.PLL.FreqGHz(), c.VoltageV())
 	c.op = opMemo{class: class, ratio: ratio, railMV: railMV, pCrash: pCrash, pFault: pFault}
 }
 
-// resolve returns the circuit path for name, caching the lookup per core
-// (the circuit's path set is immutable; linear scan over at most a handful
-// of entries).
-func (c *Core) resolve(path string) timing.Path {
-	for i := range c.pathCache {
-		if c.pathCache[i].name == path {
-			return c.pathCache[i].path
-		}
-	}
-	p, ok := c.circ.PathByName(path)
-	if !ok {
-		panic(fmt.Sprintf("cpu: unknown timing path %q", path))
-	}
-	c.pathCache = append(c.pathCache, resolvedPath{name: path, path: p})
-	return p
+// probabilities returns the per-instruction control-path violation and
+// class fault probabilities at (freqGHz, voltageV), from one pair
+// evaluation of Eq. 1.
+func (c *Core) probabilities(class Class, freqGHz, voltageV float64) (pCrash, pFault float64) {
+	ctl, cls := c.circ.AnalyzePair(c.path(models.PathControl), c.path(string(class)), freqGHz, voltageV)
+	return c.circ.FaultProbability(ctl), c.circ.FaultProbability(cls)
 }
 
-// analysis runs Eq. 1 for the class at the live operating point. Resolved
-// paths are cached per core, because RunBatch consults the control and
-// class paths on every batch.
-func (c *Core) analysis(path string) timing.Analysis {
-	return c.circ.Analyze(c.resolve(path), c.PLL.FreqGHz(), c.VoltageV())
+// path returns the circuit's timing path of the given name.
+func (c *Core) path(name string) timing.Path {
+	p, ok := c.circ.PathByName(name)
+	if !ok {
+		panic(fmt.Sprintf("cpu: unknown timing path %q", name))
+	}
+	return p
 }
 
 // FaultProbability returns the per-instruction fault probability of the
 // class at the live operating point.
 func (c *Core) FaultProbability(class Class) float64 {
-	return c.circ.FaultProbability(c.analysis(string(class)))
+	return c.circ.FaultProbability(c.circ.Analyze(c.path(string(class)), c.PLL.FreqGHz(), c.VoltageV()))
 }
 
 // CrashProbability returns the per-instruction probability of a
 // control-path violation at the live operating point.
 func (c *Core) CrashProbability() float64 {
-	return c.circ.FaultProbability(c.analysis(models.PathControl))
+	return c.circ.FaultProbability(c.circ.Analyze(c.path(models.PathControl), c.PLL.FreqGHz(), c.VoltageV()))
 }
 
 // BatchUpsetProbability lifts a per-instruction upset probability p to the
@@ -318,8 +301,7 @@ func (c *Core) PredictPoint(offsetMV int) (freqGHz, voltV float64) {
 // tamper check.
 func (c *Core) PredictProbabilities(class Class, offsetMV int) (pFault, pCrash float64) {
 	f, v := c.PredictPoint(offsetMV)
-	pFault = c.circ.FaultProbability(c.circ.Analyze(c.resolve(string(class)), f, v))
-	pCrash = c.circ.FaultProbability(c.circ.Analyze(c.resolve(models.PathControl), f, v))
+	pCrash, pFault = c.probabilities(class, f, v)
 	return pFault, pCrash
 }
 
@@ -433,8 +415,12 @@ func (c *Core) RunBatch(class Class, n int) (BatchResult, error) {
 	if !ok {
 		return BatchResult{}, fmt.Errorf("cpu: unknown instruction class %q", class)
 	}
+	ratio, railMV := c.PLL.Ratio(), c.VR.OutputMV()
+	if m := &c.op; m.class != class || m.ratio != ratio || m.railMV != railMV {
+		c.memoize(class, ratio, railMV)
+	}
+	pCrash, pFault := c.op.pCrash, c.op.pFault
 	var res BatchResult
-	pCrash := c.CrashProbability()
 	executed := n
 	if pCrash > 0 {
 		// P(crash within n) = 1-(1-p)^n; if it happens, the crash point is
@@ -447,7 +433,6 @@ func (c *Core) RunBatch(class Class, n int) (BatchResult, error) {
 		}
 	}
 	res.Executed = executed
-	pFault := c.FaultProbability(class)
 	res.Faults = binomial(c.simr, executed, pFault)
 	c.Retired += uint64(executed)
 	c.Faulted += uint64(res.Faults)
@@ -603,9 +588,8 @@ func (p *Platform) newCore(i int) (*Core, error) {
 // Reset returns the platform to NewPlatform(p.Spec, seed)'s state in place:
 // the simulator reset to seed, every core powered on with zero Retired and
 // Faulted counts, no reboots, the default reboot time, a fresh energy
-// integral and no span tracer or flight recorder attached. The circuits'
-// timing memos survive, since they are pure functions of the spec. Once
-// the platform has run, Reset allocates nothing.
+// integral and no span tracer or flight recorder attached. Once the
+// platform has run, Reset allocates nothing.
 func (p *Platform) Reset(seed int64) {
 	// Cancel the relocks in flight while their handles still name live
 	// events: the simulator reset recycles every slot.

@@ -519,8 +519,8 @@ func TestSettleCommandedReportsUnrealizedPoint(t *testing.T) {
 }
 
 // TestNewPlatformConstructionCost pins what a platform that never draws
-// and never evaluates timing pays to exist: the RNG stays unseeded and only
-// the victim's timing memo would ever be allocated. Fleet machines and each
+// and never evaluates timing pays to exist: the RNG stays unseeded, and
+// every core shares the spec's timing circuit. Fleet machines and each
 // characterizer worker's first row build one per seed, so each build here
 // uses a distinct seed.
 func TestNewPlatformConstructionCost(t *testing.T) {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"plugvolt/internal/msr"
@@ -134,5 +135,77 @@ func TestOpMemoMatchesReference(t *testing.T) {
 	if faults == 0 || crashes == 0 || len(ratios) < 2 || misses < 100 {
 		t.Fatalf("walk too weak: %d faults, %d crashes, %d frequencies, %d memo changes in %d retired",
 			faults, crashes, len(ratios), misses, lc.Retired)
+	}
+}
+
+// TestRunBatchMemoMatchesFresh drives twin platforms through undervolts
+// and up-transitions, with batches at the settled low P-state, at the high
+// P-state's rail before the PLL relocks, and at the settled high P-state,
+// and through class switches. One runs RunBatch through the op memo; the
+// twin clears the memo before every batch, so each of its batches
+// evaluates Eq. 1 afresh. Results, errors, counters and the next
+// simulator draw must agree.
+func TestRunBatchMemoMatchesFresh(t *testing.T) {
+	live, fresh := newSkyLake(t, 5), newSkyLake(t, 5)
+	lc, fc := live.Core(0), fresh.Core(0)
+	faults, crashes, relocking := 0, 0, 0
+	both := func(step func(p *Platform) error) {
+		t.Helper()
+		for _, p := range []*Platform{live, fresh} {
+			if err := step(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// batches runs one batch per class on both twins and reports whether
+	// they crashed (and were rebooted).
+	batches := func(where string, classes ...Class) bool {
+		t.Helper()
+		for _, class := range classes {
+			fc.op = opMemo{}
+			got, gotErr := lc.RunBatch(class, 50_000)
+			want, wantErr := fc.RunBatch(class, 50_000)
+			if got != want || gotErr != wantErr || lc.Retired != fc.Retired || lc.Faulted != fc.Faulted {
+				t.Fatalf("%s, %s: memo %+v, %v; fresh %+v, %v", where, class, got, gotErr, want, wantErr)
+			}
+			faults += got.Faults
+			if errors.Is(gotErr, ErrCrashed) {
+				crashes++
+				live.Reboot()
+				fresh.Reboot()
+				return true
+			}
+		}
+		return false
+	}
+	for off := 0; off >= -300; off -= 20 {
+		where := fmt.Sprintf("%d mV", off)
+		both(func(p *Platform) error { return p.SetRatioViaMSR(0, 20) })
+		both(func(p *Platform) error { return p.WriteOffsetViaMSR(0, off, msr.PlaneCore) })
+		both(func(p *Platform) error { return p.SettleCommanded(0) })
+		if batches(where+" at ratio 20", ClassIMul, ClassIMul, ClassAES, ClassIMul) {
+			continue
+		}
+		both(func(p *Platform) error { return p.SetRatioViaMSR(0, 36) })
+		both(func(p *Platform) error {
+			for !p.Core(0).VR.Settled() {
+				p.Sim.RunFor(sim.Microsecond)
+			}
+			return nil
+		})
+		if lc.VR.Settled() && lc.Ratio() == 20 {
+			relocking++
+		}
+		if batches(where+" relocking to 36", ClassIMul) {
+			continue
+		}
+		both(func(p *Platform) error { return p.SettleCommanded(0) })
+		batches(where+" at ratio 36", ClassIMul, ClassAES, ClassIMul)
+	}
+	if got, want := live.Sim.Rand().Int63(), fresh.Sim.Rand().Int63(); got != want {
+		t.Fatalf("next Sim.Rand() draw %d, fresh twin %d", got, want)
+	}
+	if faults == 0 || crashes == 0 || relocking == 0 {
+		t.Fatalf("walk too weak: %d faults, %d crashes, %d batches on a settled rail before the relock", faults, crashes, relocking)
 	}
 }

@@ -63,9 +63,6 @@ type Countermeasure interface {
 	// *safe* undervolt while the defense is active and an enclave exists —
 	// the paper's availability criterion.
 	AllowsBenignDVFS() bool
-	// HardwareLevel reports whether the defense could be implemented below
-	// the kernel (microcode or MSR), per the paper's Sec. 5 criterion.
-	HardwareLevel() bool
 }
 
 // None is the undefended baseline.
@@ -82,9 +79,6 @@ func (None) Uninstall(*Env) error { return nil }
 
 // AllowsBenignDVFS implements Countermeasure.
 func (None) AllowsBenignDVFS() bool { return true }
-
-// HardwareLevel implements Countermeasure.
-func (None) HardwareLevel() bool { return false }
 
 // AccessControl models Intel's SA-00289 response: while any enclave exists,
 // writes to the OC mailbox general-protection fault, and the lockdown is
@@ -141,11 +135,6 @@ func (a *AccessControl) Uninstall(env *Env) error {
 // mailbox writes while an enclave exists, benign or not.
 func (*AccessControl) AllowsBenignDVFS() bool { return false }
 
-// HardwareLevel implements Countermeasure: SA-00289 is a microcode change,
-// but it gates access rather than states; the paper classifies it as an
-// access-control path fix, not a state-level hardware countermeasure.
-func (*AccessControl) HardwareLevel() bool { return false }
-
 // Polling is the paper's countermeasure packaged as a Countermeasure: the
 // Algorithm 3 kernel module plus the attestation-report extension.
 type Polling struct {
@@ -190,11 +179,6 @@ func (p *Polling) Uninstall(env *Env) error {
 // AllowsBenignDVFS implements Countermeasure: safe-region undervolts are
 // untouched by Algorithm 3.
 func (*Polling) AllowsBenignDVFS() bool { return true }
-
-// HardwareLevel implements Countermeasure: the kernel-module deployment is
-// software, but the safe-state characterization admits the deeper variants
-// below; the module itself is not hardware-level.
-func (*Polling) HardwareLevel() bool { return false }
 
 // Microcode is the Sec. 5.1 deployment: a microcode hook on wrmsr 0x150
 // silently ignores writes that would violate the maximal safe state
@@ -254,9 +238,6 @@ func (m *Microcode) Uninstall(env *Env) error {
 // AllowsBenignDVFS implements Countermeasure: undervolts within the maximal
 // safe state pass through.
 func (*Microcode) AllowsBenignDVFS() bool { return true }
-
-// HardwareLevel implements Countermeasure.
-func (*Microcode) HardwareLevel() bool { return true }
 
 // ClampMSR is the Sec. 5.2 deployment: a new MSR_VOLTAGE_OFFSET_LIMIT
 // (modelled at 0x154) holds the maximal safe state, and writes to 0x150
@@ -319,6 +300,3 @@ func (c *ClampMSR) Uninstall(env *Env) error {
 
 // AllowsBenignDVFS implements Countermeasure.
 func (*ClampMSR) AllowsBenignDVFS() bool { return true }
-
-// HardwareLevel implements Countermeasure.
-func (*ClampMSR) HardwareLevel() bool { return true }

@@ -67,7 +67,7 @@ func TestEnvValidate(t *testing.T) {
 func TestNoneBaseline(t *testing.T) {
 	env := newEnv(t, 1)
 	var n None
-	if n.Name() != "none" || !n.AllowsBenignDVFS() || n.HardwareLevel() {
+	if n.Name() != "none" || !n.AllowsBenignDVFS() {
 		t.Fatal("None properties wrong")
 	}
 	if err := n.Install(env); err != nil {
@@ -196,7 +196,7 @@ func TestMicrocodeWriteIgnore(t *testing.T) {
 	if mc.Ignored != 1 {
 		t.Fatalf("Ignored = %d", mc.Ignored)
 	}
-	if !mc.AllowsBenignDVFS() || !mc.HardwareLevel() {
+	if !mc.AllowsBenignDVFS() {
 		t.Fatal("microcode properties wrong")
 	}
 	if err := mc.Uninstall(env); err != nil {
@@ -254,7 +254,7 @@ func TestClampMSR(t *testing.T) {
 	if got := c.OffsetMV(); got > benign+2 || got < benign-2 {
 		t.Fatalf("benign offset %d, want %d", got, benign)
 	}
-	if !cl.AllowsBenignDVFS() || !cl.HardwareLevel() {
+	if !cl.AllowsBenignDVFS() {
 		t.Fatal("clamp properties wrong")
 	}
 	if err := cl.Uninstall(env); err != nil {
@@ -479,8 +479,8 @@ func TestMinefieldValidation(t *testing.T) {
 }
 
 func TestCountermeasureMatrixProperties(t *testing.T) {
-	// Experiment E2's static columns: who allows benign DVFS, who can sink
-	// to hardware.
+	// Experiment E2's benign-DVFS column: who still lets a benign process
+	// undervolt while an enclave exists.
 	env := newEnv(t, 10)
 	unsafe, grid := characterize(t, env)
 	pol, err := NewPolling(unsafe, env.Platform.Spec.BusMHz, core.DefaultGuardConfig())
@@ -496,13 +496,9 @@ func TestCountermeasureMatrixProperties(t *testing.T) {
 		&ClampMSR{LimitMV: msv},
 	}
 	wantBenign := []bool{true, false, true, true, true}
-	wantHW := []bool{false, false, false, true, true}
 	for i, cm := range all {
 		if cm.AllowsBenignDVFS() != wantBenign[i] {
 			t.Errorf("%s: benign DVFS = %v", cm.Name(), cm.AllowsBenignDVFS())
-		}
-		if cm.HardwareLevel() != wantHW[i] {
-			t.Errorf("%s: hardware level = %v", cm.Name(), cm.HardwareLevel())
 		}
 	}
 }

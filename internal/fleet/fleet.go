@@ -20,9 +20,10 @@
 // -workers value.
 //
 // Model specs are shared: one *models.Spec per distinct model serves every
-// machine of that model, so the validated timing-circuit template and the
-// derived frequency/voltage tables (models' derived cache, timing
-// Clone/Prepare) are built once per model, not once per machine.
+// machine of that model, so the validated timing circuit and the derived
+// frequency/voltage tables (models' derived cache) are built once per
+// model, not once per machine, and every core of every machine reads the
+// same circuit.
 package fleet
 
 import (

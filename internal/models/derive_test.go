@@ -3,6 +3,8 @@ package models
 import (
 	"math"
 	"testing"
+
+	"plugvolt/internal/timing"
 )
 
 // TestNominalMVTableBitExact checks the precomputed per-ratio voltage table
@@ -41,9 +43,9 @@ func TestNominalMVTableBitExact(t *testing.T) {
 	}
 }
 
-// TestCircuitReturnsPrivateClones verifies repeated Circuit calls hand out
-// distinct circuits (private delay memos) that analyze identically.
-func TestCircuitReturnsPrivateClones(t *testing.T) {
+// TestCircuitReturnsOneCircuit verifies every Circuit call returns the one
+// circuit the Spec built, so all cores built from the Spec share it.
+func TestCircuitReturnsOneCircuit(t *testing.T) {
 	s, err := SkyLake()
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +58,54 @@ func TestCircuitReturnsPrivateClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 == c2 {
-		t.Fatal("Circuit returned the same pointer twice; clones must be private")
+	if c1 != c2 {
+		t.Fatal("Circuit returned two circuits for one Spec")
 	}
-	a1, a2 := worstSlack(c1, 3.6, 1.17), worstSlack(c2, 3.6, 1.17)
-	if math.Float64bits(a1.SlackPS) != math.Float64bits(a2.SlackPS) {
-		t.Fatalf("clones disagree: %v vs %v", a1.SlackPS, a2.SlackPS)
+}
+
+// TestAnalyzePairMatchesAnalyze is the differential test of the pair
+// evaluation: for every model, every ordered pair of its paths and a sweep
+// of operating points from Vth to above nominal, AnalyzePair's two
+// results equal Analyze's bit for bit, and so do their fault probabilities.
+func TestAnalyzePairMatchesAnalyze(t *testing.T) {
+	specs, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(a timing.Analysis) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(a.FreqGHz), math.Float64bits(a.VoltageV), math.Float64bits(a.TclkPS),
+			math.Float64bits(a.ArrivalPS), math.Float64bits(a.RequiredPS), math.Float64bits(a.SlackPS),
+		}
+	}
+	for _, s := range specs {
+		c, err := s.Circuit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, khz := range s.FreqTableKHz() {
+			f := float64(khz) / 1e6
+			for mv := 200; mv <= 1300; mv += 11 {
+				v := float64(mv) / 1000
+				if mv == 200 {
+					v = s.Tech.Vth // the +Inf delay corner
+				}
+				for _, p := range c.Paths {
+					for _, q := range c.Paths {
+						gp, gq := c.AnalyzePair(p, q, f, v)
+						wp, wq := c.Analyze(p, f, v), c.Analyze(q, f, v)
+						if gp.Path != wp.Path || gq.Path != wq.Path || bits(gp) != bits(wp) || bits(gq) != bits(wq) {
+							t.Fatalf("%s (%s, %s) at %v GHz %v V: pair %+v %+v, single %+v %+v",
+								s.Codename, p.Name, q.Name, f, v, gp, gq, wp, wq)
+						}
+						if math.Float64bits(c.FaultProbability(gp)) != math.Float64bits(c.FaultProbability(wp)) ||
+							math.Float64bits(c.FaultProbability(gq)) != math.Float64bits(c.FaultProbability(wq)) {
+							t.Fatalf("%s (%s, %s) at %v GHz %v V: fault probabilities differ", s.Codename, p.Name, q.Name, f, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ type Spec struct {
 	ControlDepth float64
 
 	// derived caches the pure derivations every hot path re-requests: the
-	// validated circuit template, the frequency table, the nominal V/f
+	// validated timing circuit, the frequency table, the nominal V/f
 	// curve, and the values callers park through Memo. Calibrate
 	// invalidates it; other fields must not be mutated once a Spec is in
 	// use (the shared-across-workers contract FactoryFor already imposes).
@@ -84,7 +84,7 @@ type Spec struct {
 // published via atomic pointer; every field but memo is read-only after
 // publication, and memo synchronizes itself.
 type derivedSpec struct {
-	circ    *timing.Circuit // validated, fully indexed template (nil before Calibrate)
+	circ    *timing.Circuit // validated circuit every core shares (nil before Calibrate)
 	circErr error
 	freqKHz []int
 	nomMV   []float64 // indexed by ratio - MinRatio
@@ -106,9 +106,6 @@ func (s *Spec) derive() *derivedSpec {
 	}
 	if s.Tech.K != 0 {
 		d.circ, d.circErr = s.buildCircuit()
-		if d.circ != nil {
-			d.circ.Prepare()
-		}
 	}
 	// Concurrent first callers may race to build; any winner's copy is
 	// equivalent, so publish with CompareAndSwap and reload.
@@ -199,10 +196,11 @@ func (s *Spec) Calibrate() error {
 	return s.Tech.Validate()
 }
 
-// Circuit returns the per-core timing circuit for the model. Calibrate must
-// have been called (Tech.K non-zero). The circuit is built and validated
-// once per Spec; each call returns a cheap clone of the cached template, so
-// every core gets a private delay memo over shared, prepared path tables.
+// Circuit returns the model's timing circuit. Calibrate must have been
+// called (Tech.K non-zero). The circuit is built and validated once per
+// Spec, and every call returns that same circuit: analysis only reads it,
+// so every core of every platform built from the Spec shares it, and
+// callers must not mutate it.
 func (s *Spec) Circuit() (*timing.Circuit, error) {
 	if s.Tech.K == 0 {
 		return nil, fmt.Errorf("models: %s: Circuit before Calibrate", s.Codename)
@@ -216,7 +214,7 @@ func (s *Spec) Circuit() (*timing.Circuit, error) {
 		// directly rather than serve a stale miss.
 		return s.buildCircuit()
 	}
-	return d.circ.Clone(), nil
+	return d.circ, nil
 }
 
 // buildCircuit constructs and validates the circuit from the model tables.

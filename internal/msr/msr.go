@@ -307,11 +307,6 @@ type File struct {
 	descsBuf [fileSlots]*Descriptor
 	stdBuf   [len(stdDescriptors)]Descriptor
 
-	// Reads and Writes count successful operations, used by the kernel
-	// cost model to charge rdmsr/wrmsr time.
-	Reads  uint64
-	Writes uint64
-
 	// spans, when set, receives one causal span per OC-mailbox voltage
 	// write command (the security-relevant wrmsr every DVFS attack and the
 	// guard's rewrite go through), tagged with the decoded offset and the
@@ -341,9 +336,9 @@ func NewFile(core int) *File {
 
 // Reset returns the file to NewFile's state in place: only the standard
 // registers declared, each at its reset value with no ReadFn, Apply or
-// write hooks, zero hook stats and Reads/Writes counts, and no span tracer
-// or flight recorder attached. Registers declared beyond the standard set
-// are dropped. It allocates nothing.
+// write hooks, zero hook stats, and no span tracer or flight recorder
+// attached. Registers declared beyond the standard set are dropped. It
+// allocates nothing.
 func (f *File) Reset() {
 	f.addrs = f.addrsBuf[:0]
 	f.vals = f.valsBuf[:0]
@@ -352,7 +347,6 @@ func (f *File) Reset() {
 	for i := range f.stdBuf {
 		f.Declare(&f.stdBuf[i])
 	}
-	f.Reads, f.Writes = 0, 0
 	f.spans, f.flight = nil, nil
 }
 
@@ -432,7 +426,6 @@ func (f *File) Read(addr Addr) (uint64, error) {
 		return 0, &GPFault{Addr: addr, Op: "rdmsr", Why: "unimplemented MSR"}
 	}
 	d := f.descs[i]
-	f.Reads++
 	if d.ReadFn != nil {
 		return d.ReadFn(f)
 	}
@@ -534,7 +527,6 @@ func (f *File) Write(addr Addr, val uint64) error {
 	if j := f.index(addr); j >= 0 {
 		f.vals[j] = v
 	}
-	f.Writes++
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
+	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 )
 
@@ -244,7 +245,11 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	if m.Transitions == 0 {
 		t.Fatal("precondition: no transitions")
 	}
-	writes := p.MSRFile(0).Writes
+	writes := 0
+	p.MSRFile(0).AddWriteHook(msr.IA32PerfCtl, func(_ *msr.File, _, v uint64) (uint64, error) {
+		writes++
+		return v, nil
+	})
 	m.Reset()
 	fresh, err := NewManager(p.Sim, p, nil)
 	if err != nil {
@@ -257,8 +262,8 @@ func TestManagerResetMatchesNew(t *testing.T) {
 			t.Errorf("core %d: reset policy %+v, new one %+v", i, got, want)
 		}
 	}
-	if m.SamplePeriod != fresh.SamplePeriod || m.Transitions != 0 || p.MSRFile(0).Writes != writes {
-		t.Errorf("reset: period %v transitions %d, %d P-state writes", m.SamplePeriod, m.Transitions, p.MSRFile(0).Writes-writes)
+	if m.SamplePeriod != fresh.SamplePeriod || m.Transitions != 0 || writes != 0 {
+		t.Errorf("reset: period %v transitions %d, %d P-state writes", m.SamplePeriod, m.Transitions, writes)
 	}
 	// Core 0 still runs at 1.2 GHz: a live loop would move it to the top.
 	if err := m.SetGovernor(0, GovOndemand); err != nil {

@@ -31,9 +31,6 @@ func TestTwentyThreeBenchmarks(t *testing.T) {
 		default:
 			t.Errorf("%s: unknown suite %q", b.Name, b.Suite)
 		}
-		if b.Kernel == nil {
-			t.Errorf("%s: nil kernel", b.Name)
-		}
 		if b.InstrPerUnit <= 0 || b.RefBaseRate <= 0 || b.RefPeakRate <= 0 {
 			t.Errorf("%s: bad parameters", b.Name)
 		}
@@ -87,40 +84,6 @@ func TestPaperReferenceRates(t *testing.T) {
 	}
 	if _, ok := ByName("599.nonexistent"); ok {
 		t.Fatal("found nonexistent benchmark")
-	}
-}
-
-func TestKernelsDeterministicAndDistinct(t *testing.T) {
-	a := Checksums()
-	b := Checksums()
-	if len(a) != 23 {
-		t.Fatalf("checksum count %d", len(a))
-	}
-	for name, v := range a {
-		if b[name] != v {
-			t.Errorf("%s: kernel not deterministic", name)
-		}
-	}
-	// All kernels must actually compute something different from each
-	// other (no copy-paste kernels).
-	inv := map[uint64][]string{}
-	for name, v := range a {
-		inv[v] = append(inv[v], name)
-	}
-	for v, names := range inv {
-		if len(names) > 1 {
-			t.Errorf("kernels %v share checksum %x", names, v)
-		}
-	}
-}
-
-func TestKernelsScaleWithWork(t *testing.T) {
-	// Doubling n must change the state evolution for (nearly) all kernels:
-	// a kernel ignoring n would be a stub.
-	for _, b := range All() {
-		if b.Kernel(2) == b.Kernel(1) && b.Kernel(3) == b.Kernel(1) {
-			t.Errorf("%s: kernel output independent of work amount", b.Name)
-		}
 	}
 }
 
@@ -283,18 +246,5 @@ func TestStolenTimeActuallySlowsRates(t *testing.T) {
 	}
 	if row.BaseSlowdownPct > -1 {
 		t.Fatalf("slowdown %.3f%% too small for 1000x cost inflation", row.BaseSlowdownPct)
-	}
-}
-
-func BenchmarkNativeKernels(b *testing.B) {
-	for _, bench := range All() {
-		bench := bench
-		b.Run(bench.Name, func(b *testing.B) {
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				sink ^= bench.Kernel(10)
-			}
-			_ = sink
-		})
 	}
 }

@@ -11,12 +11,3 @@ func ByName(name string) (*Benchmark, bool) {
 	}
 	return nil, false
 }
-
-// Checksums runs every kernel once (one unit) and returns name->checksum.
-func Checksums() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, b := range All() {
-		out[b.Name] = b.Kernel(1)
-	}
-	return out
-}

@@ -19,6 +19,8 @@ type BucketCount struct {
 
 // SeriesSnapshot is one labeled series frozen at snapshot time.
 type SeriesSnapshot struct {
+	// Labels is read-only: Registry.Snapshot shares the registry's own map
+	// for the series, and MergeSnapshots shares its inputs' maps.
 	Labels Labels `json:"labels,omitempty"`
 	// Value carries counters and gauges.
 	Value float64 `json:"value"`
@@ -72,7 +74,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		sort.Strings(sigs)
 		for _, sig := range sigs {
 			s := f.series[sig]
-			ss := SeriesSnapshot{Labels: s.labels.clone(), sig: sig}
+			ss := SeriesSnapshot{Labels: s.labels, sig: sig}
 			if f.kind == KindHistogram {
 				ss.Count = s.n
 				ss.Sum = s.sum
@@ -215,7 +217,6 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 				i, ok := f.idx[sig]
 				if !ok {
 					cp := ss
-					cp.Labels = ss.Labels.clone()
 					cp.Buckets = append([]BucketCount(nil), ss.Buckets...)
 					cp.sig = sig
 					f.idx[sig] = len(f.m.Series)

@@ -84,22 +84,11 @@ type Path struct {
 // Depth returns the total gate depth of the path.
 func (p Path) Depth() float64 { return p.SrcDepth + p.PropDepth }
 
-// delayCacheBits sizes the per-circuit voltage→unit-delay memo. Operating
-// points are quantized to the (kHz, mV) grid, so a sweep touches only a
-// handful of distinct voltages per circuit; 64 direct-mapped slots make the
-// alpha-power math.Pow a table lookup in the inner loop.
-const (
-	delayCacheBits = 6
-	delayCacheSize = 1 << delayCacheBits
-)
-
 // Circuit is a set of timing paths sharing a clock and a voltage plane,
 // plus the clock-uncertainty model.
 //
-// Analysis methods lazily build and update internal lookup caches, so a
-// Circuit is NOT safe for concurrent use; hand each concurrent owner its
-// own copy via Clone. Paths must not be mutated after the first analysis
-// call (appending paths is detected and re-indexes).
+// Analysis only reads the circuit, so one circuit can serve every core of
+// every platform at once; it must not be mutated while in use.
 type Circuit struct {
 	Tech AlphaPower
 	// EpsPS is the worst-case clock uncertainty T_eps in picoseconds
@@ -111,88 +100,6 @@ type Circuit struct {
 	// matches the empirically fuzzy fault-onset bands in Figs. 2-4.
 	JitterSigmaPS float64
 	Paths         []Path
-
-	// byName maps path name to index (first occurrence wins, matching the
-	// historical linear scan). It is rebuilt whenever idxLen disagrees with
-	// len(Paths). Clones share it read-only.
-	byName map[string]int
-	idxLen int
-	// memo is allocated on the first unitDelay/FaultProbability call: most
-	// circuits (every core but a platform's victim) never evaluate timing,
-	// and the tables are ~2 KiB. Clones start without one, so each owner
-	// memoizes privately.
-	memo *memo
-}
-
-// memo holds the per-circuit direct-mapped lookup tables.
-type memo struct {
-	// dcKeys/dcVals is the voltage→unit-delay memo, keyed by the voltage's
-	// bit pattern. A zero key marks an empty slot: only v = +0.0 has zero
-	// bits, and Delay(+0) is either +Inf (short-circuited before the cache)
-	// or exactly the 0.0 an empty slot already holds.
-	dcKeys [delayCacheSize]uint64
-	dcVals [delayCacheSize]float64
-	// fpKeys/fpVals/fpSet memoize FaultProbability per slack bit pattern
-	// (sigma is fixed per circuit). The sweep revisits the same few dozen
-	// quantized operating points millions of times, and erfc was the last
-	// transcendental left in the inner loop.
-	fpKeys [delayCacheSize]uint64
-	fpVals [delayCacheSize]float64
-	fpSet  [delayCacheSize]bool
-}
-
-// tables returns the circuit's memo, allocating it on first use.
-func (c *Circuit) tables() *memo {
-	if c.memo == nil {
-		c.memo = new(memo)
-	}
-	return c.memo
-}
-
-// Clone returns a shallow copy sharing the immutable path slice and derived
-// lookup tables but with no memo of its own yet, so many cores can analyze
-// one validated circuit without rebuilding or contending on it.
-func (c *Circuit) Clone() *Circuit {
-	cp := *c
-	cp.memo = nil
-	return &cp
-}
-
-// Prepare eagerly builds the path index so that clones handed to
-// concurrent owners share it read-only instead of each building its own.
-func (c *Circuit) Prepare() {
-	c.ensureIndex()
-}
-
-func (c *Circuit) ensureIndex() {
-	if c.byName != nil && c.idxLen == len(c.Paths) {
-		return
-	}
-	c.byName = make(map[string]int, len(c.Paths))
-	for i := range c.Paths {
-		if _, dup := c.byName[c.Paths[i].Name]; !dup {
-			c.byName[c.Paths[i].Name] = i
-		}
-	}
-	c.idxLen = len(c.Paths)
-}
-
-// unitDelay is Tech.Delay(v) through the per-circuit memo. math.Pow is
-// deterministic, so the cached value is bit-for-bit the direct formula.
-func (c *Circuit) unitDelay(v float64) float64 {
-	if v <= c.Tech.Vth {
-		return math.Inf(1)
-	}
-	bits := math.Float64bits(v)
-	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	m := c.tables()
-	if m.dcKeys[h] == bits {
-		return m.dcVals[h]
-	}
-	d := c.Tech.Delay(v)
-	m.dcKeys[h] = bits
-	m.dcVals[h] = d
-	return d
 }
 
 // Analysis is the static-timing result of one path at one operating point.
@@ -213,8 +120,20 @@ type Analysis struct {
 // Analyze evaluates Eq. 1 for path p at the given core frequency (GHz) and
 // supply voltage (V).
 func (c *Circuit) Analyze(p Path, freqGHz, voltageV float64) Analysis {
+	return c.analyze(p, freqGHz, voltageV, c.Tech.Delay(voltageV))
+}
+
+// AnalyzePair evaluates Eq. 1 for paths p and q at one operating point. It
+// computes the alpha-power unit delay once for both, and each result is
+// bit for bit Analyze's.
+func (c *Circuit) AnalyzePair(p, q Path, freqGHz, voltageV float64) (Analysis, Analysis) {
+	unit := c.Tech.Delay(voltageV)
+	return c.analyze(p, freqGHz, voltageV, unit), c.analyze(q, freqGHz, voltageV, unit)
+}
+
+// analyze evaluates Eq. 1 for path p given the unit gate delay at voltageV.
+func (c *Circuit) analyze(p Path, freqGHz, voltageV, unit float64) Analysis {
 	tclk := 1000.0 / freqGHz // ps
-	unit := c.unitDelay(voltageV)
 	arrival := p.Depth() * unit
 	required := tclk - p.SetupPS - c.EpsPS
 	return Analysis{
@@ -235,9 +154,6 @@ func (c *Circuit) Analyze(p Path, freqGHz, voltageV float64) Analysis {
 // Phi(-s/sigma).
 //
 // With zero sigma the model is a hard threshold (fault iff slack < 0).
-//
-// Results are memoized per slack bit pattern; erfc is deterministic, so the
-// cached probability is bit-for-bit the direct evaluation.
 func (c *Circuit) FaultProbability(a Analysis) float64 {
 	if c.JitterSigmaPS <= 0 {
 		if a.SlackPS < 0 {
@@ -245,17 +161,7 @@ func (c *Circuit) FaultProbability(a Analysis) float64 {
 		}
 		return 0
 	}
-	bits := math.Float64bits(a.SlackPS)
-	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	m := c.tables()
-	if m.fpSet[h] && m.fpKeys[h] == bits {
-		return m.fpVals[h]
-	}
-	p := normalCDF(-a.SlackPS / c.JitterSigmaPS)
-	m.fpKeys[h] = bits
-	m.fpVals[h] = p
-	m.fpSet[h] = true
-	return p
+	return normalCDF(-a.SlackPS / c.JitterSigmaPS)
 }
 
 // normalCDF is the standard normal cumulative distribution function.
@@ -293,13 +199,12 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// PathByName returns the named path, or false. Lookups go through a lazily
-// built name index (first occurrence wins, as the old linear scan did).
+// PathByName returns the first path with the given name, or false.
 func (c *Circuit) PathByName(name string) (Path, bool) {
-	c.ensureIndex()
-	i, ok := c.byName[name]
-	if !ok {
-		return Path{}, false
+	for _, p := range c.Paths {
+		if p.Name == name {
+			return p, true
+		}
 	}
-	return c.Paths[i], true
+	return Path{}, false
 }

@@ -186,6 +186,45 @@ func TestPathByName(t *testing.T) {
 	}
 }
 
+// TestPathByNameAfterAppend verifies a lookup sees paths appended after an
+// earlier lookup.
+func TestPathByNameAfterAppend(t *testing.T) {
+	c := testCircuit()
+	if _, ok := c.PathByName(c.Paths[0].Name); !ok {
+		t.Fatal("existing path not found")
+	}
+	c.Paths = append(c.Paths, Path{Name: "late", SrcDepth: 0.1, PropDepth: 0.4, SetupPS: 20})
+	p, ok := c.PathByName("late")
+	if !ok || p.Name != "late" {
+		t.Fatalf("appended path not found: %+v, %v", p, ok)
+	}
+}
+
+// TestFaultProbabilityZeroSlack pins the Gaussian model's midpoint: a path
+// with zero slack faults with probability exactly 0.5.
+func TestFaultProbabilityZeroSlack(t *testing.T) {
+	c := testCircuit()
+	if got := c.FaultProbability(Analysis{SlackPS: 0}); got != 0.5 {
+		t.Fatalf("FaultProbability(slack=+0) = %v, want 0.5", got)
+	}
+}
+
+// TestAnalyzeZeroAlloc asserts that Analyze, AnalyzePair and
+// FaultProbability allocate nothing, from the first call on.
+func TestAnalyzeZeroAlloc(t *testing.T) {
+	c := testCircuit()
+	p, q := c.Paths[0], c.Paths[2]
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.FaultProbability(c.Analyze(p, 3.2, 0.8))
+		a, b := c.AnalyzePair(p, q, 3.2, 0.8)
+		c.FaultProbability(a)
+		c.FaultProbability(b)
+	})
+	if allocs != 0 {
+		t.Fatalf("Analyze+AnalyzePair+FaultProbability allocated %.1f per op, want 0", allocs)
+	}
+}
+
 // Property: fault probability is monotone nonincreasing in voltage — more
 // supply can never make a path less reliable in this model.
 func TestQuickFaultProbMonotoneInVoltage(t *testing.T) {

@@ -96,8 +96,8 @@ func NewSystem(model string, seed int64) (*System, error) {
 
 // NewSystemFromSpec boots a machine from an existing Spec. Systems built
 // from the same *Spec share its read-only derived cache — the validated
-// timing-circuit template (cloned per core via timing.Clone/Prepare), the
-// frequency table and the nominal-voltage table — so a caller booting many
+// timing circuit every core reads, the frequency table and the
+// nominal-voltage table — so a caller booting many
 // machines of one model (the fleet engine) pays the model preparation once
 // instead of per machine.
 func NewSystemFromSpec(spec *Spec, seed int64) (*System, error) {

@@ -231,16 +231,16 @@ func TestCampaignSpansClose(t *testing.T) {
 		spans := sys.Telemetry.Spans().Spans()
 		campaigns := 0
 		for _, s := range spans {
-			if s.Name == "campaign_"+atk.Name() {
+			if s.Name == "campaign_"+res.Attack {
 				campaigns++
 			}
 		}
 		if campaigns != 1 {
-			t.Fatalf("%s: %d campaign spans recorded, want 1", atk.Name(), campaigns)
+			t.Fatalf("%s: %d campaign spans recorded, want 1", res.Attack, campaigns)
 		}
 		if last := spans[len(spans)-1]; last.Name != "mailbox_write" || last.Parent != 0 {
 			t.Fatalf("%s: the write after the campaign is span %q with parent %x, want a root mailbox_write",
-				atk.Name(), last.Name, last.Parent)
+				res.Attack, last.Name, last.Parent)
 		}
 	}
 }
