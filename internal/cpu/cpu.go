@@ -215,15 +215,19 @@ func (c *Core) SetRatio(ratio uint8) error {
 }
 
 // opMemo is the control-path and class fault probabilities of one class
-// at one live (PLL ratio, rail mV) point. Both are pure functions of that
-// key, so an instruction or batch at an unchanged point reads them back
-// bit for bit without converting the point or evaluating Eq. 1. The zero
-// memo matches no instruction: no class is empty.
+// at one live (PLL ratio, rail mV) point, and each one's coin bound. All
+// are pure functions of that key, so an instruction or batch at an
+// unchanged point reads them back bit for bit without converting the point
+// or evaluating Eq. 1. The zero memo matches no instruction: no class is
+// empty.
 type opMemo struct {
 	class          Class
 	ratio          uint8
 	railMV         float64
 	pCrash, pFault float64
+	// bCrash and bFault are sim.CoinBound of pCrash and pFault: run's coins
+	// in integer form.
+	bCrash, bFault int64
 }
 
 // memoize sets the memo to CrashProbability() and FaultProbability(class)
@@ -231,7 +235,8 @@ type opMemo struct {
 // from one pair evaluation of Eq. 1.
 func (c *Core) memoize(class Class, ratio uint8, railMV float64) {
 	pCrash, pFault := c.probabilities(class, c.PLL.FreqGHz(), c.VoltageV())
-	c.op = opMemo{class: class, ratio: ratio, railMV: railMV, pCrash: pCrash, pFault: pFault}
+	c.op = opMemo{class: class, ratio: ratio, railMV: railMV, pCrash: pCrash, pFault: pFault,
+		bCrash: sim.CoinBound(pCrash), bFault: sim.CoinBound(pFault)}
 }
 
 // probabilities returns the per-instruction control-path violation and
@@ -349,6 +354,11 @@ func (c *Core) execALUOp(class Class, exact uint64) (uint64, bool, error) {
 // violation the core machine-checks, then the class's fault model. The run
 // stops at a crash or after the first faulted instruction, whose XOR mask
 // it returns (a mask is never zero). done counts the retired instructions.
+//
+// Each coin is rand.Rand.Float64() < p drawn in integer form on the
+// simulator's concrete source (sim.Source.Coin against the memoized
+// sim.CoinBound), so it reads the same stream bit for bit, and a
+// probability that is not positive draws no coin.
 func (c *Core) run(class Class, n int) (done int, mask uint64, err error) {
 	if n <= 0 {
 		return 0, 0, nil
@@ -360,19 +370,19 @@ func (c *Core) run(class Class, n int) (done int, mask uint64, err error) {
 	if m := &c.op; m.class != class || m.ratio != ratio || m.railMV != railMV {
 		c.memoize(class, ratio, railMV)
 	}
-	pCrash, pFault := c.op.pCrash, c.op.pFault
-	if pCrash == 0 && pFault == 0 {
+	bCrash, bFault := c.op.bCrash, c.op.bFault
+	if bCrash == 0 && bFault == 0 {
 		c.Retired += uint64(n) // no instruction draws a coin
 		return n, 0, nil
 	}
-	r := c.simr.Rand()
+	src := c.simr.Source()
 	for ; done < n; done++ {
-		if pCrash > 0 && r.Float64() < pCrash {
+		if bCrash > 0 && src.Coin(bCrash) {
 			c.crashed = true
 			err = ErrCrashed
 			break
 		}
-		if pFault > 0 && r.Float64() < pFault {
+		if bFault > 0 && src.Coin(bFault) {
 			c.Faulted++
 			mask = c.faultMask()
 			done++
@@ -424,7 +434,8 @@ func (c *Core) RunBatch(class Class, n int) (BatchResult, error) {
 	executed := n
 	if pCrash > 0 {
 		// P(crash within n) = 1-(1-p)^n; if it happens, the crash point is
-		// geometrically distributed.
+		// drawn uniformly from [0, n], not from the truncated geometric
+		// distribution a per-instruction coin would give.
 		pAny := -math.Expm1(float64(n) * math.Log1p(-pCrash))
 		if c.simr.Rand().Float64() < pAny {
 			res.Crashed = true

@@ -567,6 +567,27 @@ func BenchmarkIMulSingle(b *testing.B) {
 	}
 }
 
+// BenchmarkIMulsSignature runs the E1 signer's call: one RSA-CRT
+// signature's 762 imuls as one IMuls run at Sky Lake's settled base point,
+// where every imul draws a crash coin and a fault coin (2.5e-59 and
+// 2.7e-31) and none comes up.
+func BenchmarkIMulsSignature(b *testing.B) {
+	spec, _ := models.SkyLake()
+	p, _ := NewPlatform(spec, 1)
+	p.SettleAll()
+	c := p.Core(0)
+	if done, faulted, err := c.IMuls(762); done != 762 || faulted || err != nil {
+		b.Fatalf("IMuls(762) = (%d, %v, %v) at the base point", done, faulted, err)
+	}
+	if c.op.bCrash == 0 || c.op.bFault == 0 {
+		b.Fatalf("memo %+v: the base point draws no coin", c.op)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, _ = c.IMuls(762)
+	}
+}
+
 func TestUpTransitionSequencesVoltageBeforeFrequency(t *testing.T) {
 	// The PCU raises the rail before relocking the PLL, so the transition
 	// itself never creates an Eq. 1 violation (the CLKSCREW ordering bug).

@@ -28,14 +28,38 @@ func imulOneByOne(t *testing.T, c *Core, n int) (done int, faulted bool, err err
 	return done, false, nil
 }
 
+// checkMemoBounds fails t unless each of the memo's coin bounds b answers
+// rand.Rand.Float64's comparison with its probability p at the accepted
+// draws b-1, b and b+1: x < b exactly when float64(x)/2^63 < p. float64 is
+// monotone, so that makes b the comparison's one threshold.
+func checkMemoBounds(t *testing.T, m opMemo) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		p    float64
+		b    int64
+	}{{"crash", m.pCrash, m.bCrash}, {"fault", m.pFault, m.bFault}} {
+		for x := c.b - 1; x <= c.b+1; x++ {
+			if x < 0 || x >= 1<<63-512 {
+				continue // not a draw Float64 accepts
+			}
+			if below, less := x < c.b, float64(x)/(1<<63) < c.p; below != less {
+				t.Fatalf("memo %+v: %s bound %d at draw %d says below %v, Float64 < p says %v",
+					m, c.name, c.b, x, below, less)
+			}
+		}
+	}
+}
+
 // TestIMulsMatchesIMul holds the run to the instruction it replaces. Twin
 // platforms of every model sit at one operating point; one runs IMuls(n),
 // the other makes the n sequential IMul calls, and after every run the
 // results, Retired, Faulted, the op memo and the next simulator draw must
-// agree. The walk covers a settled nominal point (Sky Lake's draws coins at
-// tiny probabilities; Kaby Lake R's and Comet Lake's are exactly 0), a
-// fault band, a crash band and the crashed core, each with runs of 0, 1,
-// 762 and 100,000.
+// agree, and the memo's coin bounds must answer Float64's comparison. The
+// walk covers a settled nominal point (Sky Lake's draws coins at tiny
+// probabilities; Kaby Lake R's and Comet Lake's are exactly 0), a fault
+// band, a crash band and the crashed core, each with runs of 0, 1, 762 and
+// 100,000.
 func TestIMulsMatchesIMul(t *testing.T) {
 	sizes := []int{0, 1, 762, 100_000}
 	for _, name := range []string{"skylake", "kabylaker", "cometlake"} {
@@ -77,6 +101,7 @@ func TestIMulsMatchesIMul(t *testing.T) {
 				t.Fatalf("%s, %s, IMuls(%d): retired %d faulted %d memo %+v, reference %d, %d, %+v",
 					name, phase, n, c.Retired, c.Faulted, c.op, rc.Retired, rc.Faulted, rc.op)
 			}
+			checkMemoBounds(t, c.op)
 			if got, want := p.Sim.Rand().Int63(), ref.Sim.Rand().Int63(); got != want {
 				t.Fatalf("%s, %s, IMuls(%d): next Sim.Rand() draw %d, reference %d", name, phase, n, got, want)
 			}

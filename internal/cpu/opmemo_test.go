@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 )
@@ -135,6 +136,78 @@ func TestOpMemoMatchesReference(t *testing.T) {
 	if faults == 0 || crashes == 0 || len(ratios) < 2 || misses < 100 {
 		t.Fatalf("walk too weak: %d faults, %d crashes, %d frequencies, %d memo changes in %d retired",
 			faults, crashes, len(ratios), misses, lc.Retired)
+	}
+}
+
+// TestRunSkipsZeroProbabilityCoins holds run to refExec at the settled
+// points where exactly one of an instruction's two probabilities is 0:
+// Kaby Lake R's and Comet Lake's imul, AES and FMA paths just past their
+// fault onsets, where the control path keeps its slack (crash 0), and
+// their load and ALU paths past the crash onset (fault 0). A coin at
+// probability 0 has bound 0 and must not be drawn, as Float64's p > 0
+// guard drew none; a drawn coin would shift every later draw.
+func TestRunSkipsZeroProbabilityCoins(t *testing.T) {
+	const n = 2_000
+	visited := map[string]int{}
+	for _, name := range []string{"kabylaker", "cometlake"} {
+		spec, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range []Class{ClassIMul, ClassAES, ClassFMA, ClassLoad, ClassALU} {
+			live, err := NewPlatform(spec, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewPlatform(spec, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc, rc := live.Core(0), ref.Core(0)
+			offset, pFault, pCrash := 0, 0.0, 0.0
+			for off := -1; off >= -600 && offset == 0; off-- {
+				if pf, pc := lc.PredictProbabilities(class, off); (pf == 0) != (pc == 0) {
+					offset, pFault, pCrash = off, pf, pc
+				}
+			}
+			if offset == 0 {
+				continue
+			}
+			for _, p := range []*Platform{live, ref} {
+				if err := p.WriteOffsetViaMSR(0, offset, msr.PlaneCore); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.SettleCommanded(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done, mask, err := lc.run(class, n)
+			wantDone, wantFaulted, wantErr := 0, false, error(nil)
+			for wantDone < n && !wantFaulted {
+				if _, wantFaulted, wantErr = refExec(rc, class, 0); wantErr != nil {
+					break
+				}
+				wantDone++
+			}
+			where := fmt.Sprintf("%s %s at %d mV (fault %g, crash %g)", name, class, offset, pFault, pCrash)
+			if lc.op.pFault != pFault || lc.op.pCrash != pCrash {
+				t.Fatalf("%s: the core runs at (fault %g, crash %g)", where, lc.op.pFault, lc.op.pCrash)
+			}
+			if done != wantDone || (mask != 0) != wantFaulted || err != wantErr || lc.Retired != rc.Retired {
+				t.Fatalf("%s: run(%d) = (%d, %#x, %v), reference (%d, %v, %v)", where, n, done, mask, err, wantDone, wantFaulted, wantErr)
+			}
+			if got, want := live.Sim.Rand().Int63(), ref.Sim.Rand().Int63(); got != want {
+				t.Fatalf("%s: next Sim.Rand() draw %d, reference %d", where, got, want)
+			}
+			if pCrash == 0 {
+				visited["crash 0"]++
+			} else {
+				visited["fault 0"]++
+			}
+		}
+	}
+	if visited["crash 0"] == 0 || visited["fault 0"] == 0 {
+		t.Fatalf("visited %v: the walk missed a kind of point", visited)
 	}
 }
 

@@ -260,7 +260,7 @@ func TestResetMatchesNew(t *testing.T) {
 	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 || s.seq != 0 {
 		t.Fatalf("reset left now %v fired %d pending %d seq %d", s.Now(), s.Fired(), s.Pending(), s.seq)
 	}
-	if s.rng != nil {
+	if s.rng != nil || s.src != nil {
 		t.Fatal("reset left the RNG seeded")
 	}
 	fresh := New(42)

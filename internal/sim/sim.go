@@ -121,7 +121,8 @@ type Simulator struct {
 	slots    []eventSlot
 	freeHead int32 // top of the free-slot stack, -1 when empty
 	seq      uint64
-	rng      *rand.Rand // nil until the first Rand call
+	src      *Source    // nil until the first draw
+	rng      *rand.Rand // rand.New(src), built with it
 	seed     int64
 	fired    uint64
 }
@@ -130,10 +131,11 @@ type Simulator struct {
 // Two simulators built with the same seed and driven by the same schedule of
 // calls produce identical event orders and identical random draws.
 //
-// Seeding math/rand costs microseconds and kilobytes, and many simulators
+// Seeding the source costs microseconds and kilobytes, and many simulators
 // (the sharded characterizer's row platforms) never draw at all, so the
-// source is only seeded on the first Rand call. Event processing never
-// touches it, so the stream is the same whenever that first call happens.
+// source is only seeded on the first Rand or Source call. Event processing
+// never touches it, so the stream is the same whenever that first call
+// happens.
 func New(seed int64) *Simulator {
 	s := &Simulator{}
 	s.Reset(seed)
@@ -149,7 +151,7 @@ func New(seed int64) *Simulator {
 // again in New's order, lowest index first.
 func (s *Simulator) Reset(seed int64) {
 	s.now, s.seq, s.fired = 0, 0, 0
-	s.seed, s.rng = seed, nil
+	s.seed, s.src, s.rng = seed, nil, nil
 	s.heap = s.heap[:0]
 	s.freeHead = -1
 	for i := len(s.slots) - 1; i >= 0; i-- {
@@ -171,11 +173,24 @@ func (s *Simulator) Rand() *rand.Rand {
 	return s.rng
 }
 
-// seedRand is kept out of line so Rand, called per simulated instruction,
-// stays inlinable.
+// Source returns the concrete source under Rand: a draw from either one
+// advances the one stream that both read.
+func (s *Simulator) Source() *Source {
+	if s.src == nil {
+		s.seedRand()
+	}
+	return s.src
+}
+
+// seedRand is kept out of line so Rand and Source, called per simulated
+// instruction run, stay inlinable.
 //
 //go:noinline
-func (s *Simulator) seedRand() { s.rng = rand.New(rand.NewSource(s.seed)) }
+func (s *Simulator) seedRand() {
+	s.src = new(Source)
+	s.src.Seed(s.seed)
+	s.rng = rand.New(s.src)
+}
 
 // Fired returns the number of events executed so far; useful for tests and
 // for asserting progress bounds.
