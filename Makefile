@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz bench identity golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
+.PHONY: build test test-race reach fuzz bench identity golden golden-update artifacts metrics-demo trace-demo fleet-demo fleet-stream-demo energy-demo
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,16 @@ test: build
 test-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The static scans, which `go test -race` skips (exports_test.go is
+# `!race`): every exported internal/ name has a non-test reference, every
+# exported internal/ struct field has a non-test writer, and every func of
+# the root package and internal/ is linked into some binary of ./cmd/... or
+# the benchmark. One allowlist in exports_test.go covers all three, each
+# entry with its reason; a stale entry fails. TestFieldWriteClassifier
+# checks the field scan's notion of a write. CI runs this target.
+reach:
+	$(GO) test -count=1 -run '^(TestInternalExportsHaveNonTestUsers|TestInternalFieldsHaveNonTestWriters|TestInternalFuncsAreLinked|TestReachAllowlist|TestFieldWriteClassifier)$$' .
 
 # Short fuzz pass over every Fuzz target in the tree. `go test -list` finds
 # the targets, so a new one joins without editing this file. CI runs this

@@ -228,14 +228,14 @@ func (b *bundle) attackMatrix() error {
 				if err != nil {
 					return nil, err
 				}
-				return &defense.Microcode{MaxSafeOffsetMV: msv}, nil
+				return &defense.WriteGuard{MaxSafeOffsetMV: msv}, nil
 			}},
 			attack.DefenseFactory{Name: "clamp", Build: func(env *defense.Env) (defense.Countermeasure, error) {
 				msv, err := b.maximalSafe(env)
 				if err != nil {
 					return nil, err
 				}
-				return &defense.ClampMSR{LimitMV: msv}, nil
+				return &defense.WriteGuard{MaxSafeOffsetMV: msv, Clamp: true}, nil
 			}},
 		)
 	}

@@ -195,12 +195,11 @@ func writeOffset(env *defense.Env, r *Result, t *campaignTel, coreIdx, offsetMV 
 	return true
 }
 
-// Plundervolt is the RSA-CRT key-extraction campaign.
+// Plundervolt is the RSA-CRT key-extraction campaign. The victim runs at
+// its boot frequency.
 type Plundervolt struct {
 	// VictimCore hosts the enclave and signer.
 	VictimCore int
-	// PinKHz pins the victim frequency (0 = leave at boot frequency).
-	PinKHz int
 	// StartMV/StepMV/FloorMV drive the undervolt search (negative space).
 	StartMV, StepMV, FloorMV int
 	// SignsPerStep is the number of signatures collected per offset.
@@ -255,17 +254,12 @@ func (a *Plundervolt) Run(env *defense.Env, defName string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	enclave, err := env.Registry.Create("rsa-signer", a.VictimCore)
+	enclave, err := env.Registry.Create("rsa-signer")
 	if err != nil {
 		return nil, err
 	}
 	defer enclave.Destroy()
 
-	if a.PinKHz != 0 {
-		if err := pinFrequency(env, a.VictimCore, a.PinKHz); err != nil {
-			return nil, err
-		}
-	}
 	signer, err := victim.NewCRTSigner(key, p.Core(a.VictimCore), a.Seed+1)
 	if err != nil {
 		return nil, err
@@ -315,16 +309,11 @@ func (a *Plundervolt) Run(env *defense.Env, defName string) (*Result, error) {
 }
 
 // VoltJockey is the frequency-manipulation campaign: program an offset that
-// is safe at the preparation frequency, then raise the frequency so the
-// pair becomes unsafe.
+// is safe at the preparation frequency (the model's lowest), then raise the
+// frequency to the strike frequency (the model's highest) so the pair
+// becomes unsafe. The held offset is calibrated by probing.
 type VoltJockey struct {
 	VictimCore int
-	// PrepKHz is the low preparation frequency; TargetKHz the strike
-	// frequency (0 = model min/max).
-	PrepKHz, TargetKHz int
-	// OffsetMV is the held undervolt (0 = derive: 30 mV below the strike
-	// frequency's expected safe margin by probing).
-	OffsetMV int
 	// BatchesAtTarget is how many victim imul batches run at the strike
 	// frequency.
 	BatchesAtTarget int
@@ -359,30 +348,20 @@ func (a *VoltJockey) Run(env *defense.Env, defName string) (*Result, error) {
 	start := p.Sim.Now()
 	defer func() { r.Duration = p.Sim.Now() - start }()
 
-	prep := a.PrepKHz
-	if prep == 0 {
-		prep = p.FreqTableKHz()[0]
-	}
-	target := a.TargetKHz
-	if target == 0 {
-		tbl := p.FreqTableKHz()
-		target = tbl[len(tbl)-1]
-	}
+	tbl := p.FreqTableKHz()
+	prep, target := tbl[0], tbl[len(tbl)-1]
 
 	// Phase 1: at the low prep frequency, program the held undervolt.
 	if err := pinFrequency(env, a.VictimCore, prep); err != nil {
 		return nil, err
 	}
-	offset := a.OffsetMV
+	// Attacker calibration: deep enough to fault at `target`, shallow
+	// enough to hold at `prep`. Search on the attacker's own replica is
+	// emulated by probing live with small strikes.
+	offset := a.calibrate(env, r, tel, prep, target)
 	if offset == 0 {
-		// Attacker calibration: deep enough to fault at `target`, shallow
-		// enough to hold at `prep`. Search on the attacker's own replica
-		// is emulated by probing live with small strikes.
-		offset = a.calibrate(env, r, tel, prep, target)
-		if offset == 0 {
-			r.Notes = "calibration found no workable offset"
-			return r, nil
-		}
+		r.Notes = "calibration found no workable offset"
+		return r, nil
 	}
 	if !writeOffset(env, r, tel, a.VictimCore, offset) {
 		r.Notes = "mailbox write blocked during preparation"
@@ -491,11 +470,9 @@ func (a *VoltJockey) calibrate(env *defense.Env, r *Result, tel *campaignTel, pr
 }
 
 // V0LTpwn is the integrity-corruption campaign against an FMA-heavy victim
-// computation.
+// computation, with the victim core pinned at its base frequency.
 type V0LTpwn struct {
 	VictimCore int
-	// PinKHz pins the victim core (0 = base frequency).
-	PinKHz int
 	// StartMV/StepMV/FloorMV drive the undervolt search.
 	StartMV, StepMV, FloorMV int
 	// OpsPerStep is the number of FMA operations per probe.
@@ -535,10 +512,7 @@ func (a *V0LTpwn) Run(env *defense.Env, defName string) (*Result, error) {
 	start := p.Sim.Now()
 	defer func() { r.Duration = p.Sim.Now() - start }()
 
-	pin := a.PinKHz
-	if pin == 0 {
-		pin = int(p.Spec.BaseRatio) * p.Spec.BusMHz * 1000
-	}
+	pin := int(p.Spec.BaseRatio) * p.Spec.BusMHz * 1000
 	if err := pinFrequency(env, a.VictimCore, pin); err != nil {
 		return nil, err
 	}

@@ -135,9 +135,9 @@ func TestPlundervoltDefeatedByMicrocodeAndClamp(t *testing.T) {
 			msv := grid.MaximalSafeOffsetMV(5)
 			var cm defense.Countermeasure
 			if which == "microcode" {
-				cm = &defense.Microcode{MaxSafeOffsetMV: msv}
+				cm = &defense.WriteGuard{MaxSafeOffsetMV: msv}
 			} else {
-				cm = &defense.ClampMSR{LimitMV: msv}
+				cm = &defense.WriteGuard{MaxSafeOffsetMV: msv, Clamp: true}
 			}
 			if err := cm.Install(env); err != nil {
 				t.Fatal(err)

@@ -17,16 +17,11 @@ import (
 //
 // It is included as the honest boundary of the paper's threat model: every
 // *software* countermeasure — the polling module included — watches the
-// MSR interface, and VoltPillager never touches it. The voltage
-// cross-check extension in core.GuardConfig (beyond the paper) can at
-// least *detect* the rail deficit through IA32_PERF_STATUS, but software
-// cannot out-command a soldered-on injector; prevention requires the
-// hardware clamp to live in the regulator itself.
+// MSR interface, and VoltPillager never touches it. Software cannot
+// out-command a soldered-on injector; prevention requires the hardware
+// clamp to live in the regulator itself.
 type VoltPillager struct {
 	VictimCore int
-	// DepthMV is the injected undervolt below the nominal rail (positive
-	// number of millivolts); 0 = calibrate by deepening until faults.
-	DepthMV int
 	// Pulses is the number of injection pulses; OpsPerPulse the victim
 	// work probed under each pulse.
 	Pulses      int
@@ -65,14 +60,9 @@ func (a *VoltPillager) Run(env *defense.Env, defName string) (*Result, error) {
 	defer func() { r.Duration = p.Sim.Now() - start }()
 
 	nominal := p.Spec.NominalMV(p.Core(a.VictimCore).Ratio())
-	depths := []int{a.DepthMV}
-	if a.DepthMV == 0 {
-		depths = nil
-		for d := 80; d <= 420; d += 20 {
-			depths = append(depths, d)
-		}
-	}
-	for _, depth := range depths {
+	// Calibrate: deepen the injected undervolt below the nominal rail
+	// until the victim faults.
+	for depth := 80; depth <= 420; depth += 20 {
 		for pulse := 0; pulse < a.Pulses; pulse++ {
 			r.Attempts++
 			a.inject(p, nominal-float64(depth))

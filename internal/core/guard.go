@@ -23,13 +23,12 @@ type GuardConfig struct {
 	// PollPeriod is the kthread wake interval. Shorter periods shrink the
 	// attack window but raise overhead (Table 2 trades these off).
 	PollPeriod sim.Duration
-	// PinnedCore hosts the polling kthread (single-thread deployment).
-	PinnedCore int
 	// PerCoreThreads starts one kthread per core, each polling only its
 	// own MSRs: the per-core cost halves (no remote reads) and the
 	// overhead spreads evenly instead of taxing one core — the deployment
 	// a production module would choose. Ablation-comparable with the
-	// single-thread form the paper's Algorithm 3 sketches.
+	// single-thread form the paper's Algorithm 3 sketches, whose one
+	// kthread runs on core 0 and polls every core.
 	PerCoreThreads bool
 	// SafeOffsetMV is the offset written to MSR 0x150 to force the system
 	// back into a safe state. Zero (stock voltage) is always safe; setting
@@ -43,29 +42,9 @@ type GuardConfig struct {
 	// patient attacker can farm. The margin covers that tail.
 	MarginMV int
 
-	// VoltageCrossCheck is an extension beyond the paper: each poll also
-	// compares the live IA32_PERF_STATUS core voltage against the value
-	// implied by the polled (ratio, offset) pair. A persistent deficit
-	// means the rail is being driven out of band — a VoltPillager-style
-	// hardware SVID injection that never touches MSR 0x150. Software
-	// cannot out-command a soldered-on injector, so the guard records the
-	// anomaly (for alerting / enclave evacuation) rather than claiming
-	// prevention.
-	VoltageCrossCheck bool
-	// ExpectedMV maps a P-state ratio to the stock rail voltage; required
-	// when VoltageCrossCheck is set (models.Spec.NominalMV fits).
-	ExpectedMV func(ratio uint8) float64
-	// CrossCheckSlackMV is the tolerated deficit (regulator mid-slew
-	// transients); default 30.
-	CrossCheckSlackMV int
-	// CrossCheckPersist is how many consecutive deficit polls raise an
-	// anomaly (filters the recovery transient after a register
-	// intervention); default 3.
-	CrossCheckPersist int
-
-	// Telemetry, when set, receives per-core poll/intervention/anomaly
-	// counters, the poll-latency histogram, and journal events for every
-	// intervention and anomaly. Nil disables instrumentation; the guard's
+	// Telemetry, when set, receives per-core poll and intervention
+	// counters, the poll-latency histogram, and a journal event for every
+	// intervention. Nil disables instrumentation; the guard's
 	// behaviour is identical either way (observing never charges time or
 	// draws randomness).
 	Telemetry *telemetry.Set
@@ -117,18 +96,10 @@ type Guard struct {
 	// LastIntervention records the most recent forced transition.
 	LastIntervention sim.Time
 
-	// HardwareAnomalies counts detected out-of-band rail deficits
-	// (voltage cross-check extension); LastAnomaly timestamps the latest.
-	HardwareAnomalies uint64
-	LastAnomaly       sim.Time
-	// deficitRuns tracks consecutive deficit polls per core.
-	deficitRuns map[int]int
-
 	// Per-core instruments, indexed by core; nil slices when telemetry is
 	// disabled (every method on them is then a no-op).
 	pollsC         []*telemetry.Counter
 	interventionsC []*telemetry.Counter
-	anomaliesC     []*telemetry.Counter
 	pollLatency    *telemetry.Histogram
 	// spans is the causal tracer (nil when telemetry is disabled): every
 	// poll opens a "guard_poll" span and every forced rewrite a
@@ -170,20 +141,6 @@ func NewGuard(unsafe *UnsafeSet, busMHz int, cfg GuardConfig) (*Guard, error) {
 	if cfg.MarginMV < 0 {
 		return nil, errors.New("core: margin must be >= 0")
 	}
-	if cfg.VoltageCrossCheck {
-		if cfg.ExpectedMV == nil {
-			return nil, errors.New("core: voltage cross-check needs ExpectedMV")
-		}
-		if cfg.CrossCheckSlackMV == 0 {
-			cfg.CrossCheckSlackMV = 30
-		}
-		if cfg.CrossCheckPersist == 0 {
-			cfg.CrossCheckPersist = 3
-		}
-		if cfg.CrossCheckSlackMV < 0 || cfg.CrossCheckPersist < 1 {
-			return nil, errors.New("core: bad cross-check parameters")
-		}
-	}
 	lut, err := unsafe.Compile(busMHz, cfg.MarginMV)
 	if err != nil {
 		return nil, err
@@ -191,8 +148,7 @@ func NewGuard(unsafe *UnsafeSet, busMHz int, cfg GuardConfig) (*Guard, error) {
 	if cfg.Flight != nil {
 		cfg.Flight.SetGuardView(guardView(lut, cfg))
 	}
-	return &Guard{cfg: cfg, unsafe: unsafe, busMHz: busMHz, lut: lut,
-		flight: cfg.Flight, deficitRuns: map[int]int{}}, nil
+	return &Guard{cfg: cfg, unsafe: unsafe, busMHz: busMHz, lut: lut, flight: cfg.Flight}, nil
 }
 
 // guardView freezes the compiled decision table into the flight recorder's
@@ -239,10 +195,7 @@ func (g *Guard) Module() *kernel.Module {
 				}
 				return nil
 			}
-			if g.cfg.PinnedCore < 0 || g.cfg.PinnedCore >= k.Machine().NumCores() {
-				return fmt.Errorf("core: guard pinned to nonexistent core %d", g.cfg.PinnedCore)
-			}
-			t, err := k.StartKThread(ModuleName, g.cfg.PinnedCore, g.cfg.PollPeriod, g.poll)
+			t, err := k.StartKThread(ModuleName, 0, g.cfg.PollPeriod, g.poll)
 			if err != nil {
 				return err
 			}
@@ -276,7 +229,6 @@ func (g *Guard) instrument(numCores int) {
 	reg := tel.Registry()
 	g.pollsC = make([]*telemetry.Counter, numCores)
 	g.interventionsC = make([]*telemetry.Counter, numCores)
-	g.anomaliesC = make([]*telemetry.Counter, numCores)
 	g.pollAttrs = make([]map[string]any, numCores)
 	for core := 0; core < numCores; core++ {
 		g.pollAttrs[core] = map[string]any{"core": core}
@@ -285,8 +237,6 @@ func (g *Guard) instrument(numCores int) {
 			"per-core (freq, offset) state inspections by the polling kthread", lbl)
 		g.interventionsC[core] = reg.Counter("guard_interventions_total",
 			"forced returns to the safe state via MSR 0x150", lbl)
-		g.anomaliesC[core] = reg.Counter("guard_hw_anomalies_total",
-			"persistent out-of-band rail deficits flagged by the voltage cross-check", lbl)
 	}
 	g.pollLatency = reg.Histogram("guard_poll_latency_seconds",
 		"CPU cost of one per-core poll (MSR reads plus any intervention write)",
@@ -334,7 +284,7 @@ func (g *Guard) pollOne(t *kernel.KThread, core int) {
 		g.endPoll(&sc, t, busyBefore)
 		return // core offline (crashed); nothing to protect
 	}
-	ratio, liveV := msr.DecodePerfStatus(status)
+	ratio, _ := msr.DecodePerfStatus(status)
 
 	mailbox, err := t.ReadMSR(core, msr.OCMailbox)
 	if err != nil {
@@ -342,10 +292,6 @@ func (g *Guard) pollOne(t *kernel.KThread, core int) {
 		return
 	}
 	offsetMV := msr.DecodeVoltageOffset(mailbox).OffsetMV
-
-	if g.cfg.VoltageCrossCheck {
-		g.crossCheck(core, ratio, offsetMV, liveV)
-	}
 
 	// Membership with the conservative margin pre-folded in: a state within
 	// MarginMV of the measured boundary is treated as unsafe.
@@ -406,29 +352,6 @@ func (g *Guard) intervene(t *kernel.KThread, core int, ratio uint8, offsetMV int
 // safeCommand encodes the mailbox write that forces the safe offset.
 func safeCommand(safeOffsetMV int) uint64 {
 	return msr.EncodeVoltageOffset(safeOffsetMV, msr.PlaneCore)
-}
-
-// crossCheck compares the live rail against the (ratio, offset) implied
-// voltage; a persistent deficit flags out-of-band undervolting.
-func (g *Guard) crossCheck(core int, ratio uint8, offsetMV int, liveV float64) {
-	expectedMV := g.cfg.ExpectedMV(ratio) + float64(offsetMV)
-	deficit := expectedMV - liveV*1000
-	if deficit > float64(g.cfg.CrossCheckSlackMV) {
-		g.deficitRuns[core]++
-		if g.deficitRuns[core] == g.cfg.CrossCheckPersist {
-			g.HardwareAnomalies++
-			g.LastAnomaly = g.k.Sim().Now()
-			if g.anomaliesC != nil {
-				g.anomaliesC[core].Inc()
-			}
-			g.cfg.Telemetry.Events().Emit("guard_hw_anomaly", map[string]any{
-				"core": core, "deficit_mv": deficit, "ratio": int(ratio),
-				"offset_mv": offsetMV,
-			})
-		}
-		return
-	}
-	g.deficitRuns[core] = 0
 }
 
 // WorstCaseTurnaround bounds the window between entering an unsafe state

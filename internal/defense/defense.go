@@ -180,123 +180,82 @@ func (p *Polling) Uninstall(env *Env) error {
 // untouched by Algorithm 3.
 func (*Polling) AllowsBenignDVFS() bool { return true }
 
-// Microcode is the Sec. 5.1 deployment: a microcode hook on wrmsr 0x150
-// silently ignores writes that would violate the maximal safe state
-// ("this write-ignore behaviour is implemented upon several other MSRs").
-type Microcode struct {
+// WriteGuard is the Sec. 5 deployment: a hook on every core's wrmsr 0x150
+// holds core-plane offsets to the maximal safe state, with one of two
+// outcomes for a deeper write. Sec. 5.1's microcode guard silently ignores
+// it ("this write-ignore behaviour is implemented upon several other
+// MSRs"). Sec. 5.2's clamp MSR programs a new MSR_VOLTAGE_OFFSET_LIMIT
+// (modelled at 0x154) with the maximal safe state and *clamps* the write
+// to it — the DRAM_MIN_PWR pattern from MSR_DRAM_POWER_INFO.
+type WriteGuard struct {
 	// MaxSafeOffsetMV is the maximal safe state from characterization.
 	MaxSafeOffsetMV int
-	installed       bool
-	hookIDs         []int
-	// Ignored counts writes dropped by the guard.
-	Ignored uint64
+	// Clamp selects Sec. 5.2's clamp MSR; false is Sec. 5.1's
+	// write-ignore.
+	Clamp     bool
+	installed bool
+	hookIDs   []int
+	// Held counts writes the guard ignored or clamped.
+	Held uint64
 }
 
 // Name implements Countermeasure.
-func (*Microcode) Name() string { return "microcode write-ignore" }
+func (w *WriteGuard) Name() string {
+	if w.Clamp {
+		return "clamp MSR (MSR_VOLTAGE_OFFSET_LIMIT)"
+	}
+	return "microcode write-ignore"
+}
 
 // Install implements Countermeasure.
-func (m *Microcode) Install(env *Env) error {
+func (w *WriteGuard) Install(env *Env) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	if m.MaxSafeOffsetMV > 0 {
-		return fmt.Errorf("defense: maximal safe offset %d must be <= 0", m.MaxSafeOffsetMV)
+	if w.MaxSafeOffsetMV > 0 {
+		return fmt.Errorf("defense: maximal safe offset %d must be <= 0", w.MaxSafeOffsetMV)
 	}
-	if m.installed {
-		return errors.New("defense: microcode guard already installed")
+	if w.installed {
+		return fmt.Errorf("defense: %s already installed", w.Name())
 	}
-	m.hookIDs = m.hookIDs[:0]
+	w.hookIDs = w.hookIDs[:0]
 	for i := 0; i < env.Platform.NumCores(); i++ {
-		id := env.Platform.MSRFile(i).AddWriteHook(msr.OCMailbox, func(_ *msr.File, old, v uint64) (uint64, error) {
+		f := env.Platform.MSRFile(i)
+		if w.Clamp {
+			// Program the limit register (read-only to software in
+			// spirit; vendors would fuse it).
+			f.Poke(msr.VoltageOffsetLimit, uint64(int64(w.MaxSafeOffsetMV))&0xFFFF)
+		}
+		id := f.AddWriteHook(msr.OCMailbox, func(_ *msr.File, old, v uint64) (uint64, error) {
 			d := msr.DecodeVoltageOffset(v)
-			if d.Busy && d.Write && d.Plane == msr.PlaneCore && d.OffsetMV < m.MaxSafeOffsetMV {
-				m.Ignored++
-				return old, nil // write-ignore: wrmsr succeeds, state unchanged
+			if !d.Busy || !d.Write || d.Plane != msr.PlaneCore || d.OffsetMV >= w.MaxSafeOffsetMV {
+				return v, nil
 			}
-			return v, nil
+			w.Held++
+			if w.Clamp {
+				return msr.EncodeVoltageOffset(w.MaxSafeOffsetMV, d.Plane), nil
+			}
+			return old, nil // write-ignore: wrmsr succeeds, state unchanged
 		})
-		m.hookIDs = append(m.hookIDs, id)
+		w.hookIDs = append(w.hookIDs, id)
 	}
-	m.installed = true
+	w.installed = true
 	return nil
 }
 
 // Uninstall implements Countermeasure.
-func (m *Microcode) Uninstall(env *Env) error {
-	if !m.installed {
+func (w *WriteGuard) Uninstall(env *Env) error {
+	if !w.installed {
 		return nil
 	}
-	for i, id := range m.hookIDs {
+	for i, id := range w.hookIDs {
 		env.Platform.MSRFile(i).RemoveWriteHook(msr.OCMailbox, id)
 	}
-	m.hookIDs = nil
-	m.installed = false
+	w.hookIDs = nil
+	w.installed = false
 	return nil
 }
 
 // AllowsBenignDVFS implements Countermeasure: undervolts within the maximal
-// safe state pass through.
-func (*Microcode) AllowsBenignDVFS() bool { return true }
-
-// ClampMSR is the Sec. 5.2 deployment: a new MSR_VOLTAGE_OFFSET_LIMIT
-// (modelled at 0x154) holds the maximal safe state, and writes to 0x150
-// are *clamped* to it — the DRAM_MIN_PWR pattern from MSR_DRAM_POWER_INFO.
-type ClampMSR struct {
-	// LimitMV is the clamp value programmed into MSR_VOLTAGE_OFFSET_LIMIT.
-	LimitMV   int
-	installed bool
-	hookIDs   []int
-	// Clamped counts writes whose offset was pulled up to the limit.
-	Clamped uint64
-}
-
-// Name implements Countermeasure.
-func (*ClampMSR) Name() string { return "clamp MSR (MSR_VOLTAGE_OFFSET_LIMIT)" }
-
-// Install implements Countermeasure.
-func (c *ClampMSR) Install(env *Env) error {
-	if err := env.Validate(); err != nil {
-		return err
-	}
-	if c.LimitMV > 0 {
-		return fmt.Errorf("defense: clamp limit %d must be <= 0", c.LimitMV)
-	}
-	if c.installed {
-		return errors.New("defense: clamp MSR already installed")
-	}
-	c.hookIDs = c.hookIDs[:0]
-	for i := 0; i < env.Platform.NumCores(); i++ {
-		f := env.Platform.MSRFile(i)
-		// Program the limit register (read-only to software in spirit;
-		// vendors would fuse it).
-		f.Poke(msr.VoltageOffsetLimit, uint64(int64(c.LimitMV))&0xFFFF)
-		id := f.AddWriteHook(msr.OCMailbox, func(_ *msr.File, old, v uint64) (uint64, error) {
-			d := msr.DecodeVoltageOffset(v)
-			if d.Busy && d.Write && d.Plane == msr.PlaneCore && d.OffsetMV < c.LimitMV {
-				c.Clamped++
-				return msr.EncodeVoltageOffset(c.LimitMV, d.Plane), nil
-			}
-			return v, nil
-		})
-		c.hookIDs = append(c.hookIDs, id)
-	}
-	c.installed = true
-	return nil
-}
-
-// Uninstall implements Countermeasure.
-func (c *ClampMSR) Uninstall(env *Env) error {
-	if !c.installed {
-		return nil
-	}
-	for i, id := range c.hookIDs {
-		env.Platform.MSRFile(i).RemoveWriteHook(msr.OCMailbox, id)
-	}
-	c.hookIDs = nil
-	c.installed = false
-	return nil
-}
-
-// AllowsBenignDVFS implements Countermeasure.
-func (*ClampMSR) AllowsBenignDVFS() bool { return true }
+// safe state pass through either way.
+func (*WriteGuard) AllowsBenignDVFS() bool { return true }

@@ -92,7 +92,7 @@ func TestAccessControlBlocksMailboxWhileEnclaveRuns(t *testing.T) {
 		t.Fatalf("write without enclave blocked: %v", err)
 	}
 	// With an enclave: #GP.
-	encl, _ := env.Registry.Create("victim", 1)
+	encl, _ := env.Registry.Create("victim")
 	err := env.Platform.WriteOffsetViaMSR(0, -20, msr.PlaneCore)
 	var gp *msr.GPFault
 	if !errors.As(err, &gp) {
@@ -133,7 +133,7 @@ func TestPollingDefenseInstallAndAttestation(t *testing.T) {
 	if !env.Kernel.Loaded(core.ModuleName) {
 		t.Fatal("module not loaded")
 	}
-	encl, _ := env.Registry.Create("attested", 1)
+	encl, _ := env.Registry.Create("attested")
 	rep := encl.Attest(7)
 	if !rep.GuardModuleReported || !rep.GuardModuleLoaded {
 		t.Fatal("guard module state not attested")
@@ -165,7 +165,7 @@ func TestMicrocodeWriteIgnore(t *testing.T) {
 	env := newEnv(t, 4)
 	_, grid := characterize(t, env)
 	msv := grid.MaximalSafeOffsetMV(5)
-	mc := &Microcode{MaxSafeOffsetMV: msv}
+	mc := &WriteGuard{MaxSafeOffsetMV: msv}
 	if err := mc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,8 @@ func TestMicrocodeWriteIgnore(t *testing.T) {
 	if got := c.OffsetMV(); got > benign+2 || got < benign-2 {
 		t.Fatalf("unsafe write changed offset to %d", got)
 	}
-	if mc.Ignored != 1 {
-		t.Fatalf("Ignored = %d", mc.Ignored)
+	if mc.Held != 1 {
+		t.Fatalf("Held = %d", mc.Held)
 	}
 	if !mc.AllowsBenignDVFS() {
 		t.Fatal("microcode properties wrong")
@@ -214,7 +214,7 @@ func TestMicrocodeWriteIgnore(t *testing.T) {
 
 func TestMicrocodeRejectsPositiveLimit(t *testing.T) {
 	env := newEnv(t, 4)
-	mc := &Microcode{MaxSafeOffsetMV: 5}
+	mc := &WriteGuard{MaxSafeOffsetMV: 5}
 	if err := mc.Install(env); err == nil {
 		t.Fatal("positive maximal safe accepted")
 	}
@@ -224,7 +224,7 @@ func TestClampMSR(t *testing.T) {
 	env := newEnv(t, 5)
 	_, grid := characterize(t, env)
 	limit := grid.MaximalSafeOffsetMV(5)
-	cl := &ClampMSR{LimitMV: limit}
+	cl := &WriteGuard{MaxSafeOffsetMV: limit, Clamp: true}
 	if err := cl.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestClampMSR(t *testing.T) {
 	if got := c.OffsetMV(); got > limit+2 || got < limit-2 {
 		t.Fatalf("offset %d, want clamped to %d", got, limit)
 	}
-	if cl.Clamped != 1 {
-		t.Fatalf("Clamped = %d", cl.Clamped)
+	if cl.Held != 1 {
+		t.Fatalf("Held = %d", cl.Held)
 	}
 	// Within-limit write passes unmodified.
 	benign := limit + 15
@@ -260,7 +260,7 @@ func TestClampMSR(t *testing.T) {
 	if err := cl.Uninstall(env); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&ClampMSR{LimitMV: 1}).Install(env); err == nil {
+	if err := (&WriteGuard{MaxSafeOffsetMV: 1, Clamp: true}).Install(env); err == nil {
 		t.Fatal("positive limit accepted")
 	}
 }
@@ -271,7 +271,7 @@ func TestClampGuaranteesNoUnsafeStateEver(t *testing.T) {
 	env := newEnv(t, 6)
 	unsafe, grid := characterize(t, env)
 	limit := grid.MaximalSafeOffsetMV(5)
-	cl := &ClampMSR{LimitMV: limit}
+	cl := &WriteGuard{MaxSafeOffsetMV: limit, Clamp: true}
 	if err := cl.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestMinefieldDetectsNaiveUndervolting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encl, _ := env.Registry.Create("protected", 1)
+	encl, _ := env.Registry.Create("protected")
 	err = encl.Run(prog)
 	if !errors.Is(err, ErrTrapped) {
 		t.Fatalf("expected trap detection, got %v (payload faults %d)", err, inner.Faults)
@@ -492,8 +492,8 @@ func TestCountermeasureMatrixProperties(t *testing.T) {
 		None{},
 		&AccessControl{},
 		pol,
-		&Microcode{MaxSafeOffsetMV: msv},
-		&ClampMSR{LimitMV: msv},
+		&WriteGuard{MaxSafeOffsetMV: msv},
+		&WriteGuard{MaxSafeOffsetMV: msv, Clamp: true},
 	}
 	wantBenign := []bool{true, false, true, true, true}
 	for i, cm := range all {

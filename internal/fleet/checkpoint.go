@@ -8,8 +8,8 @@
 // JSON payload — and the decoder rejects truncation, corruption and version
 // skew with typed errors; it never panics and never silently resumes wrong
 // state. A config fingerprint binds the checkpoint to the experiment that
-// produced it: resuming under a different seed, fleet size, model cycle,
-// sweep or guard config is a mismatch error, while execution shape (batch,
+// produced it: resuming under a different seed, fleet size, model cycle
+// or guard config is a mismatch error, while execution shape (batch,
 // workers) is deliberately outside the fingerprint and may change freely
 // between the original run and the resume.
 package fleet
@@ -34,8 +34,9 @@ var checkpointMagic = [4]byte{'P', 'V', 'F', 'C'}
 // exactly this version: the format carries deterministic engine state, so
 // cross-version resumption would risk a silently different report. Version
 // 2 added the sweep strategy to the fingerprint; version 3 dropped the
-// unused DVFS-thread core index from it.
-const CheckpointVersion = 3
+// unused DVFS-thread core index from it; version 4 dropped the guard's
+// kthread core and voltage cross-check fields from it.
+const CheckpointVersion = 4
 
 // checkpointHeaderLen is magic(4) + version(2) + reserved(2) + payload
 // length(8) + CRC32(4).
@@ -116,15 +117,14 @@ func (cfg *StreamConfig) fingerprint(epochs int, modelNames []string) uint64 {
 	}
 	// Hash the sweep the machines actually run; the characterizer reads an
 	// empty strategy as a full sweep.
-	s := cfg.sweep()
+	s := fleetSweep()
 	if s.Strategy == "" {
 		s.Strategy = core.StrategySweep
 	}
 	put("sweep=%d,%d,%d,%d,%d,%d,%s,%s|", s.VictimCore, s.Iterations,
 		s.OffsetStartMV, s.OffsetEndMV, s.OffsetStepMV, int64(s.SettleWait), s.Class, s.Strategy)
 	g := cfg.Guard
-	put("guard=%d,%d,%t,%d,%d,%t,%d,%d|", int64(g.PollPeriod), g.PinnedCore, g.PerCoreThreads,
-		g.SafeOffsetMV, g.MarginMV, g.VoltageCrossCheck, g.CrossCheckSlackMV, g.CrossCheckPersist)
+	put("guard=%d,%t,%d,%d|", int64(g.PollPeriod), g.PerCoreThreads, g.SafeOffsetMV, g.MarginMV)
 	// The flight window is experiment identity: it decides which records a
 	// captured bundle carries, so a resume must not re-slice it.
 	put("flight=%d|", cfg.FlightWindow)

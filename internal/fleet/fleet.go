@@ -123,11 +123,6 @@ type Config struct {
 	// Window is how long an unattacked machine idles under guard (Attack
 	// "none"); default 10 ms of virtual time.
 	Window sim.Duration
-	// Sweep overrides the characterization config; the zero value selects
-	// plugvolt.QuickSweep(). Sweep.Workers is forced to 1: parallelism
-	// belongs to the fleet pool, and a single-sharded sweep keeps the
-	// worker-labeled characterizer metrics deterministic.
-	Sweep plugvolt.CharacterizerConfig
 	// Guard overrides the countermeasure config; the zero value selects
 	// plugvolt.DefaultGuardConfig().
 	Guard plugvolt.GuardConfig
@@ -286,15 +281,12 @@ func foldRow(agg *Aggregate, row *MachineSummary) {
 	}
 }
 
-// sweep is the characterization config every machine runs: QuickSweep when
-// Sweep is unset, always single-sharded. Fleet-level parallelism only: a
-// single shard keeps the sweep's worker-labeled metrics deterministic and
-// avoids nested goroutine fan-out.
-func (cfg *Config) sweep() plugvolt.CharacterizerConfig {
-	s := cfg.Sweep
-	if s.Iterations == 0 {
-		s = plugvolt.QuickSweep()
-	}
+// fleetSweep is the characterization config every machine runs:
+// QuickSweep, single-sharded. Fleet-level parallelism only: a single shard
+// keeps the sweep's worker-labeled metrics deterministic and avoids nested
+// goroutine fan-out.
+func fleetSweep() plugvolt.CharacterizerConfig {
+	s := plugvolt.QuickSweep()
 	s.Workers = 1
 	return s
 }
@@ -345,7 +337,7 @@ func runMachine(cfg *Config, idx int, model string, spec *models.Spec, epochs in
 	if res, err := stage("characterize"); err != nil {
 		return res
 	}
-	grid, err := sys.Characterize(cfg.sweep())
+	grid, err := sys.Characterize(fleetSweep())
 	if err != nil {
 		return fail("characterize", err)
 	}

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"plugvolt"
-	"plugvolt/internal/core"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry"
 )
@@ -175,9 +173,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 // TestStreamResumeMismatch: a checkpoint from one experiment must not
 // resume another. Every fingerprinted axis is tried.
 func TestStreamResumeMismatch(t *testing.T) {
-	// The sweep is spelled out because a zero Sweep runs QuickSweep, so
-	// setting only its strategy would change nothing the machines run.
-	base := Config{Machines: 2, Seed: 5, Attack: "none", Window: sim.Millisecond, Sweep: plugvolt.QuickSweep()}
+	base := Config{Machines: 2, Seed: 5, Attack: "none", Window: sim.Millisecond}
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	cfg := StreamConfig{Config: base, Batch: 1, CheckpointPath: path,
 		Halt: func(p Progress) bool { return true }}
@@ -196,7 +192,6 @@ func TestStreamResumeMismatch(t *testing.T) {
 		"models":   func(c *StreamConfig) { c.Models = []string{"skylake"} },
 		"epochs":   func(c *StreamConfig) { c.Epochs = 4 },
 		"guard":    func(c *StreamConfig) { c.Guard.MarginMV = 25; c.Guard.PollPeriod = 30 * sim.Microsecond },
-		"strategy": func(c *StreamConfig) { c.Sweep.Strategy = core.StrategyBisect },
 	}
 	for name, mutate := range mutations {
 		bad := StreamConfig{Config: base, Resume: ck}
@@ -205,11 +200,9 @@ func TestStreamResumeMismatch(t *testing.T) {
 			t.Errorf("%s mutation: want ErrCheckpointMismatch, got %v", name, err)
 		}
 	}
-	// The same checkpoint under a different execution shape is fine, and so
-	// is naming the strategy an empty one runs.
+	// The same checkpoint under a different execution shape is fine.
 	good := StreamConfig{Config: base, Resume: ck, Batch: 2}
 	good.Workers = 8
-	good.Sweep.Strategy = core.StrategySweep
 	if _, err := RunStream(good); err != nil {
 		t.Errorf("execution-shape change rejected: %v", err)
 	}

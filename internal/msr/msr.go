@@ -41,8 +41,8 @@ const (
 )
 
 // GPFault is the error returned for accesses a real CPU would answer with a
-// general-protection fault: unknown MSR, write to read-only MSR, malformed
-// mailbox command, or write to a locked register.
+// general-protection fault: unknown MSR, write to read-only MSR, or
+// malformed mailbox command.
 type GPFault struct {
 	Addr Addr
 	Op   string // "rdmsr" or "wrmsr"
@@ -229,9 +229,6 @@ type Descriptor struct {
 	Addr     Addr
 	Name     string
 	ReadOnly bool
-	// Locked rejects writes until the file is reset (models lock bits such
-	// as the OC lock in FEATURE_CONTROL-style registers).
-	Locked bool
 	// Reset is the architectural reset value.
 	Reset uint64
 	// ReadFn, when set, overrides the stored value on reads.
@@ -473,9 +470,6 @@ func (f *File) Write(addr Addr, val uint64) error {
 	d := f.descs[i]
 	if d.ReadOnly {
 		return &GPFault{Addr: addr, Op: "wrmsr", Why: "read-only MSR"}
-	}
-	if d.Locked {
-		return &GPFault{Addr: addr, Op: "wrmsr", Why: "MSR locked"}
 	}
 	// Observe only OC-mailbox voltage write commands: the wrmsr at the heart
 	// of every DVFS fault attack and of the guard's corrective rewrite.

@@ -202,14 +202,10 @@ func TestFileUnknownMSRFaults(t *testing.T) {
 	}
 }
 
-func TestFileReadOnlyAndLocked(t *testing.T) {
+func TestFileReadOnly(t *testing.T) {
 	f := NewFile(0)
 	if err := f.Write(IA32PerfStatus, 1); err == nil {
 		t.Fatal("write to read-only PERF_STATUS succeeded")
-	}
-	f.Declare(&Descriptor{Addr: 0x3A, Name: "FEATURE_CONTROL", Locked: true})
-	if err := f.Write(0x3A, 5); err == nil {
-		t.Fatal("write to locked MSR succeeded")
 	}
 }
 
@@ -378,7 +374,7 @@ func TestResetMatchesNewFile(t *testing.T) {
 	for i, a := range want.addrs {
 		d, w := f.descs[i], want.descs[i]
 		if f.addrs[i] != a || f.vals[i] != want.vals[i] || d != &f.stdBuf[i] ||
-			d.Addr != w.Addr || d.Name != w.Name || d.ReadOnly != w.ReadOnly || d.Locked != w.Locked || d.Reset != w.Reset ||
+			d.Addr != w.Addr || d.Name != w.Name || d.ReadOnly != w.ReadOnly || d.Reset != w.Reset ||
 			d.ReadFn != nil || d.Apply != nil || len(d.hooks) != 0 || d.nextID != 0 || d.HookStats != (HookStats{}) {
 			t.Errorf("register %d (0x%x) differs from a new file's after reset", i, uint32(a))
 		}

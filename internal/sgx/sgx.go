@@ -68,15 +68,14 @@ func NewRegistry(s *sim.Simulator) *Registry {
 type Enclave struct {
 	id          uint64
 	name        string
-	core        int
 	measurement [32]byte
 	reg         *Registry
 	destroyed   bool
 }
 
-// Create initializes an enclave pinned to a core. The measurement commits
-// to the enclave's identity (ECREATE/EINIT of its code).
-func (r *Registry) Create(name string, core int) (*Enclave, error) {
+// Create initializes an enclave. The measurement commits to the enclave's
+// identity (ECREATE/EINIT of its code).
+func (r *Registry) Create(name string) (*Enclave, error) {
 	if name == "" {
 		return nil, errors.New("sgx: enclave needs a name")
 	}
@@ -84,7 +83,6 @@ func (r *Registry) Create(name string, core int) (*Enclave, error) {
 	e := &Enclave{
 		id:          r.nextID,
 		name:        name,
-		core:        core,
 		measurement: sha256.Sum256([]byte("enclave:" + name)),
 		reg:         r,
 	}

@@ -29,11 +29,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if r.AnyRunning() {
 		t.Fatal("fresh registry has enclaves")
 	}
-	e1, err := r.Create("signer", 1)
+	e1, err := r.Create("signer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := r.Create("sealer", 2)
+	e2, err := r.Create("sealer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if e1.ID() == e2.ID() {
 		t.Fatal("duplicate enclave IDs")
 	}
-	if e1.Core() != 1 || e1.Name() != "signer" {
+	if e1.Name() != "signer" {
 		t.Fatal("enclave metadata wrong")
 	}
 	e1.Destroy()
@@ -51,7 +51,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if r.Count() != 1 {
 		t.Fatalf("count after destroy = %d", r.Count())
 	}
-	if _, err := r.Create("", 0); err == nil {
+	if _, err := r.Create(""); err == nil {
 		t.Fatal("anonymous enclave accepted")
 	}
 }
@@ -59,9 +59,9 @@ func TestRegistryLifecycle(t *testing.T) {
 func TestMeasurementIsIdentityBound(t *testing.T) {
 	s := sim.New(1)
 	r := NewRegistry(s)
-	a, _ := r.Create("app", 0)
-	b, _ := r.Create("app", 1)
-	c, _ := r.Create("other", 0)
+	a, _ := r.Create("app")
+	b, _ := r.Create("app")
+	c, _ := r.Create("other")
 	if a.MeasurementHex() != b.MeasurementHex() {
 		t.Fatal("same code, different measurement")
 	}
@@ -76,7 +76,7 @@ func TestMeasurementIsIdentityBound(t *testing.T) {
 func TestEnclaveRunToCompletion(t *testing.T) {
 	s := sim.New(1)
 	r := NewRegistry(s)
-	e, _ := r.Create("worker", 0)
+	e, _ := r.Create("worker")
 	p := &countProgram{n: 5, fail: -1}
 	if err := e.Run(p); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestAttestationReportFlags(t *testing.T) {
 		HyperThreadingEnabled: true,
 		GuardModuleLoaded:     func() bool { return guardLoaded },
 	}
-	e, _ := r.Create("attested", 0)
+	e, _ := r.Create("attested")
 	s.RunFor(5 * sim.Millisecond)
 	rep := e.Attest(12345)
 	if rep.Nonce != 12345 || rep.EnclaveID != e.ID() {
@@ -127,7 +127,7 @@ func TestAttestationReportFlags(t *testing.T) {
 func TestAttestationWithoutGuardReporting(t *testing.T) {
 	s := sim.New(1)
 	r := NewRegistry(s)
-	e, _ := r.Create("legacy", 0)
+	e, _ := r.Create("legacy")
 	rep := e.Attest(0)
 	if rep.GuardModuleReported {
 		t.Fatal("platform without guard hook reported the flag")
@@ -139,7 +139,7 @@ func TestVerifyPolicies(t *testing.T) {
 	r := NewRegistry(s)
 	loaded := true
 	r.Features = Features{GuardModuleLoaded: func() bool { return loaded }}
-	e, _ := r.Create("policy", 0)
+	e, _ := r.Create("policy")
 	rep := e.Attest(1)
 
 	// Measurement pinning.

@@ -37,8 +37,6 @@ type Recorder struct {
 	period  sim.Duration
 	ticker  *sim.Ticker
 	samples []Sample
-	// Cap bounds memory; 0 = unbounded. When full, recording stops.
-	Cap int
 }
 
 // NewRecorder builds a recorder for the core; Start arms it.
@@ -58,10 +56,6 @@ func (r *Recorder) Start(s *sim.Simulator) error {
 		return errors.New("trace: recorder already started")
 	}
 	r.ticker = s.Every(r.period, func() {
-		if r.Cap > 0 && len(r.samples) >= r.Cap {
-			r.ticker.Stop()
-			return
-		}
 		r.samples = append(r.samples, Sample{
 			At:       s.Now(),
 			FreqKHz:  r.core.PLL.FreqKHz(),

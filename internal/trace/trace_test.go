@@ -91,19 +91,6 @@ func TestRecorderSamplesTimeline(t *testing.T) {
 	}
 }
 
-func TestRecorderCap(t *testing.T) {
-	p := newPlatform(t, 3)
-	r, _ := NewRecorder(p.Core(0), sim.Microsecond)
-	r.Cap = 5
-	if err := r.Start(p.Sim); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(100 * sim.Microsecond)
-	if r.Len() != 5 {
-		t.Fatalf("cap not enforced: %d samples", r.Len())
-	}
-}
-
 func TestDwellStats(t *testing.T) {
 	p := newPlatform(t, 4)
 	r, _ := NewRecorder(p.Core(0), 10*sim.Microsecond)
@@ -246,31 +233,6 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != r.Len()+1 {
 		t.Fatalf("csv rows %d for %d samples", len(lines)-1, r.Len())
 	}
-}
-
-func TestRecorderCapStaysStopped(t *testing.T) {
-	// Once the cap is hit the ticker stops for good: running the sim much
-	// longer adds nothing, the first Cap samples are retained (drop-newest),
-	// and Stop remains safe to call.
-	p := newPlatform(t, 8)
-	r, _ := NewRecorder(p.Core(0), sim.Microsecond)
-	r.Cap = 3
-	if err := r.Start(p.Sim); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(10 * sim.Microsecond)
-	if r.Len() != 3 {
-		t.Fatalf("cap not enforced: %d samples", r.Len())
-	}
-	firstAt := r.samples[0].At
-	p.Sim.RunFor(10 * sim.Millisecond)
-	if r.Len() != 3 {
-		t.Fatalf("sampling resumed after cap: %d samples", r.Len())
-	}
-	if r.samples[0].At != firstAt {
-		t.Fatal("cap evicted the oldest sample; expected drop-newest")
-	}
-	r.Stop() // must not panic on an already-stopped ticker
 }
 
 func TestDwellSingleSample(t *testing.T) {

@@ -114,27 +114,12 @@ type CRTSigner struct {
 	Key  *RSAKey
 	Core FaultyCore
 
-	// VerifyBeforeRelease enables the classic application-level fault
-	// countermeasure (Boneh-DeMillo-Lipton's own recommendation): verify
-	// the signature with the public key before releasing it, and retry on
-	// mismatch. It stops the *key extraction* (no faulty signature ever
-	// leaves the signer) at the cost of a public-key operation per
-	// signature — but unlike the paper's countermeasure it does nothing
-	// for non-signature victims, and it turns a fault attack into a
-	// denial of service (the signer spins while undervolted).
-	VerifyBeforeRelease bool
-	// MaxRetries bounds the verify-retry loop (default 32); exceeding it
-	// returns ErrSignatureUnstable.
-	MaxRetries int
-	// Retries counts verify-failure retries in the last Sign call.
-	Retries int
-
 	// rng drives fault bit placement inside big integers; seeded once so
 	// runs replay.
 	rng *mrand.Rand
 
 	// traj is the fault-free trajectory of the digest last signed under
-	// Key (see signOnce).
+	// Key (see Sign).
 	traj *trajectory
 	// at indexes the next step of the arithmetic in progress, and live is
 	// the first step it runs on the core (see step).
@@ -225,45 +210,15 @@ func (s *CRTSigner) expOnCore(z, base, exp, mod *big.Int) error {
 	return nil
 }
 
-// ErrSignatureUnstable is returned when VerifyBeforeRelease exhausts its
-// retry budget — the machine is too faulty to sign on.
-var ErrSignatureUnstable = errors.New("victim: signature verification kept failing (machine faulting)")
-
-// Sign produces the CRT signature of digest m. faulted reports whether any
-// core multiplication was corrupted during the *released* computation.
-// With VerifyBeforeRelease set, a corrupted signature is never released:
-// the signer retries until verification passes (or MaxRetries runs out),
-// so faulted is always false on success.
+// Sign produces the CRT signature of digest m, released unverified.
+// faulted reports whether any core multiplication was corrupted. The
+// core's fault and crash draws never read the operands, so until a step
+// faults the signature follows the digest's fault-free trajectory: Sign
+// runs the trajectory's steps on the core as one IMuls call, which stops
+// at the first faulted step or a crash, and computes nothing. After a
+// faulted step it reruns the arithmetic with that step corrupted and the
+// later steps live on the core. Steps counts the step a crash hit.
 func (s *CRTSigner) Sign(m *big.Int) (sig *big.Int, faulted bool, err error) {
-	s.Retries = 0
-	if !s.VerifyBeforeRelease {
-		return s.signOnce(m)
-	}
-	max := s.MaxRetries
-	if max <= 0 {
-		max = 32
-	}
-	for try := 0; try < max; try++ {
-		sig, _, err := s.signOnce(m)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.Key.Verify(m, sig) {
-			return sig, false, nil
-		}
-		s.Retries++
-	}
-	return nil, false, ErrSignatureUnstable
-}
-
-// signOnce is one unprotected CRT signature. The core's fault and crash
-// draws never read the operands, so until a step faults the signature
-// follows the digest's fault-free trajectory: signOnce runs the
-// trajectory's steps on the core as one IMuls call, which stops at the
-// first faulted step or a crash, and computes nothing. After a faulted
-// step it reruns the arithmetic with that step corrupted and the later
-// steps live on the core. Steps counts the step a crash hit.
-func (s *CRTSigner) signOnce(m *big.Int) (sig *big.Int, faulted bool, err error) {
 	s.FaultedSteps = 0
 	t := s.trajectory(m)
 	done, faulted, err := s.Core.IMuls(t.steps)

@@ -17,13 +17,11 @@ import (
 // Mul+Mod per step. The differential tests hold CRTSigner to it on every
 // observable.
 type refSigner struct {
-	key        *RSAKey
-	core       imulCore
-	verify     bool
-	maxRetries int
-	rng        *mrand.Rand
+	key  *RSAKey
+	core imulCore
+	rng  *mrand.Rand
 
-	steps, faultedSteps, retries int
+	steps, faultedSteps int
 }
 
 // imulCore is the one instruction refSigner runs per step: *cpu.Core and
@@ -37,28 +35,6 @@ func newRefSigner(key *RSAKey, core imulCore, seed int64) *refSigner {
 }
 
 func (r *refSigner) sign(m *big.Int) (*big.Int, bool, error) {
-	r.retries = 0
-	if !r.verify {
-		return r.signOnce(m)
-	}
-	tries := r.maxRetries
-	if tries <= 0 {
-		tries = 32
-	}
-	for ; tries > 0; tries-- {
-		sig, _, err := r.signOnce(m)
-		if err != nil {
-			return nil, false, err
-		}
-		if r.key.Verify(m, sig) {
-			return sig, false, nil
-		}
-		r.retries++
-	}
-	return nil, false, ErrSignatureUnstable
-}
-
-func (r *refSigner) signOnce(m *big.Int) (*big.Int, bool, error) {
 	r.steps, r.faultedSteps = 0, 0
 	k := r.key
 	sp, err := r.exp(m, k.Dp, k.P)
@@ -154,31 +130,27 @@ type signCall struct {
 
 // signObs is what one Sign call shows its caller.
 type signObs struct {
-	sig                          *big.Int
-	faulted                      bool
-	err                          error
-	steps, faultedSteps, retries int
+	sig                 *big.Int
+	faulted             bool
+	err                 error
+	steps, faultedSteps int
 }
 
 func (o signObs) String() string {
-	return fmt.Sprintf("sig %v faulted %v err %v steps %d faulted steps %d retries %d",
-		o.sig, o.faulted, o.err, o.steps, o.faultedSteps, o.retries)
+	return fmt.Sprintf("sig %v faulted %v err %v steps %d faulted steps %d",
+		o.sig, o.faulted, o.err, o.steps, o.faultedSteps)
 }
 
 // outcome names what the call released: a signature with its count of
-// faulted steps, a signature after verify retries, or an error.
+// faulted steps, or an error.
 func (o signObs) outcome() string {
 	switch {
 	case errors.Is(o.err, cpu.ErrCrashed):
 		return "crash"
-	case errors.Is(o.err, ErrSignatureUnstable):
-		return "unstable"
 	case o.err != nil:
 		return o.err.Error()
 	case o.faulted:
 		return fmt.Sprintf("faulty %d", o.faultedSteps)
-	case o.retries > 0:
-		return fmt.Sprintf("retried %d", o.retries)
 	}
 	return "clean"
 }
@@ -186,16 +158,16 @@ func (o signObs) outcome() string {
 func sameObs(a, b signObs) bool {
 	sameSig := (a.sig == nil) == (b.sig == nil) && (a.sig == nil || a.sig.Cmp(b.sig) == 0)
 	return sameSig && a.faulted == b.faulted && a.err == b.err && a.steps == b.steps &&
-		a.faultedSteps == b.faultedSteps && a.retries == b.retries
+		a.faultedSteps == b.faultedSteps
 }
 
 // diffSigners runs calls in order on a CRTSigner and a refSigner, each on
 // its own scriptCore with the same script, and fails at the first
-// observable that differs: signature, faulted flag, error, Steps,
-// FaultedSteps and Retries after each call, then the multiplications each
-// core executed in all and the next draw of each signer's rng. It returns
-// the CRTSigner's observations.
-func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int, verify bool, maxRetries int) []signObs {
+// observable that differs: signature, faulted flag, error, Steps and
+// FaultedSteps after each call, then the multiplications each core
+// executed in all and the next draw of each signer's rng. It returns the
+// CRTSigner's observations.
+func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int) []signObs {
 	t.Helper()
 	script := map[int]bool{}
 	for _, i := range faults {
@@ -207,16 +179,14 @@ func diffSigners(t testing.TB, calls []signCall, faults []int, crashAt int, veri
 		t.Fatal(err)
 	}
 	ref := newRefSigner(calls[0].key, refCore, 5)
-	s.VerifyBeforeRelease, ref.verify = verify, verify
-	s.MaxRetries, ref.maxRetries = maxRetries, maxRetries
 	var obs []signObs
 	for n, c := range calls {
 		var got, want signObs
 		s.Key, ref.key = c.key, c.key
 		got.sig, got.faulted, got.err = s.Sign(c.m)
 		want.sig, want.faulted, want.err = ref.sign(c.m)
-		got.steps, got.faultedSteps, got.retries = s.Steps, s.FaultedSteps, s.Retries
-		want.steps, want.faultedSteps, want.retries = ref.steps, ref.faultedSteps, ref.retries
+		got.steps, got.faultedSteps = s.Steps, s.FaultedSteps
+		want.steps, want.faultedSteps = ref.steps, ref.faultedSteps
 		if !sameObs(got, want) {
 			t.Fatalf("call %d:\n  replay    %v\n  reference %v", n, got, want)
 		}
@@ -279,27 +249,24 @@ func TestSignReplayMatchesReference(t *testing.T) {
 		calls   []signCall
 		faults  []int
 		crashAt int
-		verify  bool
 		want    []string // each call's outcome
 	}{
-		{"no fault", three, nil, -1, false, []string{"clean", "clean", "clean"}},
-		{"step 0", three, []int{0}, -1, false, []string{"faulty 1", "clean", "clean"}},
-		{"squaring", three, []int{n + square}, -1, false, []string{"clean", "faulty 1", "clean"}},
-		{"multiply", three, []int{mul}, -1, false, []string{"faulty 1", "clean", "clean"}},
-		{"first q-half step", three, []int{firstQ}, -1, false, []string{"faulty 1", "clean", "clean"}},
-		{"Garner step", three, []int{3*n - 1}, -1, false, []string{"clean", "clean", "faulty 1"}},
-		{"two faults", three, []int{square, firstQ + 3}, -1, false, []string{"faulty 2", "clean", "clean"}},
-		{"faults in consecutive calls", three, []int{n - 1, n + 1}, -1, false, []string{"faulty 1", "faulty 1", "clean"}},
-		{"crash before a fault", three, []int{n + mul}, square, false, []string{"crash", "crash", "crash"}},
-		{"crash after a fault", three, []int{mul}, n + firstQ, false, []string{"faulty 1", "crash", "crash"}},
-		{"crash at the faulted step", three, []int{mul}, mul, false, []string{"crash", "crash", "crash"}},
-		{"verify, faulted first try", three, []int{square}, -1, true, []string{"retried 1", "clean", "clean"}},
-		{"verify, every try faulted", three, []int{mul, n + mul, 2*n + mul, 3*n + 7}, -1, true, []string{"unstable", "retried 1", "clean"}},
-		{"swapped key", []signCall{{k, m}, {k2, m}, {k, m}}, []int{n + 40}, -1, false, []string{"clean", "faulty 1", "clean"}},
-		{"changed digest", []signCall{{k, m}, {k, m2}, {k, m}}, []int{n + 40}, -1, false, []string{"clean", "faulty 1", "clean"}},
+		{"no fault", three, nil, -1, []string{"clean", "clean", "clean"}},
+		{"step 0", three, []int{0}, -1, []string{"faulty 1", "clean", "clean"}},
+		{"squaring", three, []int{n + square}, -1, []string{"clean", "faulty 1", "clean"}},
+		{"multiply", three, []int{mul}, -1, []string{"faulty 1", "clean", "clean"}},
+		{"first q-half step", three, []int{firstQ}, -1, []string{"faulty 1", "clean", "clean"}},
+		{"Garner step", three, []int{3*n - 1}, -1, []string{"clean", "clean", "faulty 1"}},
+		{"two faults", three, []int{square, firstQ + 3}, -1, []string{"faulty 2", "clean", "clean"}},
+		{"faults in consecutive calls", three, []int{n - 1, n + 1}, -1, []string{"faulty 1", "faulty 1", "clean"}},
+		{"crash before a fault", three, []int{n + mul}, square, []string{"crash", "crash", "crash"}},
+		{"crash after a fault", three, []int{mul}, n + firstQ, []string{"faulty 1", "crash", "crash"}},
+		{"crash at the faulted step", three, []int{mul}, mul, []string{"crash", "crash", "crash"}},
+		{"swapped key", []signCall{{k, m}, {k2, m}, {k, m}}, []int{n + 40}, -1, []string{"clean", "faulty 1", "clean"}},
+		{"changed digest", []signCall{{k, m}, {k, m2}, {k, m}}, []int{n + 40}, -1, []string{"clean", "faulty 1", "clean"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			obs := diffSigners(t, tc.calls, tc.faults, tc.crashAt, tc.verify, 3)
+			obs := diffSigners(t, tc.calls, tc.faults, tc.crashAt)
 			for i, o := range obs {
 				if got := o.outcome(); got != tc.want[i] {
 					t.Fatalf("call %d: %s, want %s", i, got, tc.want[i])
@@ -441,19 +408,18 @@ func TestSignReplayMatchesReferenceAcrossCrash(t *testing.T) {
 // FuzzSignReplay holds the replaying signer to refSigner on four Sign
 // calls, the third under a second key and digest. Each byte pair of picks
 // picks a faulted IMul call; crash, when not negative, picks the call from
-// which the core stays crashed; verify sets VerifyBeforeRelease with three
-// tries.
+// which the core stays crashed.
 func FuzzSignReplay(f *testing.F) {
-	f.Add([]byte{}, int16(-1), false)
-	f.Add([]byte{0, 0}, int16(-1), false)
-	f.Add([]byte{0x00, 0x90, 0x01, 0x10}, int16(-1), true)
-	f.Add([]byte{0x00, 0x40, 0x02, 0x00}, int16(0x0120), false)
+	f.Add([]byte{}, int16(-1))
+	f.Add([]byte{0, 0}, int16(-1))
+	f.Add([]byte{0x00, 0x90, 0x01, 0x10}, int16(-1))
+	f.Add([]byte{0x00, 0x40, 0x02, 0x00}, int16(0x0120))
 	k, k2 := mustKey(f, 256, 41), mustKey(f, 256, 42)
 	m, m2 := k.HashToInt([]byte("fuzz")), k2.HashToInt([]byte("fuzz 2"))
 	calls := []signCall{{k, m}, {k, m}, {k2, m2}, {k, m}}
-	// Every call is within reach of a fault or the crash, retries included.
-	reach := 3 * len(calls) * max(len(schedule(k)), len(schedule(k2)))
-	f.Fuzz(func(t *testing.T, picks []byte, crash int16, verify bool) {
+	// Every call is within reach of a fault or the crash.
+	reach := len(calls) * max(len(schedule(k)), len(schedule(k2)))
+	f.Fuzz(func(t *testing.T, picks []byte, crash int16) {
 		var faults []int
 		for i := 0; i+1 < len(picks) && len(faults) < 16; i += 2 {
 			faults = append(faults, (int(picks[i])<<8|int(picks[i+1]))%reach)
@@ -462,7 +428,7 @@ func FuzzSignReplay(f *testing.F) {
 		if crash >= 0 {
 			crashAt = int(crash) % reach
 		}
-		diffSigners(t, calls, faults, crashAt, verify, 3)
+		diffSigners(t, calls, faults, crashAt)
 	})
 }
 

@@ -276,82 +276,3 @@ func BenchmarkCRTSign512(b *testing.B) {
 		_, _, _ = s.Sign(m)
 	}
 }
-
-func TestVerifyBeforeReleaseBlocksKeyExtraction(t *testing.T) {
-	// The classic application-level mitigation: a faulty CRT signature is
-	// caught by public-key verification and never released, so the BDL
-	// gcd has nothing to work with.
-	p := newPlatform(t, 21)
-	undervoltIntoFaultWindow(t, p, 0)
-	k, err := GenerateRSAKey(512, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewCRTSigner(k, p.Core(0), 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.VerifyBeforeRelease = true
-	m := k.HashToInt([]byte("protected"))
-	retried := false
-	for i := 0; i < 200; i++ {
-		sig, faulted, err := s.Sign(m)
-		if errors.Is(err, ErrSignatureUnstable) {
-			// Deep in the window the retry budget can run out — that is a
-			// DoS, not a leak; acceptable outcome.
-			retried = true
-			continue
-		}
-		if err != nil {
-			t.Fatalf("crash: %v", err)
-		}
-		if faulted {
-			t.Fatal("protected signer reported a released faulty signature")
-		}
-		if !k.Verify(m, sig) {
-			t.Fatal("protected signer released an invalid signature")
-		}
-		if s.Retries > 0 {
-			retried = true
-		}
-		if _, ok := RecoverFactor(k.N, k.E, m, sig); ok {
-			t.Fatal("released signature leaked a factor")
-		}
-	}
-	if !retried {
-		t.Fatal("fault window never triggered a verify-retry — window miscalibrated")
-	}
-}
-
-func TestVerifyBeforeReleaseUnstableMachine(t *testing.T) {
-	// Push the fault probability so high that retries exhaust: the signer
-	// degrades to denial of service rather than leaking.
-	p := newPlatform(t, 22)
-	c := p.Core(0)
-	for off := -1; off >= -450; off-- {
-		if err := p.WriteOffsetViaMSR(0, off, msr.PlaneCore); err != nil {
-			t.Fatal(err)
-		}
-		p.SettleAll()
-		if c.FaultProbability(cpu.ClassIMul) > 0.05 && c.CrashProbability() < 1e-9 {
-			break
-		}
-	}
-	k, _ := GenerateRSAKey(512, 23)
-	s, _ := NewCRTSigner(k, c, 29)
-	s.VerifyBeforeRelease = true
-	s.MaxRetries = 3
-	m := k.HashToInt([]byte("dos"))
-	sawUnstable := false
-	for i := 0; i < 50 && !sawUnstable; i++ {
-		_, _, err := s.Sign(m)
-		if errors.Is(err, ErrSignatureUnstable) {
-			sawUnstable = true
-		} else if err != nil {
-			t.Fatalf("crash: %v", err)
-		}
-	}
-	if !sawUnstable {
-		t.Fatal("retry budget never exhausted at 5% per-mul fault rate")
-	}
-}

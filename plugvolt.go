@@ -318,8 +318,8 @@ func (s *System) Defenses(grid *Grid) ([]Countermeasure, error) {
 		defense.None{},
 		&defense.AccessControl{},
 		pol,
-		&defense.Microcode{MaxSafeOffsetMV: msv},
-		&defense.ClampMSR{LimitMV: msv},
+		&defense.WriteGuard{MaxSafeOffsetMV: msv},
+		&defense.WriteGuard{MaxSafeOffsetMV: msv, Clamp: true},
 	}, nil
 }
 

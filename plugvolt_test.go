@@ -138,7 +138,7 @@ func TestBenignUndervoltThroughEachDefense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Registry.Create("tee-service", 3); err != nil {
+	if _, err := sys.Registry.Create("tee-service"); err != nil {
 		t.Fatal(err)
 	}
 	artifact := e2BenignColumn(t)
@@ -349,7 +349,7 @@ func TestAttestationCarriesHTStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, _ := ht.Registry.Create("x", 0)
+	e1, _ := ht.Registry.Create("x")
 	if !e1.Attest(1).HyperThreadingEnabled {
 		t.Fatal("kabylaker attestation missing HT flag")
 	}
@@ -357,7 +357,7 @@ func TestAttestationCarriesHTStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := noHT.Registry.Create("x", 0)
+	e2, _ := noHT.Registry.Create("x")
 	if e2.Attest(1).HyperThreadingEnabled {
 		t.Fatal("skylake attestation claims HT")
 	}

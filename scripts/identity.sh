@@ -7,7 +7,8 @@
 # ./cmd/... there and from the working tree, runs the same invocations with
 # each build in its own scratch directory, and diffs each invocation's
 # stdout, exit code and every file it wrote. The invocations cover the
-# fleet under every campaign and idle, the characterizer's two strategies
+# fleet under every campaign and idle, a batched idle fleet's final
+# checkpoint file (the checkpoint format), the characterizer's two strategies
 # at one and two workers and at paper resolution, the attack matrix, the
 # overhead tables, the guard with every output, and the report bundle, plain
 # and -full, at a seed artifacts/ does not pin. Only the plugvolt_build_info
@@ -48,6 +49,8 @@ for attack in none plundervolt redteam voltjockey v0ltpwn; do
 	invoke "fleet-$attack" plugvolt-fleet -machines 24 -seed 42 -attack "$attack" \
 		-out fleet.json -metrics-out fleet.prom
 done
+invoke fleet-checkpoint plugvolt-fleet -machines 6 -seed 42 -attack none -window 2ms \
+	-batch 2 -checkpoint fleet.ckpt -out fleet.json
 for strategy in sweep bisect; do
 	for workers in 1 2; do
 		invoke "characterize-$strategy-w$workers" plugvolt-characterize -cpu cometlake -seed 42 \
